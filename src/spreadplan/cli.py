@@ -101,10 +101,10 @@ def cmd_solve(args) -> int:
                          args.temporal, len(tasks))
     cfg = SearchConfig(mode=args.mode, tie_break_seed=args.seed)
     solution = solve_mpp(instance, params, args.iterations, cfg)
-    conflicts = validate_solution(solution.paths)
+    conflicts = validate_solution(solution.paths, grid, tasks)
     if conflicts:
-        print(f"internal error: solution has {len(conflicts)} conflicts",
-              file=sys.stderr)
+        print(f"internal error: solution has {len(conflicts)} conflicts "
+              f"or illegal paths", file=sys.stderr)
         return EXIT_SOLVER
     lb_mk, lb_sc = lower_bounds(instance)
     header = ["seed", "n", "mode", "iterations", "makespan", "sum_of_cost",

@@ -3,6 +3,12 @@
 Cells are (x, y) tuples, indexed row-major from the top-left, so (0, 0) is the
 upper-left corner and y grows downward.  A map is a 4-connected grid with a set
 of blocked cells.
+
+Distance fields grow on demand: `distance_field` labels only the goal, and
+each lookup of an unlabelled cell resumes the breadth-first search from the
+goal until that cell is labelled.  A cell's label is exact from the moment it
+is first reached, so a field answers every lookup as a whole-map BFS would,
+while a search near the goal pays only for the cells it reads.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 Cell = tuple[int, int]
 
@@ -61,6 +68,19 @@ class GridMap:
                 out.append(nxt)
         return out
 
+    @cached_property
+    def adjacency(self) -> dict[Cell, tuple[Cell, ...]]:
+        """Each passable cell's passable 4-neighbours, in NEIGHBOR_STEPS order.
+
+        Built on first use rather than with the map, since parsing and
+        component extraction make maps that are never searched.
+        """
+        cells = set(self.vertices())
+        return {(x, y): tuple(n for n in ((x + dx, y + dy)
+                                          for dx, dy in NEIGHBOR_STEPS)
+                              if n in cells)
+                for (x, y) in cells}
+
     def vertices(self):
         for y in range(self.height):
             for x in range(self.width):
@@ -83,21 +103,58 @@ class GridMap:
         return len(seen) == self.num_vertices
 
 
-@dataclass(frozen=True)
 class DistanceField:
-    """Exact shortest grid distances to a fixed goal; unreachable cells absent."""
+    """Exact shortest grid distances to a fixed goal; unreachable cells absent.
 
-    goal: Cell
-    dist: dict[Cell, int]
+    `dist` holds the cells labelled so far.  Given the map's adjacency table,
+    the field starts from the goal alone, and a lookup of an unlabelled cell
+    resumes the breadth-first search until that cell is labelled or the
+    goal's component is used up; a cell that is not a key of the table
+    (blocked or off the map) misses at once.  Without a table, `dist` must
+    already be complete.
+    """
+
+    __slots__ = ("goal", "dist", "_adjacency", "_frontier")
+
+    def __init__(self, goal: Cell, dist: dict[Cell, int],
+                 adjacency: dict[Cell, tuple[Cell, ...]] | None = None):
+        self.goal = goal
+        self.dist = dist
+        self._adjacency = adjacency
+        # cells labelled but not yet expanded, in BFS order
+        self._frontier = deque([goal] if adjacency is not None else ())
+
+    def _grow(self, cell: Cell) -> int | None:
+        """Resume the BFS until `cell` is labelled; its distance, or None."""
+        if cell not in self._adjacency:
+            return None
+        dist, frontier, adjacency = self.dist, self._frontier, self._adjacency
+        while frontier:
+            v = frontier.popleft()
+            d = dist[v] + 1
+            for nxt in adjacency[v]:
+                if nxt not in dist:
+                    dist[nxt] = d
+                    frontier.append(nxt)
+            if cell in dist:
+                return dist[cell]
+        return None
 
     def __contains__(self, cell: Cell) -> bool:
-        return cell in self.dist
+        return self.get(cell) is not None
 
     def __getitem__(self, cell: Cell) -> int:
-        return self.dist[cell]
+        d = self.get(cell)
+        if d is None:
+            raise KeyError(cell)
+        return d
 
     def get(self, cell: Cell, default=None):
-        return self.dist.get(cell, default)
+        try:
+            return self.dist[cell]
+        except KeyError:
+            d = self._grow(cell) if self._frontier else None
+            return default if d is None else d
 
 
 @dataclass(frozen=True)
@@ -261,23 +318,10 @@ def largest_component_grid(grid: GridMap) -> GridMap:
 
 
 def distance_field(grid: GridMap, goal: Cell) -> DistanceField:
-    """Breadth-first exact shortest distances from every cell to the goal."""
+    """Exact shortest distances from every cell to the goal, labelled as read."""
     if not grid.passable(goal):
         raise ValueError(f"goal {goal} is blocked or out of bounds")
-    dist = {goal: 0}
-    queue = deque([goal])
-    blocked = grid.blocked
-    width, height = grid.width, grid.height
-    while queue:
-        x, y = queue.popleft()
-        d = dist[(x, y)] + 1
-        for dx, dy in NEIGHBOR_STEPS:
-            nxt = (x + dx, y + dy)
-            if (0 <= nxt[0] < width and 0 <= nxt[1] < height
-                    and nxt not in blocked and nxt not in dist):
-                dist[nxt] = d
-                queue.append(nxt)
-    return DistanceField(goal, dist)
+    return DistanceField(goal, {goal: 0}, grid.adjacency)
 
 
 def generate_instance(grid: GridMap, n: int, seed: int,

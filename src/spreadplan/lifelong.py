@@ -339,6 +339,7 @@ def _plan_window(grid: GridMap, start: Cell, targets: list[Cell], h: int,
     def wait_safe(v: Cell, t_from: int) -> bool:
         return all((v, t) not in vertex_res for t in range(t_from + 1, h + 1))
 
+    adjacency = grid.adjacency
     counter = 0
     start_state = (start, 0, 0)
     parents: dict = {start_state: None}
@@ -364,7 +365,7 @@ def _plan_window(grid: GridMap, start: Cell, targets: list[Cell], h: int,
         if t >= max_t:
             continue
         nt = t + 1
-        for nxt in grid.neighbors(v) + [v]:
+        for nxt in adjacency[v] + (v,):
             if nt <= h:
                 if (nxt, nt) in vertex_res:
                     continue

@@ -16,7 +16,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .grid import Cell, GridMap, distance_field
+from .grid import Cell, DistanceField, GridMap, distance_field
 from .metrics import (makespan, max_vertex_overlap, sum_of_cost,
                       timed_conflicts, total_pairwise_overlap)
 from .search import (InstanceError, SearchConfig, SearchStats, _mix,
@@ -95,18 +95,38 @@ def solution_paths_from_json(text: str) -> list[Path]:
 
 @dataclass(frozen=True)
 class Conflict:
-    kind: str  # "vertex" or "swap"
-    robots: tuple[int, int]
+    kind: str  # "vertex" or "swap"; "move", "start" or "goal" for one path
+    robots: tuple[int, ...]  # the two robots in a collision, else the one
     time: int
     where: tuple
 
 
-def validate_solution(paths: list[Path]) -> list[Conflict]:
-    """Complete list of vertex and swap conflicts; empty means collision-free.
+def validate_solution(paths: list[Path], grid: GridMap | None = None,
+                      tasks: list[tuple[Cell, Cell]] | None = None
+                      ) -> list[Conflict]:
+    """Complete list of faults; empty means a valid solution.
 
-    Robots rest at their final cell once their path ends.
+    Vertex and swap conflicts are always reported; robots rest at their
+    final cell once their path ends.  Given the map, every step must also be
+    a wait or a move to a passable 4-neighbour, reported as a "move" at the
+    step's arrival time with the (from, to) cells.  Given the (start, goal)
+    tasks, each path must start at its start and end on its goal.
     """
     conflicts = []
+    if grid is not None:
+        adjacency = grid.adjacency
+        for i, p in enumerate(paths):
+            for t, b in enumerate(p):
+                a = p[t - 1] if t else b
+                if not ((b == a and b in adjacency)
+                        or b in adjacency.get(a, ())):
+                    conflicts.append(Conflict("move", (i,), t, (a, b)))
+    if tasks is not None:
+        for i, (p, (s, g)) in enumerate(zip(paths, tasks, strict=True)):
+            if p[0] != s:
+                conflicts.append(Conflict("start", (i,), 0, p[0]))
+            if p[-1] != g:
+                conflicts.append(Conflict("goal", (i,), len(p) - 1, p[-1]))
     horizon = max((len(p) for p in paths), default=0)
     n = len(paths)
 
@@ -185,13 +205,16 @@ class _Reservations:
 def default_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
                                  priority: list[int] | None = None,
                                  seed: int = 0,
-                                 stats: SolveStats | None = None) -> list[Path]:
+                                 stats: SolveStats | None = None,
+                                 fields: dict[Cell, DistanceField] | None = None
+                                 ) -> list[Path]:
     """Sequential space-time scheduling around earlier robots' reservations.
 
     Robots whose initial path is already clean keep it unchanged; the rest
     re-plan with waits allowed.  Each robot's final cell is reserved for all
     later steps.  Raises ResolverError naming the first robot that cannot be
-    scheduled within the time bound.
+    scheduled within the time bound.  `fields` maps goals to distance
+    fields already built, such as phase 1's; fields built here are added.
     """
     n = len(initial_paths)
     if priority is None:
@@ -200,7 +223,8 @@ def default_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
         stats = SolveStats()
     reservations = _Reservations()
     result: list[Path | None] = [None] * n
-    fields = {}
+    if fields is None:
+        fields = {}
     for order_idx, i in enumerate(priority):
         path = initial_paths[i]
         if reservations.path_is_clean(path):
@@ -235,6 +259,7 @@ def _space_time_plan(grid: GridMap, start: Cell, goal: Cell, dfield,
     h0 = dfield.get(start)
     if h0 is None:
         return None
+    adjacency = grid.adjacency
     counter = 0
     heap = [(h0, 0, _mix(seed, start[0], start[1], 0), counter, (start, 0))]
     parents = {(start, 0): None}
@@ -256,7 +281,7 @@ def _space_time_plan(grid: GridMap, start: Cell, goal: Cell, dfield,
             return path
         if t >= bound:
             continue
-        for nxt in grid.neighbors(v) + [v]:
+        for nxt in adjacency[v] + (v,):
             h = dfield.get(nxt)
             if h is None:
                 continue
@@ -279,9 +304,11 @@ def solve_mpp(instance: MppInstance, params: UsageParams | None = None,
     params = params or UsageParams()
     cfg = cfg or SearchConfig()
     stats = SolveStats()
+    fields: dict[Cell, DistanceField] = {}
     t0 = time.perf_counter()
     initial = plan_independent_paths(instance.grid, instance.tasks, params,
-                                     iterations, cfg, stats=stats.search)
+                                     iterations, cfg, fields=fields,
+                                     stats=stats.search)
     stats.plan_seconds = time.perf_counter() - t0
     vc, sc = timed_conflicts(initial)
     stats.initial_vertex_conflicts = vc
@@ -292,7 +319,8 @@ def solve_mpp(instance: MppInstance, params: UsageParams | None = None,
     t1 = time.perf_counter()
     if resolver is None:
         final = default_resolver_prioritized(instance.grid, initial,
-                                             seed=cfg.tie_break_seed, stats=stats)
+                                             seed=cfg.tie_break_seed, stats=stats,
+                                             fields=fields)
     else:
         final = resolver(instance.grid, initial)
     stats.resolve_seconds = time.perf_counter() - t1

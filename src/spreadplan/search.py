@@ -95,6 +95,7 @@ def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
     if temporal and max_time is None:
         max_time = base + 2 * (params.window_before + params.window_after) + 10
 
+    adjacency = grid.adjacency
     counter = 0
     if temporal:
         start_state = (start, 0)
@@ -116,9 +117,7 @@ def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
         t_next = (state[1] + 1) if temporal else 0
         if temporal and t_next > max_time:
             continue
-        moves = grid.neighbors(v)
-        if temporal:
-            moves = moves + [v]
+        moves = adjacency[v] + (v,) if temporal else adjacency[v]
         for nxt in moves:
             h_dist = dfield.get(nxt)
             if h_dist is None:
@@ -165,6 +164,7 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
     if temporal and max_time is None:
         max_time = base + 2 * (params.window_before + params.window_after) + 10
 
+    adjacency = grid.adjacency
     counter = 0
     start_state = (start, 0) if temporal else start
     parents = {start_state: None}
@@ -186,9 +186,7 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
         t_next = (state[1] + 1) if temporal else 0
         if temporal and t_next > max_time:
             continue
-        moves = grid.neighbors(v)
-        if temporal:
-            moves = moves + [v]
+        moves = adjacency[v] + (v,) if temporal else adjacency[v]
         for nxt in moves:
             h_dist = dfield.get(nxt)
             if h_dist is None:

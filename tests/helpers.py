@@ -3,10 +3,24 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from spreadplan.grid import GridMap, distance_field
 from spreadplan.search import SearchConfig, find_path_cost_to_go
 from spreadplan.usage import UsageParams, UsageTable
+
+
+def eager_bfs(grid: GridMap, goal):
+    """Reference: every reachable cell's distance to the goal, all at once."""
+    dist = {goal: 0}
+    queue = deque([goal])
+    while queue:
+        v = queue.popleft()
+        for n in grid.neighbors(v):
+            if n not in dist:
+                dist[n] = dist[v] + 1
+                queue.append(n)
+    return dist
 
 
 def random_shortest_path(grid: GridMap, rng: random.Random):

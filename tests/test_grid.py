@@ -3,12 +3,14 @@ import random
 
 import pytest
 
-from spreadplan.grid import (GenerationError, GridMap, MapParseError,
-                             distance_field, generate_instance,
+from spreadplan.grid import (DistanceField, GenerationError, GridMap,
+                             MapParseError, distance_field, generate_instance,
                              generate_random_grid, generate_warehouse,
                              grid_to_movingai, instance_from_json,
                              instance_to_json, largest_component_grid,
                              parse_movingai_map, parse_movingai_scen)
+
+from helpers import eager_bfs
 
 DEN520D_PATH = os.environ.get(
     "SPREADPLAN_DEN520D",
@@ -159,6 +161,62 @@ def test_distance_field_bellman_property():
             if v in field:
                 assert field[v] == 1 + min(field[n] for n in grid.neighbors(v)
                                            if n in field)
+
+
+def test_lazy_field_matches_eager_bfs_in_any_read_order():
+    rng = random.Random(11)
+    for _ in range(30):
+        width, height = rng.randint(1, 12), rng.randint(1, 12)
+        cells = [(x, y) for y in range(height) for x in range(width)]
+        blocked = frozenset(c for c in cells[1:] if rng.random() < 0.3)
+        grid = GridMap(width, height, blocked)  # often several components
+        goal = rng.choice(list(grid.vertices()))
+        expected = eager_bfs(grid, goal)
+        field = distance_field(grid, goal)
+        probes = [(x, y) for y in range(-1, height + 1)
+                  for x in range(-1, width + 1)]  # blocked and off-map too
+        rng.shuffle(probes)
+        for cell in probes:
+            want = expected.get(cell)
+            read = rng.randrange(3)
+            if read == 0:
+                assert (cell in field) == (want is not None)
+            elif read == 1 and want is None:
+                with pytest.raises(KeyError):
+                    field[cell]
+            elif read == 1:
+                assert field[cell] == want
+            else:
+                assert field.get(cell, -1) == (-1 if want is None else want)
+        assert field.dist == expected
+
+
+def test_lazy_field_labels_only_what_a_lookup_needs():
+    grid = GridMap(200, 200, frozenset({(100, 101)}))
+    field = distance_field(grid, (100, 100))
+    assert (100, 101) not in field        # blocked
+    assert field.get((-1, 100)) is None   # off the map
+    assert len(field.dist) == 1           # neither miss grew the field
+    assert field[(101, 102)] == 3
+    within_3 = {(100 + dx, 100 + dy) for dx in range(-3, 4)
+                for dy in range(-3, 4) if abs(dx) + abs(dy) <= 3}
+    assert len(within_3) == 25
+    assert set(field.dist) <= within_3
+
+
+def test_distance_field_from_complete_dict():
+    field = DistanceField((0, 0), {(0, 0): 0, (1, 0): 1})
+    assert field[(1, 0)] == 1 and (1, 0) in field
+    assert (2, 0) not in field and field.get((2, 0), 7) == 7
+    with pytest.raises(KeyError):
+        field[(2, 0)]
+
+
+def test_adjacency_lists_passable_neighbours_in_step_order():
+    grid = generate_random_grid(9, 7, 0.2, 3)
+    assert set(grid.adjacency) == set(grid.vertices())
+    for v, nbrs in grid.adjacency.items():
+        assert list(nbrs) == grid.neighbors(v)
 
 
 def test_largest_component_grid():

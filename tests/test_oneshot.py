@@ -51,6 +51,35 @@ def test_validate_counts_rest_collisions():
     assert any(c.kind == "vertex" and c.time == 2 for c in conflicts)
 
 
+def test_validate_reports_illegal_paths_given_map_and_tasks():
+    grid = GridMap(5, 5, frozenset({(2, 1)}))
+    tasks = [((0, 0), (2, 2))]
+    legal = [(0, 0), (1, 0), (1, 0), (1, 1), (1, 2), (2, 2)]
+    assert validate_solution([legal], grid, tasks) == []
+
+    teleport = [[(0, 0), (50, 50)]]
+    assert validate_solution(teleport) == []  # the paths alone cannot tell
+    assert validate_solution(teleport, grid) == [
+        Conflict("move", (0,), 1, ((0, 0), (50, 50)))]
+
+    jump = [(0, 0), (2, 0), (2, 0)]
+    assert validate_solution([jump], grid) == [
+        Conflict("move", (0,), 1, ((0, 0), (2, 0)))]
+
+    into_block = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)]
+    assert validate_solution([into_block], grid, tasks) == [
+        Conflict("move", (0,), 3, ((1, 1), (2, 1))),
+        Conflict("move", (0,), 4, ((2, 1), (2, 2)))]
+
+    wrong_start = [(1, 0), (1, 1), (1, 2), (2, 2)]
+    assert validate_solution([wrong_start], grid, tasks) == [
+        Conflict("start", (0,), 0, (1, 0))]
+
+    wrong_goal = legal[:-1]
+    assert validate_solution([wrong_goal], grid, tasks) == [
+        Conflict("goal", (0,), 4, (1, 2))]
+
+
 def test_single_robot_solution():
     grid = generate_random_grid(8, 8, 0.1, 1)
     cells = list(grid.vertices())
@@ -143,7 +172,7 @@ def test_solution_validates_and_bounds_hold():
         inst = MppInstance(grid, [(s, gs[0]) for s, gs in robots])
         sol = solve_mpp(inst, UsageParams(num_robots=14), 1,
                         SearchConfig(tie_break_seed=seed))
-        assert validate_solution(sol.paths) == []
+        assert validate_solution(sol.paths, grid, inst.tasks) == []
         lb_mk, lb_sc = lower_bounds(inst)
         assert sol.makespan >= lb_mk
         assert sol.sum_of_cost >= lb_sc
