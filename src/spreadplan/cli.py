@@ -221,7 +221,7 @@ def cmd_validate(args) -> int:
         print("OK: no conflicts")
         return EXIT_OK
     for c in conflicts:
-        print(f"{c.kind} conflict: robots {c.robots[0]},{c.robots[1]} "
+        print(f"{c.kind} conflict: robots {','.join(map(str, c.robots))} "
               f"at t={c.time} {c.where}")
     print(f"{len(conflicts)} conflicts")
     return EXIT_SOLVER

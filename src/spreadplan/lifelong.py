@@ -17,8 +17,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .grid import Cell, DistanceField, GridMap, distance_field
-from .metrics import path_length
-from .search import NoPathError, SearchConfig, _mix, find_path_cost_to_go
+from .metrics import path_length, throughput
+from .search import NoPathError, SearchConfig, _fold, _mix, find_path_cost_to_go
 from .usage import Path, UsageParams, UsageTable
 
 
@@ -132,7 +132,7 @@ class LifelongStats:
 
     @property
     def throughput(self) -> float:
-        return self.goals_reached / self.elapsed_steps if self.elapsed_steps else 0.0
+        return throughput(self.goals_reached, self.elapsed_steps)
 
     @property
     def total_expansions(self) -> int:
@@ -324,34 +324,34 @@ def _plan_window(grid: GridMap, start: Cell, targets: list[Cell], h: int,
     suffix = [0] * (K + 1)
     for k in range(K - 2, -1, -1):
         suffix[k] = suffix[k + 1] + fields.dist(targets[k], targets[k + 1])
+    # every target's field, most already made by the suffix sums
+    tfields = [fields(g) for g in targets]
+    tdists = [f.dist for f in tfields]
 
-    def remaining(v: Cell, k: int) -> int | None:
-        if k >= K:
-            return 0
-        d = fields(targets[k]).get(v)
-        return None if d is None else d + suffix[k]
-
-    rem0 = remaining(start, 0)
-    if rem0 is None:
-        return None, 0
+    if K:
+        rem0 = tfields[0].get(start)
+        if rem0 is None:
+            return None, 0
+        rem0 += suffix[0]
+    else:
+        rem0 = 0
     max_t = h + rem0 + grid.width + grid.height
 
     def wait_safe(v: Cell, t_from: int) -> bool:
         return all((v, t) not in vertex_res for t in range(t_from + 1, h + 1))
 
     adjacency = grid.adjacency
+    cell_mix: dict[Cell, int] = {}  # _mix(seed, x, y) per cell
     counter = 0
     start_state = (start, 0, 0)
     parents: dict = {start_state: None}
-    closed = set()
+    # a state enters the heap once, when it first enters parents, so no
+    # state is popped twice and no closed set is needed
     heap = [(rem0, 0, _mix(seed, start[0], start[1], 0), counter, start_state)]
     best_fallback = None  # (remaining, tie, state) among t == h pops
     expansions = 0
     while heap and expansions < max_expansions:
         f, neg_t, tie, _, state = heapq.heappop(heap)
-        if state in closed:
-            continue
-        closed.add(state)
         expansions += 1
         v, t, k = state
         if k == K and (t >= h or wait_safe(v, t)):
@@ -377,16 +377,24 @@ def _plan_window(grid: GridMap, start: Cell, targets: list[Cell], h: int,
             if nk < K and nxt == targets[nk]:
                 nk += 1
             nstate = (nxt, nt, nk)
-            if nstate in closed or nstate in parents:
+            if nstate in parents:
                 continue
-            rem = remaining(nxt, nk)
-            if rem is None:
-                continue
+            if nk < K:
+                rem = tdists[nk].get(nxt)
+                if rem is None:
+                    rem = tfields[nk].get(nxt)
+                    if rem is None:
+                        continue
+                rem += suffix[nk]
+            else:
+                rem = 0
             parents[nstate] = state
             counter += 1
-            heapq.heappush(heap, (nt + rem, -nt,
-                                  _mix(seed, nxt[0], nxt[1], nt, nk), counter,
-                                  nstate))
+            cm = cell_mix.get(nxt)
+            if cm is None:
+                cm = cell_mix[nxt] = _mix(seed, nxt[0], nxt[1])
+            heapq.heappush(heap, (nt + rem, -nt, _fold(_fold(cm, nt), nk),
+                                  counter, nstate))
     if best_fallback is not None:
         return _unwind(parents, best_fallback[2]), expansions
     return None, expansions

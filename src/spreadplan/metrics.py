@@ -120,31 +120,48 @@ def total_pairwise_overlap(paths: list[Path]) -> int:
     return 2 * total
 
 
-def _position(path: Path, t: int) -> Cell:
-    return path[t] if t < len(path) else path[-1]
+def robots_by_step(paths: list[Path]):
+    """Per step t: (t, robots by cell, moving robots by directed edge).
+
+    Robot indices ascend in every list.  Robots are padded to rest at their
+    final cell, matching the validator; a robot moves at t when its cell at
+    t differs from its cell at t - 1.
+    """
+    horizon = max((len(p) for p in paths), default=0)
+    for t in range(horizon):
+        cells: dict[Cell, list[int]] = {}
+        moves: dict[tuple[Cell, Cell], list[int]] = {}
+        for i, p in enumerate(paths):
+            if t < len(p):
+                v = p[t]
+                if t and p[t - 1] != v:
+                    moves.setdefault((p[t - 1], v), []).append(i)
+            else:
+                v = p[-1]
+            cells.setdefault(v, []).append(i)
+        yield t, cells, moves
 
 
 def timed_conflicts(paths: list[Path]) -> tuple[int, int]:
     """Counts of (i, j, t) same-cell events and edge-swap events.
 
-    Robots are padded to rest at their final cell, matching the validator.
+    One hashed pass per step: k robots on one cell make C(k, 2) vertex
+    events, and k robots crossing an edge against k' crossing it the other
+    way make k * k' swaps.  Robots are padded to rest at their final cell,
+    matching the validator.
     """
-    horizon = max((len(p) for p in paths), default=0)
     vertex_count = 0
     swap_count = 0
-    n = len(paths)
-    for i in range(n):
-        for j in range(i + 1, n):
-            pi, pj = paths[i], paths[j]
-            for t in range(horizon):
-                a, b = _position(pi, t), _position(pj, t)
-                if a == b:
-                    vertex_count += 1
-                if t > 0:
-                    pa, pb = _position(pi, t - 1), _position(pj, t - 1)
-                    if a == pb and b == pa and a != b:
-                        swap_count += 1
-    return vertex_count, swap_count
+    for _, cells, moves in robots_by_step(paths):
+        for robots in cells.values():
+            k = len(robots)
+            vertex_count += k * (k - 1) // 2
+        for (a, b), robots in moves.items():
+            back = moves.get((b, a))
+            if back is not None:
+                swap_count += len(robots) * len(back)
+    # every swapping pair was counted once from each side
+    return vertex_count, swap_count // 2
 
 
 def normalize_series(values: list[float]) -> list[float]:

@@ -17,9 +17,9 @@ import time
 from dataclasses import dataclass, field
 
 from .grid import Cell, DistanceField, GridMap, distance_field
-from .metrics import (makespan, max_vertex_overlap, sum_of_cost,
-                      timed_conflicts, total_pairwise_overlap)
-from .search import (InstanceError, SearchConfig, SearchStats, _mix,
+from .metrics import (makespan, max_vertex_overlap, robots_by_step,
+                      sum_of_cost, timed_conflicts, total_pairwise_overlap)
+from .search import (InstanceError, SearchConfig, SearchStats, _fold, _mix,
                      plan_independent_paths)
 from .usage import Path, UsageParams
 
@@ -127,37 +127,38 @@ def validate_solution(paths: list[Path], grid: GridMap | None = None,
                 conflicts.append(Conflict("start", (i,), 0, p[0]))
             if p[-1] != g:
                 conflicts.append(Conflict("goal", (i,), len(p) - 1, p[-1]))
-    horizon = max((len(p) for p in paths), default=0)
-    n = len(paths)
-
-    def pos(p: Path, t: int) -> Cell:
-        return p[t] if t < len(p) else p[-1]
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            pi, pj = paths[i], paths[j]
-            for t in range(horizon):
-                a, b = pos(pi, t), pos(pj, t)
-                if a == b:
-                    conflicts.append(Conflict("vertex", (i, j), t, a))
-                if t > 0 and a != b:
-                    if a == pos(pj, t - 1) and b == pos(pi, t - 1):
-                        conflicts.append(Conflict("swap", (i, j), t, (b, a)))
-    return conflicts
+    collisions = []
+    for t, cells, moves in robots_by_step(paths):
+        for cell, robots in cells.items():
+            for k, i in enumerate(robots):
+                for j in robots[k + 1:]:
+                    collisions.append(Conflict("vertex", (i, j), t, cell))
+        for (a, b), robots in moves.items():
+            for j in moves.get((b, a), ()):
+                for i in robots:
+                    if i < j:
+                        collisions.append(Conflict("swap", (i, j), t, (a, b)))
+    # a pair is never on one cell and swapping at the same step
+    collisions.sort(key=lambda c: (c.robots, c.time))
+    return conflicts + collisions
 
 
 class _Reservations:
-    """Space-time bookkeeping for prioritized planning."""
+    """Space-time bookkeeping for prioritized planning, hashed on (cell, t)."""
 
     def __init__(self) -> None:
         self.vertex: set[tuple[Cell, int]] = set()
         self.edge: set[tuple[Cell, Cell, int]] = set()  # (frm, to, arrival t)
         self.rest_from: dict[Cell, int] = {}  # cell -> first resting step
+        self.last: dict[Cell, int] = {}  # cell -> latest reserved step
         self.max_time = 0
 
     def add_path(self, path: Path) -> None:
+        last = self.last
         for t, v in enumerate(path):
             self.vertex.add((v, t))
+            if last.get(v, -1) < t:
+                last[v] = t
         for t in range(1, len(path)):
             if path[t - 1] != path[t]:
                 self.edge.add((path[t - 1], path[t], t))
@@ -185,21 +186,13 @@ class _Reservations:
             if t > 0 and self.blocked_move(path[t - 1], v, t):
                 return False
         # resting at the end must stay clean forever after
-        end = path[-1]
-        for (v, t) in self.vertex:
-            if v == end and t >= len(path) - 1:
-                return False
-        return True
+        return self.last.get(path[-1], -1) < len(path) - 1
 
     def free_from(self, v: Cell) -> int:
         """First step after which v is never touched by a reservation."""
-        latest = -1
-        for (cell, t) in self.vertex:
-            if cell == v:
-                latest = max(latest, t)
         if v in self.rest_from:
             return -2  # rested on forever; never free
-        return latest + 1
+        return self.last.get(v, -1) + 1
 
 
 def default_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
@@ -260,15 +253,17 @@ def _space_time_plan(grid: GridMap, start: Cell, goal: Cell, dfield,
     if h0 is None:
         return None
     adjacency = grid.adjacency
+    dist = dfield.dist
+    vertex, edge = reservations.vertex, reservations.edge
+    rest_from = reservations.rest_from
+    cell_mix: dict[Cell, int] = {}  # _mix(seed, x, y) per cell
     counter = 0
     heap = [(h0, 0, _mix(seed, start[0], start[1], 0), counter, (start, 0))]
+    # a state enters the heap once, when it first enters parents, so no
+    # state is popped twice and no closed set is needed
     parents = {(start, 0): None}
-    closed = set()
     while heap:
         f, t, _, _, state = heapq.heappop(heap)
-        if state in closed:
-            continue
-        closed.add(state)
         stats.resolver_expansions += 1
         v, t = state
         if v == goal and t >= goal_free_from:
@@ -281,19 +276,30 @@ def _space_time_plan(grid: GridMap, start: Cell, goal: Cell, dfield,
             return path
         if t >= bound:
             continue
+        nt = t + 1
         for nxt in adjacency[v] + (v,):
-            h = dfield.get(nxt)
+            h = dist.get(nxt)
             if h is None:
+                h = dfield.get(nxt)
+                if h is None:
+                    continue
+            # the checks of `_Reservations.blocked_move`, in its order
+            if (nxt, nt) in vertex:
                 continue
-            if reservations.blocked_move(v, nxt, t + 1):
+            rest = rest_from.get(nxt)
+            if rest is not None and nt >= rest:
                 continue
-            nstate = (nxt, t + 1)
-            if nstate in parents or nstate in closed:
+            if nxt != v and (nxt, v, nt) in edge:
+                continue
+            nstate = (nxt, nt)
+            if nstate in parents:
                 continue
             parents[nstate] = state
             counter += 1
-            heapq.heappush(heap, (t + 1 + h, t + 1,
-                                  _mix(seed, nxt[0], nxt[1], t + 1), counter, nstate))
+            cm = cell_mix.get(nxt)
+            if cm is None:
+                cm = cell_mix[nxt] = _mix(seed, nxt[0], nxt[1])
+            heapq.heappush(heap, (nt + h, nt, _fold(cm, nt), counter, nstate))
     return None
 
 

@@ -36,13 +36,22 @@ class InstanceError(ValueError):
     pass
 
 
+def _fold(h: int, part: int) -> int:
+    """One step of the `_mix` fold: `_fold(_mix(s, *a), p) == _mix(s, *a, p)`.
+
+    Search loops memoize `_mix(seed, x, y)` per cell and continue it with the
+    step, which gives the same tie values for a fraction of the work.
+    """
+    h = (h ^ (part & MASK64)) * 0xBF58476D1CE4E5B9 & MASK64
+    h = (h ^ (h >> 27)) * 0x94D049BB133111EB & MASK64
+    return h ^ (h >> 31)
+
+
 def _mix(seed: int, *parts: int) -> int:
     """Deterministic 64-bit hash for seeded tie-breaking (splitmix-style)."""
     h = (seed * 0x9E3779B97F4A7C15) & MASK64
     for p in parts:
-        h = (h ^ (p & MASK64)) * 0xBF58476D1CE4E5B9 & MASK64
-        h = (h ^ (h >> 27)) * 0x94D049BB133111EB & MASK64
-        h ^= h >> 31
+        h = _fold(h, p)
     return h
 
 
@@ -96,6 +105,9 @@ def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
         max_time = base + 2 * (params.window_before + params.window_after) + 10
 
     adjacency = grid.adjacency
+    dist = dfield.dist
+    penalty = table.penalty
+    cell_mix: dict[Cell, int] = {}  # _mix(seed, x, y) per cell
     counter = 0
     if temporal:
         start_state = (start, 0)
@@ -119,10 +131,12 @@ def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
             continue
         moves = adjacency[v] + (v,) if temporal else adjacency[v]
         for nxt in moves:
-            h_dist = dfield.get(nxt)
+            h_dist = dist.get(nxt)
             if h_dist is None:
-                continue
-            pen = table.penalty(v, nxt, t_next)
+                h_dist = dfield.get(nxt)
+                if h_dist is None:
+                    continue
+            pen = penalty(v, nxt, t_next)
             if not 0.0 <= pen < 1.0:
                 stats.penalty_bound_violations += 1
             nf = (g + 1) + h_dist + pen
@@ -132,8 +146,11 @@ def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
                 parents[nstate] = state
                 counter += 1
                 stats.generated += 1
-                tie = _mix(seed, nxt[0], nxt[1], t_next)
-                heapq.heappush(heap, (nf, -(g + 1), tie, counter, nstate))
+                cm = cell_mix.get(nxt)
+                if cm is None:
+                    cm = cell_mix[nxt] = _mix(seed, nxt[0], nxt[1])
+                heapq.heappush(heap, (nf, -(g + 1), _fold(cm, t_next), counter,
+                                      nstate))
     raise NoPathError(f"no path from {start} to {goal}")
 
 
@@ -165,6 +182,9 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
         max_time = base + 2 * (params.window_before + params.window_after) + 10
 
     adjacency = grid.adjacency
+    dist = dfield.dist
+    penalty = table.penalty
+    cell_mix: dict[Cell, int] = {}  # _mix(seed, x, y) per cell
     counter = 0
     start_state = (start, 0) if temporal else start
     parents = {start_state: None}
@@ -188,10 +208,12 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
             continue
         moves = adjacency[v] + (v,) if temporal else adjacency[v]
         for nxt in moves:
-            h_dist = dfield.get(nxt)
+            h_dist = dist.get(nxt)
             if h_dist is None:
-                continue
-            pen = table.penalty(v, nxt, t_next)
+                h_dist = dfield.get(nxt)
+                if h_dist is None:
+                    continue
+            pen = penalty(v, nxt, t_next)
             if not 0.0 <= pen < 1.0:
                 stats.penalty_bound_violations += 1
             ng = g + 1.0 + pen * scale
@@ -201,8 +223,11 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
                 parents[nstate] = state
                 counter += 1
                 stats.generated += 1
-                tie = _mix(seed, nxt[0], nxt[1], t_next)
-                heapq.heappush(heap, (ng + h_dist, -ng, tie, counter, nstate))
+                cm = cell_mix.get(nxt)
+                if cm is None:
+                    cm = cell_mix[nxt] = _mix(seed, nxt[0], nxt[1])
+                heapq.heappush(heap, (ng + h_dist, -ng, _fold(cm, t_next),
+                                      counter, nstate))
     raise NoPathError(f"no path from {start} to {goal}")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 Cell = tuple[int, int]
 Path = list[Cell]
@@ -50,6 +51,11 @@ class UsageUnderflowError(ValueError):
     """Removing a path that was never added."""
 
 
+def _underflow(key) -> NoReturn:
+    """A removal that would take a counter below zero."""
+    raise UsageUnderflowError(f"count underflow at {key}")
+
+
 @dataclass
 class UsageTable:
     """Occupancy counters over vertices and directed edges.
@@ -72,41 +78,62 @@ class UsageTable:
                 table.add_path(path)
         return table
 
-    def _occupancy_deltas(self, path: Path):
-        """Yield (counter_dict, key) once per increment for the given path."""
+    def add_path(self, path: Path) -> None:
+        self._update(path, 1)
+
+    def remove_path(self, path: Path) -> None:
+        self._update(path, -1)
+
+    def _update(self, path: Path, delta: int) -> None:
+        """Add delta (+1 or -1) to each counter the path claims, in a fixed
+        order; a removal that would take a counter below zero raises."""
         params = self.params
+        vertex_use, edge_use = self.vertex_use, self.edge_use
         if params.temporal:
             wb, wa = params.window_before, params.window_after
-            for t, v in enumerate(path):
+            for t, (x, y) in enumerate(path):
                 for tq in range(max(0, t - wb), t + wa + 1):
-                    yield self.vertex_use, (v[0], v[1], tq)
+                    key = (x, y, tq)
+                    c = vertex_use.get(key, 0) + delta
+                    if c > 0:
+                        vertex_use[key] = c
+                    elif c == 0:
+                        del vertex_use[key]
+                    else:
+                        _underflow(key)
             for t in range(1, len(path)):
                 u, v = path[t - 1], path[t]
                 if u == v:
                     continue
                 for tq in range(max(0, t - wb), t + wa + 1):
-                    yield self.edge_use, (u[0], u[1], v[0], v[1], tq)
+                    key = (u[0], u[1], v[0], v[1], tq)
+                    c = edge_use.get(key, 0) + delta
+                    if c > 0:
+                        edge_use[key] = c
+                    elif c == 0:
+                        del edge_use[key]
+                    else:
+                        _underflow(key)
         else:
-            for v in path:
-                yield self.vertex_use, v
+            for key in path:
+                c = vertex_use.get(key, 0) + delta
+                if c > 0:
+                    vertex_use[key] = c
+                elif c == 0:
+                    del vertex_use[key]
+                else:
+                    _underflow(key)
             for t in range(1, len(path)):
                 u, v = path[t - 1], path[t]
                 if u != v:
-                    yield self.edge_use, (u[0], u[1], v[0], v[1])
-
-    def add_path(self, path: Path) -> None:
-        for counts, key in self._occupancy_deltas(path):
-            counts[key] = counts.get(key, 0) + 1
-
-    def remove_path(self, path: Path) -> None:
-        for counts, key in self._occupancy_deltas(path):
-            cur = counts.get(key, 0)
-            if cur <= 0:
-                raise UsageUnderflowError(f"count underflow at {key}")
-            if cur == 1:
-                del counts[key]
-            else:
-                counts[key] = cur - 1
+                    key = (u[0], u[1], v[0], v[1])
+                    c = edge_use.get(key, 0) + delta
+                    if c > 0:
+                        edge_use[key] = c
+                    elif c == 0:
+                        del edge_use[key]
+                    else:
+                        _underflow(key)
 
     def penalty(self, frm: Cell, to: Cell, t: int = 0) -> float:
         """Surcharge for arriving at `to` from `frm` at time t.

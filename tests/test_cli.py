@@ -144,3 +144,18 @@ def test_bench_standalone_deterministic_and_normalized(tmp_path):
 def test_unknown_file_exit_code(tmp_path):
     assert main(["solve", "--instance", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_validate_prints_one_robot_faults(tmp_path, monkeypatch, capsys):
+    import spreadplan.cli as cli
+    from spreadplan.oneshot import Conflict
+
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps({"paths": [[[0, 0], [5, 5]]]}))
+    monkeypatch.setattr(cli, "validate_solution", lambda paths: [
+        Conflict("move", (0,), 1, ((0, 0), (5, 5))),
+        Conflict("vertex", (0, 2), 3, (1, 1))])
+    assert main(["validate", str(sol_path)]) == 4
+    out = capsys.readouterr().out
+    assert "move conflict: robots 0 at t=1" in out
+    assert "vertex conflict: robots 0,2 at t=3" in out

@@ -1,0 +1,125 @@
+"""Golden outputs: sha256 digests of six small fixed runs.
+
+The digests pin every path (and the search and resolver counts that come
+with them), so a change meant to be a pure speed-up shows here if it moves a
+single byte.  A deliberate change to the tie-break or the search order must
+update these digests and say so in CHANGES.md.
+
+Print the current digests with `PYTHONPATH=src python tests/test_golden_outputs.py`.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+import spreadplan.lifelong as lifelong
+from spreadplan.grid import generate_instance, generate_random_grid, generate_warehouse
+from spreadplan.lifelong import GoalStream, config_for_variant, run_lifelong, solve_mpp_via_horizon
+from spreadplan.oneshot import MppInstance, solve_mpp
+from spreadplan.search import SearchConfig, SearchStats, plan_independent_paths
+from spreadplan.usage import UsageParams
+
+
+def _digest(payload) -> str:
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _one_shot_tasks(seed: int, n: int):
+    grid = generate_random_grid(20, 20, 0.15, seed=seed)
+    robots = generate_instance(grid, n, seed=seed)
+    return grid, [(s, gs[0]) for s, gs in robots]
+
+
+def _passes(mode: str, temporal: bool):
+    grid, tasks = _one_shot_tasks(3, 40)
+    params = UsageParams(0.5, 0.5, 1 if temporal else 0, 2 if temporal else 0,
+                         temporal, len(tasks))
+    stats = SearchStats()
+    paths = plan_independent_paths(grid, tasks, params, 3,
+                                   SearchConfig(mode, tie_break_seed=5),
+                                   stats=stats)
+    return {"paths": paths, "expansions": stats.expansions,
+            "generated": stats.generated}
+
+
+def run_passes_cost_to_go():
+    return _passes("cost_to_go", temporal=False)
+
+
+def run_passes_cost_to_come():
+    return _passes("cost_to_come", temporal=False)
+
+
+def run_passes_cost_to_come_temporal():
+    return _passes("cost_to_come", temporal=True)
+
+
+def run_solve_mpp_temporal():
+    grid, tasks = _one_shot_tasks(4, 45)
+    params = UsageParams(0.5, 0.5, 2, 15, True, len(tasks))
+    sol = solve_mpp(MppInstance(grid, tasks), params, iterations=2,
+                    cfg=SearchConfig("cost_to_go", tie_break_seed=9))
+    return {"solution": json.loads(sol.to_json()),
+            "expansions": sol.stats.search.expansions,
+            "generated": sol.stats.search.generated}
+
+
+def run_lifelong_cut_usage():
+    windows = []
+    solver = lifelong.windowed_solver
+
+    def recording(*args, **kwargs):
+        paths, expansions = solver(*args, **kwargs)
+        windows.append([paths, expansions])
+        return paths, expansions
+
+    grid = generate_warehouse(25, 14, (3, 2), 2)
+    streams = [GoalStream(grid, seed=100 + i) for i in range(24)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lifelong, "windowed_solver", recording)
+        stats = run_lifelong(grid, streams,
+                             config_for_variant("cut+usage", h=5, seed=2),
+                             stop_goals=60)
+    cycles = [[c.cycle, c.goals_cumulative, c.expansions, c.target_conflicts]
+              for c in stats.cycles]
+    return {"windows": windows, "cycles": cycles,
+            "goals": stats.goals_reached, "steps": stats.elapsed_steps}
+
+
+def run_via_horizon():
+    grid = generate_warehouse(21, 12, (3, 2), 2)
+    robots = generate_instance(grid, 10, seed=17)
+    tasks = [(s, gs[0]) for s, gs in robots]
+    res = solve_mpp_via_horizon(grid, tasks, config_for_variant("cut+usage", h=5))
+    return {"paths": res.paths, "cycles": res.cycles,
+            "expansions": res.expansions}
+
+
+GOLDEN = {
+    "passes_cost_to_go":
+        "7b67965b592bcc2a65689ad6ad51e041c8357994af1d5c52e0a6effeb486edcb",
+    "passes_cost_to_come":
+        "541383550321d900f3e8bfe5043602f9ec1c749bf8a938a489525e2e7e100e93",
+    "passes_cost_to_come_temporal":
+        "4e5f7eec35261a36961e84a2985323d90e52b100e66386ea705f1af11488c7a7",
+    "solve_mpp_temporal":
+        "dfca3162080165786af9ac2c8485eebdfdd1d0808a1c6673315c9d98b25e41c0",
+    "lifelong_cut_usage":
+        "7ab7cc0b80fd83dbfc9ea801ad915dc5b1ce48b5a03b81ac9bf77859319f8ba2",
+    "via_horizon":
+        "cd14344428782a6288f3d36ac834525965272cbe3f238615faa78b9d2f25bcda",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digest(name):
+    assert _digest(globals()[f"run_{name}"]()) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    for key in sorted(GOLDEN):
+        print(f'    "{key}": "{_digest(globals()[f"run_{key}"]())}",')

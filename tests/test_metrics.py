@@ -1,8 +1,9 @@
 import random
 
-from helpers import build_prior_paths
+from helpers import build_prior_paths, pairwise_conflicts, random_walks
 from spreadplan import metrics
 from spreadplan.grid import generate_random_grid
+from spreadplan.oneshot import validate_solution
 from spreadplan.usage import UsageParams, UsageTable
 
 
@@ -89,6 +90,30 @@ def test_timed_conflicts_pads_rests():
     b = [(3, 0), (2, 0), (1, 0)]  # arrives at (1,0) at t=2
     v, s = metrics.timed_conflicts([a, b])
     assert v >= 1
+
+
+def test_timed_conflicts_follow_is_not_a_swap():
+    lead = [(0, 0), (1, 0), (2, 0), (3, 0)]
+    follow = [(9, 9), (0, 0), (1, 0), (2, 0)]
+    assert metrics.timed_conflicts([lead, follow]) == (0, 0)
+    assert validate_solution([lead, follow]) == []
+
+
+def test_hashed_scan_matches_pairwise_reference():
+    rng = random.Random(2024)
+    seen = {"vertex": 0, "swap": 0, "at rest": 0}
+    for _ in range(300):
+        paths = random_walks(rng, rng.randint(2, 7))
+        expected = pairwise_conflicts(paths)
+        assert validate_solution(paths) == expected
+        counts = (sum(c.kind == "vertex" for c in expected),
+                  sum(c.kind == "swap" for c in expected))
+        assert metrics.timed_conflicts(paths) == counts
+        seen["vertex"] += counts[0]
+        seen["swap"] += counts[1]
+        seen["at rest"] += sum(any(c.time >= len(paths[r]) for r in c.robots)
+                               for c in expected)
+    assert min(seen.values()) > 0
 
 
 def test_max_edge_headon():

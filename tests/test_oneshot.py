@@ -1,13 +1,15 @@
 import itertools
 import json
+import random
 
 import pytest
 
+from helpers import random_walks
 from spreadplan.grid import GridMap, generate_instance, generate_random_grid
 from spreadplan.oneshot import (Conflict, MppInstance, ResolverError, Solution,
-                                default_resolver_prioritized, lower_bounds,
-                                solution_paths_from_json, solve_mpp,
-                                validate_solution)
+                                _Reservations, default_resolver_prioritized,
+                                lower_bounds, solution_paths_from_json,
+                                solve_mpp, validate_solution)
 from spreadplan.search import InstanceError, SearchConfig
 from spreadplan.usage import UsageParams
 
@@ -216,3 +218,44 @@ def test_solution_json_roundtrip():
     payload = json.loads(sol.to_json())
     assert payload["makespan"] == sol.makespan
     assert solution_paths_from_json(sol.to_json()) == sol.paths
+
+
+def brute_path_is_clean(res, path):
+    """Reference: every check made by scanning all reservations."""
+    for t, v in enumerate(path):
+        if any(r == (v, t) for r in res.vertex):
+            return False
+        if v in res.rest_from and t >= res.rest_from[v]:
+            return False
+        if t > 0 and path[t - 1] != v and (v, path[t - 1], t) in res.edge:
+            return False
+    end = len(path) - 1
+    return not any(c == path[-1] and t >= end for c, t in res.vertex)
+
+
+def brute_free_from(res, v):
+    if v in res.rest_from:
+        return -2
+    return max((t for c, t in res.vertex if c == v), default=-1) + 1
+
+
+def test_reservation_index_matches_brute_force():
+    rng = random.Random(31)
+    clean_seen, free_seen = set(), set()
+    for _ in range(200):
+        res = _Reservations()
+        reserved = random_walks(rng, rng.randint(2, 5), size=6)
+        for path in reserved:
+            res.add_path(path)
+        queries = random_walks(rng, 6, size=6)
+        # paths that end, early or late, where a reserved path rests
+        queries += [q + [p[-1]] for q, p in zip(queries, reserved)]
+        for path in queries:
+            clean = res.path_is_clean(path)
+            assert clean == brute_path_is_clean(res, path)
+            clean_seen.add(clean)
+        for v in itertools.product(range(7), repeat=2):
+            assert res.free_from(v) == brute_free_from(res, v)
+            free_seen.add(res.free_from(v))
+    assert clean_seen == {True, False}
+    assert {-2, 0, 5} <= free_seen

@@ -7,7 +7,7 @@ from spreadplan import metrics
 from spreadplan.bruteforce import enumerate_shortest_paths, min_objective
 from spreadplan.grid import GridMap, distance_field, generate_instance, generate_random_grid
 from spreadplan.search import (InstanceError, NoPathError, SearchConfig,
-                               SearchStats, find_path_cost_to_come,
+                               SearchStats, _fold, _mix, find_path_cost_to_come,
                                find_path_cost_to_go, order_robots,
                                plan_independent_paths)
 from spreadplan.usage import UsageParams, UsageTable
@@ -314,3 +314,31 @@ def test_plan_orderings():
     with pytest.raises(ValueError):
         plan_independent_paths(grid, tasks, UsageParams(num_robots=10), 1,
                                order="sideways")
+
+
+def reference_mix(seed, *parts):
+    """The splitmix fold in one loop, independent of `_fold`; the tie values
+    of every search must never drift from it."""
+    mask = (1 << 64) - 1
+    h = (seed * 0x9E3779B97F4A7C15) & mask
+    for p in parts:
+        h = (h ^ (p & mask)) * 0xBF58476D1CE4E5B9 & mask
+        h = (h ^ (h >> 27)) * 0x94D049BB133111EB & mask
+        h ^= h >> 31
+    return h
+
+
+def test_fold_continues_mix():
+    rng = random.Random(8)
+    seeds = [0, 1, -1, -(1 << 70), (1 << 64) - 1, 1 << 64, (1 << 64) + 5,
+             1 << 100] + [rng.randrange(-(1 << 80), 1 << 80) for _ in range(50)]
+    for seed in seeds:
+        for _ in range(5):
+            parts = [rng.randrange(-(1 << 70), 1 << 70)
+                     for _ in range(rng.randint(0, 4))]
+            extra = rng.choice((0, 1, -3, rng.randrange(1 << 66)))
+            expected = reference_mix(seed, *parts, extra)
+            assert _mix(seed, *parts, extra) == expected
+            assert _fold(_mix(seed, *parts), extra) == expected
+        assert (_fold(_fold(_mix(seed, 3, 4), 5), 6)
+                == reference_mix(seed, 3, 4, 5, 6))
