@@ -1,8 +1,8 @@
 """Multi-robot grid path planning with usage-balancing heuristics."""
 
-from .grid import (DistanceField, GridMap, distance_field, generate_instance,
-                   generate_random_grid, generate_warehouse, grid_to_movingai,
-                   parse_movingai_map, parse_movingai_scen)
+from .grid import (DistanceField, FieldCache, GridMap, distance_field,
+                   generate_instance, generate_random_grid, generate_warehouse,
+                   grid_to_movingai, parse_movingai_map, parse_movingai_scen)
 from .lifelong import (GoalStream, HorizonConfig, LifelongStats,
                        config_for_variant, run_lifelong, solve_mpp_via_horizon,
                        truncate_goal_list, windowed_solver)
@@ -14,7 +14,8 @@ from .search import (NoPathError, SearchConfig, SearchStats,
 from .usage import UsageParams, UsageTable
 
 __all__ = [
-    "DistanceField", "GridMap", "distance_field", "generate_instance",
+    "DistanceField", "FieldCache", "GridMap", "distance_field",
+    "generate_instance",
     "generate_random_grid", "generate_warehouse", "grid_to_movingai",
     "parse_movingai_map", "parse_movingai_scen",
     "GoalStream", "HorizonConfig", "LifelongStats", "config_for_variant",

@@ -18,7 +18,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import metrics
-from .grid import (GenerationError, MapParseError, generate_instance,
+from .grid import (FieldCache, GenerationError, MapParseError, generate_instance,
                    generate_random_grid, generate_warehouse, grid_to_movingai,
                    instance_from_json, instance_to_json, parse_movingai_map)
 from .lifelong import (VARIANTS, GoalStream, LivelockError,
@@ -100,13 +100,14 @@ def cmd_solve(args) -> int:
                          args.window_before, args.window_after,
                          args.temporal, len(tasks))
     cfg = SearchConfig(mode=args.mode, tie_break_seed=args.seed)
-    solution = solve_mpp(instance, params, args.iterations, cfg)
+    fields = FieldCache(grid)
+    solution = solve_mpp(instance, params, args.iterations, cfg, fields=fields)
     conflicts = validate_solution(solution.paths, grid, tasks)
     if conflicts:
         print(f"internal error: solution has {len(conflicts)} conflicts "
               f"or illegal paths", file=sys.stderr)
         return EXIT_SOLVER
-    lb_mk, lb_sc = lower_bounds(instance)
+    lb_mk, lb_sc = lower_bounds(instance, fields)
     header = ["seed", "n", "mode", "iterations", "makespan", "sum_of_cost",
               "makespan_ratio", "cost_ratio", "initial_vertex_conflicts",
               "initial_swap_conflicts", "plan_seconds", "resolve_seconds"]
@@ -216,7 +217,15 @@ def cmd_bench_standalone(args) -> int:
 def cmd_validate(args) -> int:
     with open(args.solution, encoding="utf-8") as fh:
         paths = solution_paths_from_json(fh.read())
-    conflicts = validate_solution(paths)
+    grid = tasks = None
+    if args.instance:
+        with open(args.instance, encoding="utf-8") as fh:
+            grid, robots, _ = instance_from_json(fh.read())
+        tasks = [(s, gs[0]) for s, gs in robots]
+        if len(tasks) != len(paths):
+            raise ValueError(f"solution has {len(paths)} paths, "
+                             f"instance has {len(tasks)} robots")
+    conflicts = validate_solution(paths, grid, tasks)
     if not conflicts:
         print("OK: no conflicts")
         return EXIT_OK
@@ -299,6 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a solution file for conflicts")
     p.add_argument("solution")
+    p.add_argument("--instance", default=None,
+                   help="instance the solution solves: also check that every "
+                        "step is a legal move and every path starts and ends "
+                        "on its robot's start and goal")
     p.set_defaults(func=cmd_validate)
     return parser
 

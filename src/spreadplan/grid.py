@@ -2,26 +2,45 @@
 
 Cells are (x, y) tuples, indexed row-major from the top-left, so (0, 0) is the
 upper-left corner and y grows downward.  A map is a 4-connected grid with a set
-of blocked cells.
+of blocked cells.  Every public function takes and returns (x, y) cells.
+
+Inside, the searches number cells by a padded row-major id: the map is framed
+by a one-cell blocked border, so a row holds W' = width + 2 ids, cell (x, y)
+has id (y + 1) * W' + (x + 1), and the 4-neighbours of id v are v + 1, v - 1,
+v + W' and v - W' in `NEIGHBOR_STEPS` order.  A neighbour id is never out of
+range, and the border stops a step off one edge from wrapping to another row.
+`GridMap.template` holds FREE at every passable id and BLOCKED at blocked and
+border ids; it is built on a map's first search, not when the map is parsed.
 
 Distance fields grow on demand: `distance_field` labels only the goal, and
 each lookup of an unlabelled cell resumes the breadth-first search from the
 goal until that cell is labelled.  A cell's label is exact from the moment it
 is first reached, so a field answers every lookup as a whole-map BFS would,
-while a search near the goal pays only for the cells it reads.
+while a search near the goal pays only for the cells it reads.  A field's
+labels are a copy of the template, one entry per id.  `FieldCache` keeps the
+fields of one map by goal, bounded by bytes with least-recently-used eviction.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from collections import deque
+import sys
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
 Cell = tuple[int, int]
 
 NEIGHBOR_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+# labels of an id that is not a labelled distance (see GridMap.template)
+FREE = -1      # passable, not labelled yet
+BLOCKED = -2   # blocked, or the border around the map
+
+# the label bytes one FieldCache may hold: 480 fields of a 257x256 map, at
+# 0.27 MB each
+FIELD_CACHE_BYTES = 128 << 20
 
 PASSABLE_CHARS = frozenset(".G")
 BLOCKED_CHARS = frozenset("@OT")
@@ -68,18 +87,38 @@ class GridMap:
                 out.append(nxt)
         return out
 
-    @cached_property
-    def adjacency(self) -> dict[Cell, tuple[Cell, ...]]:
-        """Each passable cell's passable 4-neighbours, in NEIGHBOR_STEPS order.
+    @property
+    def stride(self) -> int:
+        """Ids per padded row, W': the id step from a cell to the one below."""
+        return self.width + 2
 
-        Built on first use rather than with the map, since parsing and
-        component extraction make maps that are never searched.
+    def cell_id(self, cell: Cell) -> int:
+        """Padded id of an in-bounds cell (or of a border cell next to one)."""
+        x, y = cell
+        return (y + 1) * (self.width + 2) + x + 1
+
+    @cached_property
+    def cell_at(self) -> list[Cell]:
+        """The (x, y) cell of every padded id; border ids give off-map cells."""
+        return [(x, y) for y in range(-1, self.height + 1)
+                for x in range(-1, self.width + 1)]
+
+    @cached_property
+    def template(self) -> array:
+        """FREE at every passable cell's id, BLOCKED at every other id.
+
+        A C int array, half the bytes of a list of ints.  Built on first use
+        rather than with the map, since parsing makes maps that are never
+        searched.
         """
-        cells = set(self.vertices())
-        return {(x, y): tuple(n for n in ((x + dx, y + dy)
-                                          for dx, dy in NEIGHBOR_STEPS)
-                              if n in cells)
-                for (x, y) in cells}
+        stride = self.width + 2
+        labels = array("i", [BLOCKED]) * (stride * (self.height + 2))
+        row = array("i", [FREE]) * self.width
+        for first in range(stride + 1, stride * (self.height + 1), stride):
+            labels[first:first + self.width] = row
+        for x, y in self.blocked:
+            labels[(y + 1) * stride + x + 1] = BLOCKED
+        return labels
 
     def vertices(self):
         for y in range(self.height):
@@ -92,53 +131,102 @@ class GridMap:
         start = next(self.vertices(), None)
         if start is None:
             return True
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nxt in self.neighbors(cur):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return len(seen) == self.num_vertices
+        component = self._flood(self.template[:], self.cell_id(start))
+        return len(component) == self.num_vertices
+
+    def _flood(self, labels: array, v: int) -> list[int]:
+        """The ids of v's component; each is marked in `labels`, a copy of
+        the template, so that a later flood from another id skips them."""
+        stride = self.width + 2
+        labels[v] = 0
+        component = [v]
+        for v in component:  # the list grows while it is walked
+            for u in (v + 1, v - 1, v + stride, v - stride):
+                if labels[u] == FREE:
+                    labels[u] = 0
+                    component.append(u)
+        return component
 
 
 class DistanceField:
-    """Exact shortest grid distances to a fixed goal; unreachable cells absent.
+    """Exact shortest grid distances to a fixed goal; unreachable cells miss.
 
-    `dist` holds the cells labelled so far.  Given the map's adjacency table,
-    the field starts from the goal alone, and a lookup of an unlabelled cell
-    resumes the breadth-first search until that cell is labelled or the
-    goal's component is used up; a cell that is not a key of the table
-    (blocked or off the map) misses at once.  Without a table, `dist` must
-    already be complete.
+    `labels` has one entry per padded id of the map: the distance of a
+    labelled cell, else the template's FREE or BLOCKED.  The field starts
+    from the goal alone, and a lookup of a FREE id resumes the breadth-first
+    search, one whole distance level at a time, until that id is labelled
+    or the goal's component is used up; a blocked or off-map cell misses at
+    once.  `len(field)` is the number of labelled cells.  Searches read
+    `labels` directly and call `at` only for an id still FREE.
     """
 
-    __slots__ = ("goal", "dist", "_adjacency", "_frontier")
+    __slots__ = ("grid", "goal", "labels", "_frontier", "_expanded")
 
-    def __init__(self, goal: Cell, dist: dict[Cell, int],
-                 adjacency: dict[Cell, tuple[Cell, ...]] | None = None):
+    def __init__(self, grid: GridMap, goal: Cell):
+        self.grid = grid
         self.goal = goal
-        self.dist = dist
-        self._adjacency = adjacency
-        # cells labelled but not yet expanded, in BFS order
-        self._frontier = deque([goal] if adjacency is not None else ())
+        v = grid.cell_id(goal)
+        self.labels = grid.template[:]
+        self.labels[v] = 0
+        # the deepest level labelled: ids at one distance, not yet expanded
+        self._frontier = [v]
+        self._expanded = 0
 
-    def _grow(self, cell: Cell) -> int | None:
-        """Resume the BFS until `cell` is labelled; its distance, or None."""
-        if cell not in self._adjacency:
+    @classmethod
+    def from_distances(cls, grid: GridMap, goal: Cell,
+                       dist: dict[Cell, int]) -> DistanceField:
+        """A complete field from known distances; cells not in `dist` miss."""
+        f = cls(grid, goal)
+        for cell, d in dist.items():
+            f.labels[grid.cell_id(cell)] = d
+        f._frontier = []
+        f._expanded = len(dist)
+        return f
+
+    def __len__(self) -> int:
+        return self._expanded + len(self._frontier)
+
+    def at(self, v: int) -> int | None:
+        """Distance of padded id v, growing the search if needed, or None."""
+        d = self.labels[v]
+        if d >= 0:
+            return d
+        if d == BLOCKED or not self._frontier:
             return None
-        dist, frontier, adjacency = self.dist, self._frontier, self._adjacency
-        while frontier:
-            v = frontier.popleft()
-            d = dist[v] + 1
-            for nxt in adjacency[v]:
-                if nxt not in dist:
-                    dist[nxt] = d
-                    frontier.append(nxt)
-            if cell in dist:
-                return dist[cell]
-        return None
+        return self._grow(v)
+
+    def _grow(self, target: int) -> int | None:
+        """Label whole BFS levels until id `target` is; its distance, or None."""
+        labels, level = self.labels, self._frontier
+        stride = self.grid.width + 2
+        expanded = self._expanded
+        while level and labels[target] < 0:
+            d = labels[level[0]] + 1
+            expanded += len(level)
+            deeper: list[int] = []
+            push = deeper.append
+            for v in level:  # the NEIGHBOR_STEPS, unrolled; -1 is FREE
+                u = v + 1
+                if labels[u] == -1:
+                    labels[u] = d
+                    push(u)
+                u = v - 1
+                if labels[u] == -1:
+                    labels[u] = d
+                    push(u)
+                u = v + stride
+                if labels[u] == -1:
+                    labels[u] = d
+                    push(u)
+                u = v - stride
+                if labels[u] == -1:
+                    labels[u] = d
+                    push(u)
+            level = deeper
+        self._frontier = level
+        self._expanded = expanded
+        d = labels[target]
+        return d if d >= 0 else None
 
     def __contains__(self, cell: Cell) -> bool:
         return self.get(cell) is not None
@@ -150,11 +238,51 @@ class DistanceField:
         return d
 
     def get(self, cell: Cell, default=None):
-        try:
-            return self.dist[cell]
-        except KeyError:
-            d = self._grow(cell) if self._frontier else None
-            return default if d is None else d
+        if not self.grid.in_bounds(cell):
+            return default
+        d = self.at(self.grid.cell_id(cell))
+        return default if d is None else d
+
+
+class FieldCache:
+    """Distance fields of one map keyed by goal; `build(grid, goal)` makes one.
+
+    Each field is charged the bytes of its label array, the same for every
+    field of a map.  When holding one more field would pass
+    FIELD_CACHE_BYTES (read when the cache is made), the least recently used
+    fields are dropped first; a later lookup builds them again.  Fields are
+    exact, so eviction changes what is computed, never what is read.
+    """
+
+    def __init__(self, grid: GridMap, build=None):
+        self.grid = grid
+        self._build = build or distance_field
+        self._fields: dict[Cell, DistanceField] = {}  # oldest use first
+        self.field_bytes = sys.getsizeof(grid.template)
+        self.max_bytes = FIELD_CACHE_BYTES
+        self._capacity = self.max_bytes // self.field_bytes
+        self.evictions = 0
+
+    @property
+    def nbytes(self) -> int:
+        return len(self._fields) * self.field_bytes
+
+    def __call__(self, goal: Cell) -> DistanceField:
+        fields = self._fields
+        f = fields.pop(goal, None)
+        if f is None:
+            f = self._build(self.grid, goal)
+            while fields and len(fields) >= self._capacity:
+                del fields[next(iter(fields))]
+                self.evictions += 1
+            if not self._capacity:
+                return f
+        fields[goal] = f
+        return f
+
+    def dist(self, a: Cell, b: Cell) -> int:
+        """Shortest distance from a to b; KeyError when a cannot reach b."""
+        return self(b)[a]
 
 
 @dataclass(frozen=True)
@@ -298,17 +426,13 @@ def largest_component_grid(grid: GridMap) -> GridMap:
     this turns them into a usable connected planning domain.
     """
     remaining = set(grid.vertices())
+    labels = grid.template[:]
+    cell_at = grid.cell_at
     best: set[Cell] = set()
     while remaining:
         seed_cell = next(iter(remaining))
-        component = {seed_cell}
-        queue = deque([seed_cell])
-        while queue:
-            cur = queue.popleft()
-            for nxt in grid.neighbors(cur):
-                if nxt in remaining and nxt not in component:
-                    component.add(nxt)
-                    queue.append(nxt)
+        component = {cell_at[v]
+                     for v in grid._flood(labels, grid.cell_id(seed_cell))}
         remaining -= component
         if len(component) > len(best):
             best = component
@@ -321,7 +445,7 @@ def distance_field(grid: GridMap, goal: Cell) -> DistanceField:
     """Exact shortest distances from every cell to the goal, labelled as read."""
     if not grid.passable(goal):
         raise ValueError(f"goal {goal} is blocked or out of bounds")
-    return DistanceField(goal, {goal: 0}, grid.adjacency)
+    return DistanceField(grid, goal)
 
 
 def generate_instance(grid: GridMap, n: int, seed: int,

@@ -14,11 +14,12 @@ import heapq
 import random
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .grid import Cell, DistanceField, GridMap, distance_field
+from .grid import BLOCKED, Cell, DistanceField, FieldCache, GridMap, distance_field
 from .metrics import path_length, throughput
-from .search import NoPathError, SearchConfig, _fold, _mix, find_path_cost_to_go
+from .search import (NoPathError, SearchConfig, _fold, _mix, _unwind,
+                     find_path_cost_to_go)
 from .usage import Path, UsageParams, UsageTable
 
 
@@ -139,24 +140,6 @@ class LifelongStats:
         return sum(c.expansions for c in self.cycles)
 
 
-class _FieldCache:
-    """BFS distance fields keyed by goal cell, shared across cycles."""
-
-    def __init__(self, grid: GridMap):
-        self.grid = grid
-        self.fields: dict[Cell, DistanceField] = {}
-
-    def __call__(self, goal: Cell) -> DistanceField:
-        f = self.fields.get(goal)
-        if f is None:
-            f = distance_field(self.grid, goal)
-            self.fields[goal] = f
-        return f
-
-    def dist(self, a: Cell, b: Cell) -> int:
-        return self(b)[a]
-
-
 def truncate_goal_list(position: Cell, goals: list[Cell], h: int,
                        dist) -> tuple[list[Cell], int]:
     """Keep goals until their chained travel distance first reaches h.
@@ -186,25 +169,27 @@ def horizon_cut_target(leg_path: Path, total_dist: int, h: int) -> Cell:
 
 
 def _shortest_leg_path(grid: GridMap, start: Cell, dfield: DistanceField) -> Path:
-    """Deterministic greedy walk down the distance field."""
-    path = [start]
-    v = start
-    d = dfield[v]
+    """Deterministic greedy walk down the distance field: at each step the
+    first neighbour in NEIGHBOR_STEPS order one closer to the goal."""
+    stride, cell_at = grid.stride, grid.cell_at
+    label_at = dfield.at
+    v = grid.cell_id(start)
+    d = dfield[start]
+    ids = [v]
     while d > 0:
-        for nxt in grid.neighbors(v):
-            nd = dfield.get(nxt)
-            if nd is not None and nd == d - 1:
+        for nxt in (v + 1, v - 1, v + stride, v - stride):
+            if label_at(nxt) == d - 1:
                 v = nxt
-                d = nd
-                path.append(v)
+                d -= 1
+                ids.append(v)
                 break
         else:
-            raise NoPathError(f"distance field has no descent from {v}")
-    return path
+            raise NoPathError(f"distance field has no descent from {cell_at[v]}")
+    return [cell_at[v] for v in ids]
 
 
 def apply_horizon_cut(grid: GridMap, chains: list[tuple[list[Cell], int]],
-                      cfg: HorizonConfig, fields: _FieldCache,
+                      cfg: HorizonConfig, fields: FieldCache,
                       cycle_seed: int = 0) -> list[list[Cell]]:
     """Replace each chain's final goal by a vertex just past the horizon.
 
@@ -216,9 +201,7 @@ def apply_horizon_cut(grid: GridMap, chains: list[tuple[list[Cell], int]],
     n = len(chains)
     params = cfg.params
     if params.num_robots != n and n > 0:
-        params = UsageParams(params.vertex_weight, params.edge_weight,
-                             params.window_before, params.window_after,
-                             params.temporal, n)
+        params = replace(params, num_robots=n)
     table = UsageTable(params=params) if cfg.use_usage_targets else None
     targets: list[list[Cell]] = []
     for i, (chain, d) in enumerate(chains):
@@ -245,7 +228,7 @@ def apply_horizon_cut(grid: GridMap, chains: list[tuple[list[Cell], int]],
 
 def windowed_solver(grid: GridMap, states: list[Cell],
                     target_lists: list[list[Cell]], h: int,
-                    fields: _FieldCache | None = None, seed: int = 0,
+                    fields: FieldCache | None = None, seed: int = 0,
                     retries: int = 10,
                     max_expansions: int = 200_000) -> tuple[list[Path], int]:
     """Prioritized h-step collision-free planning toward chained targets.
@@ -261,7 +244,10 @@ def windowed_solver(grid: GridMap, states: list[Cell],
     if len(set(states)) != n:
         raise ValueError("robot states must be pairwise distinct")
     if fields is None:
-        fields = _FieldCache(grid)
+        fields = FieldCache(grid, distance_field)
+    cell_id, cell_at = grid.cell_id, grid.cell_at
+    size = len(grid.template)
+    start_ids = [cell_id(c) for c in states]
     remaining0 = []
     for i in range(n):
         rem = 0
@@ -279,16 +265,19 @@ def windowed_solver(grid: GridMap, states: list[Cell],
         if attempt > len(promoted) + 1:
             random.Random(_mix(seed, attempt)).shuffle(rest)
         order = promoted + rest
-        vertex_res: set[tuple[Cell, int]] = set()
-        edge_res: set[tuple[Cell, Cell, int]] = set()
+        # reservations on padded ids, keyed as in `oneshot._Reservations`:
+        # id v at step t is t * size + v, and a move from a to b arriving
+        # at step t is (t * size + a) * size + b
+        vertex_res: set[int] = set()
+        edge_res: set[int] = set()
         # robots that end the window standing still are treated as parked a
         # while beyond it, so "wait, then walk through" never looks cheaper
         # than an actual detour around them
-        rest_block: dict[Cell, int] = {}
-        paths: list[Path | None] = [None] * n
+        rest_block: dict[int, int] = {}
+        paths: list[list[int] | None] = [None] * n
         failed = False
         for i in order:
-            path, exp = _plan_window(grid, states[i], target_lists[i], h,
+            path, exp = _plan_window(grid, start_ids[i], target_lists[i], h,
                                      fields, vertex_res, edge_res, rest_block,
                                      _mix(seed, attempt, i), max_expansions)
             expansions_total += exp
@@ -298,27 +287,31 @@ def windowed_solver(grid: GridMap, states: list[Cell],
                 promoted = [i] + [r for r in promoted if r != i]
                 failed = True
                 break
-            paths[i] = path[:h + 1]
-            for t, v in enumerate(paths[i]):
-                vertex_res.add((v, t))
-            for t in range(1, len(paths[i])):
-                if paths[i][t - 1] != paths[i][t]:
-                    edge_res.add((paths[i][t - 1], paths[i][t], t))
-            if paths[i][h] == paths[i][h - 1]:
-                rest_block[paths[i][h]] = 2 * h
+            path = paths[i] = path[:h + 1]
+            for t, v in enumerate(path):
+                vertex_res.add(t * size + v)
+            for t in range(1, len(path)):
+                if path[t - 1] != path[t]:
+                    edge_res.add((t * size + path[t - 1]) * size + path[t])
+            if path[h] == path[h - 1]:
+                rest_block[path[h]] = 2 * h
         if not failed:
-            return paths, expansions_total  # type: ignore[return-value]
+            cells = [[cell_at[v] for v in p] for p in paths]  # type: ignore[union-attr]
+            return cells, expansions_total
     raise last_error  # type: ignore[misc]
 
 
-def _plan_window(grid: GridMap, start: Cell, targets: list[Cell], h: int,
-                 fields: _FieldCache, vertex_res, edge_res, rest_block,
-                 seed: int, max_expansions: int) -> tuple[Path | None, int]:
+def _plan_window(grid: GridMap, start: int, targets: list[Cell], h: int,
+                 fields: FieldCache, vertex_res, edge_res, rest_block,
+                 seed: int, max_expansions: int) -> tuple[list[int] | None, int]:
     """Space-time A* through the target chain; constrained only up to step h.
 
-    Finishes when the whole chain is done and at least h steps have passed;
-    if the chain cannot be finished within the bound, falls back to the safe
-    h-step prefix that gets closest to the next target.
+    Works on padded ids: `start`, the reservations and the returned path.
+    A state (id v, step t, targets reached k) is the int
+    k * (max_t + 1) * size + t * size + v.  Finishes when the whole chain is
+    done and at least h steps have passed; if the chain cannot be finished
+    within the bound, falls back to the safe h-step prefix that gets closest
+    to the next target.
     """
     K = len(targets)
     suffix = [0] * (K + 1)
@@ -326,10 +319,11 @@ def _plan_window(grid: GridMap, start: Cell, targets: list[Cell], h: int,
         suffix[k] = suffix[k + 1] + fields.dist(targets[k], targets[k + 1])
     # every target's field, most already made by the suffix sums
     tfields = [fields(g) for g in targets]
-    tdists = [f.dist for f in tfields]
+    tlabels = [f.labels for f in tfields]
+    target_ids = [grid.cell_id(g) for g in targets]
 
     if K:
-        rem0 = tfields[0].get(start)
+        rem0 = tfields[0].at(start)
         if rem0 is None:
             return None, 0
         rem0 += suffix[0]
@@ -337,25 +331,32 @@ def _plan_window(grid: GridMap, start: Cell, targets: list[Cell], h: int,
         rem0 = 0
     max_t = h + rem0 + grid.width + grid.height
 
-    def wait_safe(v: Cell, t_from: int) -> bool:
-        return all((v, t) not in vertex_res for t in range(t_from + 1, h + 1))
+    cell_at = grid.cell_at
+    template = grid.template
+    stride = grid.stride
+    size = len(template)
+    k_step = (max_t + 1) * size
 
-    adjacency = grid.adjacency
-    cell_mix: dict[Cell, int] = {}  # _mix(seed, x, y) per cell
+    def wait_safe(v: int, t_from: int) -> bool:
+        return all(t * size + v not in vertex_res for t in range(t_from + 1, h + 1))
+
+    cell_mix: dict[int, int] = {}  # _mix(seed, x, y) per id
     counter = 0
-    start_state = (start, 0, 0)
-    parents: dict = {start_state: None}
+    parents: dict[int, int | None] = {start: None}  # the start state is t = k = 0
     # a state enters the heap once, when it first enters parents, so no
     # state is popped twice and no closed set is needed
-    heap = [(rem0, 0, _mix(seed, start[0], start[1], 0), counter, start_state)]
+    x, y = cell_at[start]
+    heap = [(rem0, 0, _mix(seed, x, y, 0), counter, start)]
     best_fallback = None  # (remaining, tie, state) among t == h pops
     expansions = 0
     while heap and expansions < max_expansions:
         f, neg_t, tie, _, state = heapq.heappop(heap)
         expansions += 1
-        v, t, k = state
+        t = -neg_t
+        k, v = divmod(state, k_step)
+        v -= t * size
         if k == K and (t >= h or wait_safe(v, t)):
-            path = _unwind(parents, state)
+            path = _unwind(parents, state, size)
             path.extend([v] * (h - t))
             return path, expansions
         if t == h:
@@ -365,24 +366,29 @@ def _plan_window(grid: GridMap, start: Cell, targets: list[Cell], h: int,
         if t >= max_t:
             continue
         nt = t + 1
-        for nxt in adjacency[v] + (v,):
+        at_nt = nt * size
+        for nxt in (v + 1, v - 1, v + stride, v - stride, v):
+            if template[nxt] == BLOCKED:
+                continue
             if nt <= h:
-                if (nxt, nt) in vertex_res:
+                reserved = at_nt + nxt
+                if reserved in vertex_res:
                     continue
-                if nxt != v and (nxt, v, nt) in edge_res:
+                # a reserved move the other way, from nxt to v
+                if nxt != v and reserved * size + v in edge_res:
                     continue
             elif nt <= rest_block.get(nxt, 0):
                 continue
             nk = k
-            if nk < K and nxt == targets[nk]:
+            if nk < K and nxt == target_ids[nk]:
                 nk += 1
-            nstate = (nxt, nt, nk)
+            nstate = nk * k_step + at_nt + nxt
             if nstate in parents:
                 continue
             if nk < K:
-                rem = tdists[nk].get(nxt)
-                if rem is None:
-                    rem = tfields[nk].get(nxt)
+                rem = tlabels[nk][nxt]
+                if rem < 0:
+                    rem = tfields[nk].at(nxt)
                     if rem is None:
                         continue
                 rem += suffix[nk]
@@ -392,21 +398,14 @@ def _plan_window(grid: GridMap, start: Cell, targets: list[Cell], h: int,
             counter += 1
             cm = cell_mix.get(nxt)
             if cm is None:
-                cm = cell_mix[nxt] = _mix(seed, nxt[0], nxt[1])
+                x, y = cell_at[nxt]
+                cm = cell_mix[nxt] = _mix(seed, x, y)
             heapq.heappush(heap, (nt + rem, -nt, _fold(_fold(cm, nt), nk),
                                   counter, nstate))
     if best_fallback is not None:
-        return _unwind(parents, best_fallback[2]), expansions
+        return _unwind(parents, best_fallback[2], size), expansions
     return None, expansions
 
-
-def _unwind(parents: dict, state) -> Path:
-    path = []
-    while state is not None:
-        path.append(state[0])
-        state = parents[state]
-    path.reverse()
-    return path
 
 
 def run_lifelong(grid: GridMap, streams: list[GoalStream], cfg: HorizonConfig,
@@ -423,7 +422,7 @@ def run_lifelong(grid: GridMap, streams: list[GoalStream], cfg: HorizonConfig,
     if positions is None:
         cells = list(grid.vertices())
         positions = random.Random(cfg.seed).sample(cells, n)
-    fields = _FieldCache(grid)
+    fields = FieldCache(grid, distance_field)
     h = cfg.h
     commit = cfg.commit or h
 
@@ -499,7 +498,7 @@ def solve_mpp_via_horizon(grid: GridMap, tasks: list[tuple[Cell, Cell]],
     goals = [g for _, g in tasks]
     if len(set(starts)) != n or len(set(goals)) != n:
         raise ValueError("starts and goals must be pairwise distinct")
-    fields = _FieldCache(grid)
+    fields = FieldCache(grid, distance_field)
     lb_dists = [fields.dist(s, g) for (s, g) in tasks]
 
     positions = list(starts)

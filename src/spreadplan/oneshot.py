@@ -16,11 +16,11 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .grid import Cell, DistanceField, GridMap, distance_field
+from .grid import Cell, FieldCache, GridMap, distance_field
 from .metrics import (makespan, max_vertex_overlap, robots_by_step,
                       sum_of_cost, timed_conflicts, total_pairwise_overlap)
 from .search import (InstanceError, SearchConfig, SearchStats, _fold, _mix,
-                     plan_independent_paths)
+                     _unwind, plan_independent_paths)
 from .usage import Path, UsageParams
 
 
@@ -114,13 +114,16 @@ def validate_solution(paths: list[Path], grid: GridMap | None = None,
     """
     conflicts = []
     if grid is not None:
-        adjacency = grid.adjacency
+        stride = grid.stride
         for i, p in enumerate(paths):
-            for t, b in enumerate(p):
-                a = p[t - 1] if t else b
-                if not ((b == a and b in adjacency)
-                        or b in adjacency.get(a, ())):
-                    conflicts.append(Conflict("move", (i,), t, (a, b)))
+            # between padded ids of passable cells, a wait or a move changes
+            # the id by 0, 1 or W'
+            ids = [grid.cell_id(c) if grid.passable(c) else None for c in p]
+            for t in range(len(p)):
+                s = t - 1 if t else t
+                if (ids[t] is None or ids[s] is None
+                        or abs(ids[t] - ids[s]) not in (0, 1, stride)):
+                    conflicts.append(Conflict("move", (i,), t, (p[s], p[t])))
     if tasks is not None:
         for i, (p, (s, g)) in enumerate(zip(paths, tasks, strict=True)):
             if p[0] != s:
@@ -144,42 +147,50 @@ def validate_solution(paths: list[Path], grid: GridMap | None = None,
 
 
 class _Reservations:
-    """Space-time bookkeeping for prioritized planning, hashed on (cell, t)."""
+    """Space-time bookkeeping for prioritized planning, hashed on int keys.
 
-    def __init__(self) -> None:
-        self.vertex: set[tuple[Cell, int]] = set()
-        self.edge: set[tuple[Cell, Cell, int]] = set()  # (frm, to, arrival t)
-        self.rest_from: dict[Cell, int] = {}  # cell -> first resting step
-        self.last: dict[Cell, int] = {}  # cell -> latest reserved step
+    Cells are padded ids below `size` (see `spreadplan.grid`), and so are
+    the paths that `add_path` and `path_is_clean` take.  Id v at step t is
+    the key t * size + v, and a move from `frm` to `to` that arrives at step
+    t is the key (t * size + frm) * size + to.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.vertex: set[int] = set()  # keys of (id, t)
+        self.edge: set[int] = set()  # keys of (frm, to, arrival t)
+        self.rest_from: dict[int, int] = {}  # id -> first resting step
+        self.last: dict[int, int] = {}  # id -> latest reserved step
         self.max_time = 0
 
-    def add_path(self, path: Path) -> None:
-        last = self.last
+    def add_path(self, path: list[int]) -> None:
+        size, last = self.size, self.last
         for t, v in enumerate(path):
-            self.vertex.add((v, t))
+            self.vertex.add(t * size + v)
             if last.get(v, -1) < t:
                 last[v] = t
         for t in range(1, len(path)):
             if path[t - 1] != path[t]:
-                self.edge.add((path[t - 1], path[t], t))
+                self.edge.add((t * size + path[t - 1]) * size + path[t])
         end = path[-1]
         rest_start = len(path) - 1
         self.rest_from[end] = min(self.rest_from.get(end, rest_start), rest_start)
         self.max_time = max(self.max_time, len(path) - 1)
 
-    def blocked_vertex(self, v: Cell, t: int) -> bool:
-        if (v, t) in self.vertex:
+    def blocked_vertex(self, v: int, t: int) -> bool:
+        if t * self.size + v in self.vertex:
             return True
         rest = self.rest_from.get(v)
         return rest is not None and t >= rest
 
-    def blocked_move(self, frm: Cell, to: Cell, t: int) -> bool:
+    def blocked_move(self, frm: int, to: int, t: int) -> bool:
         """True when arriving at `to` at step t collides with a reservation."""
         if self.blocked_vertex(to, t):
             return True
-        return frm != to and (to, frm, t) in self.edge
+        # a reserved move the other way, from `to` to `frm`
+        return frm != to and (t * self.size + to) * self.size + frm in self.edge
 
-    def path_is_clean(self, path: Path) -> bool:
+    def path_is_clean(self, path: list[int]) -> bool:
         for t, v in enumerate(path):
             if self.blocked_vertex(v, t):
                 return False
@@ -188,7 +199,7 @@ class _Reservations:
         # resting at the end must stay clean forever after
         return self.last.get(path[-1], -1) < len(path) - 1
 
-    def free_from(self, v: Cell) -> int:
+    def free_from(self, v: int) -> int:
         """First step after which v is never touched by a reservation."""
         if v in self.rest_from:
             return -2  # rested on forever; never free
@@ -199,118 +210,125 @@ def default_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
                                  priority: list[int] | None = None,
                                  seed: int = 0,
                                  stats: SolveStats | None = None,
-                                 fields: dict[Cell, DistanceField] | None = None
+                                 fields: FieldCache | None = None
                                  ) -> list[Path]:
     """Sequential space-time scheduling around earlier robots' reservations.
 
     Robots whose initial path is already clean keep it unchanged; the rest
     re-plan with waits allowed.  Each robot's final cell is reserved for all
     later steps.  Raises ResolverError naming the first robot that cannot be
-    scheduled within the time bound.  `fields` maps goals to distance
-    fields already built, such as phase 1's; fields built here are added.
+    scheduled within the time bound.  `fields` is the map's field cache,
+    such as the one phase 1 filled.
     """
     n = len(initial_paths)
     if priority is None:
         priority = sorted(range(n), key=lambda i: (-(len(initial_paths[i]) - 1), i))
     if stats is None:
         stats = SolveStats()
-    reservations = _Reservations()
+    reservations = _Reservations(len(grid.template))
     result: list[Path | None] = [None] * n
     if fields is None:
-        fields = {}
+        fields = FieldCache(grid, distance_field)
+    cell_id, cell_at = grid.cell_id, grid.cell_at
     for order_idx, i in enumerate(priority):
         path = initial_paths[i]
-        if reservations.path_is_clean(path):
+        ids = [cell_id(c) for c in path]
+        if reservations.path_is_clean(ids):
             result[i] = path
-            reservations.add_path(path)
+            reservations.add_path(ids)
             continue
         stats.robots_replanned += 1
-        start, goal = path[0], path[-1]
-        if goal not in fields:
-            fields[goal] = distance_field(grid, goal)
-        dfield = fields[goal]
+        goal = path[-1]
         bound = 2 * (grid.width + grid.height) + reservations.max_time
-        goal_free_from = reservations.free_from(goal)
+        goal_free_from = reservations.free_from(ids[-1])
         if goal_free_from == -2:
             raise ResolverError(i, f"robot {i}: goal permanently reserved", stats)
-        new_path = _space_time_plan(grid, start, goal, dfield, reservations,
-                                    bound, goal_free_from, _mix(seed, i), stats)
-        if new_path is None:
+        new_ids = _space_time_plan(grid, ids[0], ids[-1], fields(goal),
+                                   reservations, bound, goal_free_from,
+                                   _mix(seed, i), stats)
+        if new_ids is None:
             raise ResolverError(
                 i, f"robot {i}: no conflict-free path within {bound} steps", stats)
-        result[i] = new_path
-        reservations.add_path(new_path)
-        stats.wait_steps_added += (len(new_path) - 1) - (len(path) - 1)
+        result[i] = [cell_at[v] for v in new_ids]
+        reservations.add_path(new_ids)
+        stats.wait_steps_added += (len(new_ids) - 1) - (len(path) - 1)
     return result  # type: ignore[return-value]
 
 
-def _space_time_plan(grid: GridMap, start: Cell, goal: Cell, dfield,
+def _space_time_plan(grid: GridMap, start: int, goal: int, dfield,
                      reservations: _Reservations, bound: int,
                      goal_free_from: int, seed: int,
-                     stats: SolveStats) -> Path | None:
-    """A* over (cell, step) states; terminal only once resting at goal is safe."""
-    h0 = dfield.get(start)
+                     stats: SolveStats) -> list[int] | None:
+    """A* over (id, step) states; terminal only once resting at goal is safe.
+
+    `start`, `goal` and the returned path are padded ids, and a state is
+    its reservation key, t * size + id.
+    """
+    h0 = dfield.at(start)
     if h0 is None:
         return None
-    adjacency = grid.adjacency
-    dist = dfield.dist
+    cell_at = grid.cell_at
+    stride = grid.stride
+    labels, label_at = dfield.labels, dfield.at
+    size = reservations.size
     vertex, edge = reservations.vertex, reservations.edge
     rest_from = reservations.rest_from
-    cell_mix: dict[Cell, int] = {}  # _mix(seed, x, y) per cell
+    cell_mix: dict[int, int] = {}  # _mix(seed, x, y) per id
     counter = 0
-    heap = [(h0, 0, _mix(seed, start[0], start[1], 0), counter, (start, 0))]
+    x, y = cell_at[start]
+    heap = [(h0, 0, _mix(seed, x, y, 0), counter, start)]
     # a state enters the heap once, when it first enters parents, so no
     # state is popped twice and no closed set is needed
-    parents = {(start, 0): None}
+    parents = {start: None}
     while heap:
         f, t, _, _, state = heapq.heappop(heap)
         stats.resolver_expansions += 1
-        v, t = state
+        v = state - t * size
         if v == goal and t >= goal_free_from:
-            path = []
-            cur = state
-            while cur is not None:
-                path.append(cur[0])
-                cur = parents[cur]
-            path.reverse()
-            return path
+            return _unwind(parents, state, size)
         if t >= bound:
             continue
         nt = t + 1
-        for nxt in adjacency[v] + (v,):
-            h = dist.get(nxt)
-            if h is None:
-                h = dfield.get(nxt)
+        at_nt = nt * size
+        for nxt in (v + 1, v - 1, v + stride, v - stride, v):
+            h = labels[nxt]
+            if h < 0:
+                h = label_at(nxt)
                 if h is None:
-                    continue
+                    continue  # blocked, or not in the goal's component
             # the checks of `_Reservations.blocked_move`, in its order
-            if (nxt, nt) in vertex:
+            nstate = at_nt + nxt
+            if nstate in vertex:
                 continue
             rest = rest_from.get(nxt)
             if rest is not None and nt >= rest:
                 continue
-            if nxt != v and (nxt, v, nt) in edge:
+            if nxt != v and nstate * size + v in edge:
                 continue
-            nstate = (nxt, nt)
             if nstate in parents:
                 continue
             parents[nstate] = state
             counter += 1
             cm = cell_mix.get(nxt)
             if cm is None:
-                cm = cell_mix[nxt] = _mix(seed, nxt[0], nxt[1])
+                x, y = cell_at[nxt]
+                cm = cell_mix[nxt] = _mix(seed, x, y)
             heapq.heappush(heap, (nt + h, nt, _fold(cm, nt), counter, nstate))
     return None
 
 
 def solve_mpp(instance: MppInstance, params: UsageParams | None = None,
               iterations: int = 1, cfg: SearchConfig | None = None,
-              resolver=None) -> Solution:
-    """Two-phase solve: guided independent paths, then collision resolution."""
+              resolver=None, fields: FieldCache | None = None) -> Solution:
+    """Two-phase solve: guided independent paths, then collision resolution.
+
+    Both phases read one field cache of the map: `fields`, or a new one.
+    """
     params = params or UsageParams()
     cfg = cfg or SearchConfig()
     stats = SolveStats()
-    fields: dict[Cell, DistanceField] = {}
+    if fields is None:
+        fields = FieldCache(instance.grid, distance_field)
     t0 = time.perf_counter()
     initial = plan_independent_paths(instance.grid, instance.tasks, params,
                                      iterations, cfg, fields=fields,
@@ -333,9 +351,13 @@ def solve_mpp(instance: MppInstance, params: UsageParams | None = None,
     return Solution(final, makespan(final), sum_of_cost(final), stats)
 
 
-def lower_bounds(instance: MppInstance) -> tuple[int, int]:
-    """(makespan, sum-of-cost) lower bounds from single-robot distances."""
-    dists = []
-    for s, g in instance.tasks:
-        dists.append(distance_field(instance.grid, g)[s])
+def lower_bounds(instance: MppInstance,
+                 fields: FieldCache | None = None) -> tuple[int, int]:
+    """(makespan, sum-of-cost) lower bounds from single-robot distances.
+
+    Reads `fields`, such as the cache `solve_mpp` filled, or a new cache.
+    """
+    if fields is None:
+        fields = FieldCache(instance.grid, distance_field)
+    dists = [fields.dist(s, g) for s, g in instance.tasks]
     return max(dists, default=0), sum(dists)

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .grid import Cell, DistanceField, GridMap, distance_field
+from .grid import Cell, DistanceField, FieldCache, GridMap, distance_field
 from .usage import Path, UsageParams, UsageTable
 
 MASK64 = (1 << 64) - 1
@@ -69,13 +69,15 @@ class SearchStats:
     penalty_bound_violations: int = 0
 
 
-def _reconstruct(parents: dict, state) -> Path:
-    path = []
+def _unwind(parents: dict, state: int, size: int) -> list[int]:
+    """The ids from the start state to `state`, following `parents`, for
+    int states whose remainder modulo `size` is the id."""
+    ids = []
     while state is not None:
-        path.append(state[0] if isinstance(state[0], tuple) else state)
+        ids.append(state % size)
         state = parents[state]
-    path.reverse()
-    return path
+    ids.reverse()
+    return ids
 
 
 def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
@@ -104,15 +106,17 @@ def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
     if temporal and max_time is None:
         max_time = base + 2 * (params.window_before + params.window_after) + 10
 
-    adjacency = grid.adjacency
-    dist = dfield.dist
+    # a state is t * size + id, for padded ids below size, with t = 0 on an
+    # aggregate table; the table and the tie-break still see (x, y) cells
+    cell_at = grid.cell_at
+    size = len(cell_at)
+    stride = grid.stride
+    labels, label_at = dfield.labels, dfield.at
     penalty = table.penalty
-    cell_mix: dict[Cell, int] = {}  # _mix(seed, x, y) per cell
+    goal_id = grid.cell_id(goal)
+    cell_mix: dict[int, int] = {}  # _mix(seed, x, y) per id
     counter = 0
-    if temporal:
-        start_state = (start, 0)
-    else:
-        start_state = start
+    start_state = grid.cell_id(start)
     parents = {start_state: None}
     best_f = {start_state: float(base)}
     heap = [(float(base), 0, _mix(seed, start[0], start[1]), counter, start_state)]
@@ -122,25 +126,30 @@ def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
             continue  # stale queue entry
         best_f[state] = -1.0  # closed marker: nothing beats a negative f
         stats.expansions += 1
-        v = state[0] if temporal else state
+        t, v = divmod(state, size)
         g = -neg_g
-        if v == goal or (stop_depth is not None and g >= stop_depth):
-            return _reconstruct(parents, state)
-        t_next = (state[1] + 1) if temporal else 0
+        if v == goal_id or (stop_depth is not None and g >= stop_depth):
+            return [cell_at[u] for u in _unwind(parents, state, size)]
+        t_next = (t + 1) if temporal else 0
         if temporal and t_next > max_time:
             continue
-        moves = adjacency[v] + (v,) if temporal else adjacency[v]
+        cv = cell_at[v]
+        if temporal:
+            moves = (v + 1, v - 1, v + stride, v - stride, v)
+        else:
+            moves = (v + 1, v - 1, v + stride, v - stride)
         for nxt in moves:
-            h_dist = dist.get(nxt)
-            if h_dist is None:
-                h_dist = dfield.get(nxt)
+            h_dist = labels[nxt]
+            if h_dist < 0:
+                h_dist = label_at(nxt)
                 if h_dist is None:
-                    continue
-            pen = penalty(v, nxt, t_next)
+                    continue  # blocked, or not in the goal's component
+            cn = cell_at[nxt]
+            pen = penalty(cv, cn, t_next)
             if not 0.0 <= pen < 1.0:
                 stats.penalty_bound_violations += 1
             nf = (g + 1) + h_dist + pen
-            nstate = (nxt, t_next) if temporal else nxt
+            nstate = t_next * size + nxt
             if nf < best_f.get(nstate, float("inf")):
                 best_f[nstate] = nf
                 parents[nstate] = state
@@ -148,7 +157,7 @@ def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
                 stats.generated += 1
                 cm = cell_mix.get(nxt)
                 if cm is None:
-                    cm = cell_mix[nxt] = _mix(seed, nxt[0], nxt[1])
+                    cm = cell_mix[nxt] = _mix(seed, cn[0], cn[1])
                 heapq.heappush(heap, (nf, -(g + 1), _fold(cm, t_next), counter,
                                       nstate))
     raise NoPathError(f"no path from {start} to {goal}")
@@ -181,12 +190,16 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
     if temporal and max_time is None:
         max_time = base + 2 * (params.window_before + params.window_after) + 10
 
-    adjacency = grid.adjacency
-    dist = dfield.dist
+    # states as in find_path_cost_to_go
+    cell_at = grid.cell_at
+    size = len(cell_at)
+    stride = grid.stride
+    labels, label_at = dfield.labels, dfield.at
     penalty = table.penalty
-    cell_mix: dict[Cell, int] = {}  # _mix(seed, x, y) per cell
+    goal_id = grid.cell_id(goal)
+    cell_mix: dict[int, int] = {}  # _mix(seed, x, y) per id
     counter = 0
-    start_state = (start, 0) if temporal else start
+    start_state = grid.cell_id(start)
     parents = {start_state: None}
     best_g = {start_state: 0.0}
     heap = [(float(base), 0.0, _mix(seed, start[0], start[1]), counter, start_state)]
@@ -200,24 +213,29 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
             continue
         closed.add(state)
         stats.expansions += 1
-        v = state[0] if temporal else state
-        if v == goal:
-            return _reconstruct(parents, state)
-        t_next = (state[1] + 1) if temporal else 0
+        t, v = divmod(state, size)
+        if v == goal_id:
+            return [cell_at[u] for u in _unwind(parents, state, size)]
+        t_next = (t + 1) if temporal else 0
         if temporal and t_next > max_time:
             continue
-        moves = adjacency[v] + (v,) if temporal else adjacency[v]
+        cv = cell_at[v]
+        if temporal:
+            moves = (v + 1, v - 1, v + stride, v - stride, v)
+        else:
+            moves = (v + 1, v - 1, v + stride, v - stride)
         for nxt in moves:
-            h_dist = dist.get(nxt)
-            if h_dist is None:
-                h_dist = dfield.get(nxt)
+            h_dist = labels[nxt]
+            if h_dist < 0:
+                h_dist = label_at(nxt)
                 if h_dist is None:
-                    continue
-            pen = penalty(v, nxt, t_next)
+                    continue  # blocked, or not in the goal's component
+            cn = cell_at[nxt]
+            pen = penalty(cv, cn, t_next)
             if not 0.0 <= pen < 1.0:
                 stats.penalty_bound_violations += 1
             ng = g + 1.0 + pen * scale
-            nstate = (nxt, t_next) if temporal else nxt
+            nstate = t_next * size + nxt
             if ng < best_g.get(nstate, float("inf")):
                 best_g[nstate] = ng
                 parents[nstate] = state
@@ -225,7 +243,7 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
                 stats.generated += 1
                 cm = cell_mix.get(nxt)
                 if cm is None:
-                    cm = cell_mix[nxt] = _mix(seed, nxt[0], nxt[1])
+                    cm = cell_mix[nxt] = _mix(seed, cn[0], cn[1])
                 heapq.heappush(heap, (ng + h_dist, -ng, _fold(cm, t_next),
                                       counter, nstate))
     raise NoPathError(f"no path from {start} to {goal}")
@@ -240,7 +258,7 @@ def plan_independent_paths(grid: GridMap, tasks: list[tuple[Cell, Cell]],
                            params: UsageParams, iterations: int,
                            cfg: SearchConfig | None = None,
                            order: str = "desc",
-                           fields: dict[Cell, DistanceField] | None = None,
+                           fields: FieldCache | None = None,
                            on_iteration=None,
                            stats: SearchStats | None = None) -> list[Path]:
     """Plan one individually-shortest path per robot, spreading usage.
@@ -255,23 +273,21 @@ def plan_independent_paths(grid: GridMap, tasks: list[tuple[Cell, Cell]],
     alternative shortest routes, must then stack on.  Later passes see every
     other path, and all three orders reach the same peak by about r=5.
     iterations == 0 plans plain shortest paths with seeded random
-    tie-breaking and no table.  Paths return in input order.
+    tie-breaking and no table.  Paths return in input order.  `fields` is
+    the map's field cache, such as one a caller shares with later phases.
     """
     cfg = cfg or SearchConfig()
     n = len(tasks)
     if params.num_robots != n:
-        params = UsageParams(params.vertex_weight, params.edge_weight,
-                             params.window_before, params.window_after,
-                             params.temporal, max(n, 1))
+        params = replace(params, num_robots=max(n, 1))
     if fields is None:
-        fields = {}
+        fields = FieldCache(grid, distance_field)
     dists = []
     for i, (s, g) in enumerate(tasks):
-        if g not in fields:
-            fields[g] = distance_field(grid, g)
-        if s not in fields[g]:
+        d = fields(g).get(s)
+        if d is None:
             raise InstanceError(f"robot {i}: goal {g} unreachable from {s}")
-        dists.append(fields[g][s])
+        dists.append(d)
 
     if order == "desc":
         sequence = order_robots(dists)
@@ -288,14 +304,14 @@ def plan_independent_paths(grid: GridMap, tasks: list[tuple[Cell, Cell]],
         robot_cfg = SearchConfig(cfg.mode, _mix(cfg.tie_break_seed, i),
                                  cfg.max_time)
         if cfg.mode == "cost_to_come":
-            return find_path_cost_to_come(grid, s, g, table, fields[g],
+            return find_path_cost_to_come(grid, s, g, table, fields(g),
                                           max(dists), robot_cfg, stats)
-        return find_path_cost_to_go(grid, s, g, table, fields[g], robot_cfg, stats)
+        return find_path_cost_to_go(grid, s, g, table, fields(g), robot_cfg, stats)
 
     paths: list[Path | None] = [None] * n
     if iterations == 0:
-        empty = UsageTable(params=UsageParams(
-            params.vertex_weight, params.edge_weight, 0, 0, False, max(n, 1)))
+        empty = UsageTable(params=replace(params, window_before=0,
+                                          window_after=0, temporal=False))
         for i in sequence:
             paths[i] = search(i, empty)
         return paths  # type: ignore[return-value]

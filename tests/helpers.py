@@ -24,6 +24,12 @@ def eager_bfs(grid: GridMap, goal):
     return dist
 
 
+def labelled(field):
+    """Every cell a distance field has labelled so far, with its distance."""
+    cell_at = field.grid.cell_at
+    return {cell_at[v]: d for v, d in enumerate(field.labels) if d >= 0}
+
+
 def random_shortest_path(grid: GridMap, rng: random.Random):
     """A seeded random shortest path between two random reachable cells."""
     cells = list(grid.vertices())

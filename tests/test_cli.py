@@ -146,13 +146,45 @@ def test_unknown_file_exit_code(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def test_validate_checks_moves_starts_and_goals_given_the_instance(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({
+        "map": {"width": 51, "height": 51, "blocked": [[25, 25]]},
+        "robots": [{"start": [0, 0], "goals": [[50, 50]]}], "seed": None}))
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps({"paths": [[[0, 0], [50, 50]]]}))
+    assert main(["validate", str(sol_path)]) == 0  # conflicts only
+    capsys.readouterr()
+    assert main(["validate", str(sol_path), "--instance", str(inst_path)]) == 4
+    out = capsys.readouterr().out
+    assert "move conflict: robots 0 at t=1 ((0, 0), (50, 50))" in out
+    for bad, kind in (([[1, 0], [2, 0]], "start"), ([[0, 0], [1, 0]], "goal"),
+                      ([[0, 0], [0, 0]], "goal"), ([[0, 0], [-1, 0]], "move"),
+                      ([[0, 0], [1, 1]], "move"),    # a diagonal step
+                      ([[50, 0], [0, 1]], "move")):  # off one edge onto the next row
+        sol_path.write_text(json.dumps({"paths": [bad]}))
+        assert main(["validate", str(sol_path), "--instance", str(inst_path)]) == 4
+        assert f"{kind} conflict: robots 0" in capsys.readouterr().out
+    sol_path.write_text(json.dumps({"paths": [[[0, 0]], [[1, 1]]]}))
+    assert main(["validate", str(sol_path), "--instance", str(inst_path)]) == 2
+
+
+def test_validate_accepts_solve_output_given_the_instance(small_world, tmp_path):
+    _, inst_path = small_world
+    sol_path = tmp_path / "sol.json"
+    assert main(["solve", "--instance", str(inst_path), "--seed", "2",
+                 "--out", str(tmp_path / "s.csv"),
+                 "--solution-out", str(sol_path)]) == 0
+    assert main(["validate", str(sol_path), "--instance", str(inst_path)]) == 0
+
+
 def test_validate_prints_one_robot_faults(tmp_path, monkeypatch, capsys):
     import spreadplan.cli as cli
     from spreadplan.oneshot import Conflict
 
     sol_path = tmp_path / "sol.json"
     sol_path.write_text(json.dumps({"paths": [[[0, 0], [5, 5]]]}))
-    monkeypatch.setattr(cli, "validate_solution", lambda paths: [
+    monkeypatch.setattr(cli, "validate_solution", lambda paths, grid, tasks: [
         Conflict("move", (0,), 1, ((0, 0), (5, 5))),
         Conflict("vertex", (0, 2), 3, (1, 1))])
     assert main(["validate", str(sol_path)]) == 4

@@ -20,7 +20,7 @@ from helpers import eager_bfs
 
 
 def complete_field(grid, goal):
-    return DistanceField(goal, eager_bfs(grid, goal))
+    return DistanceField.from_distances(grid, goal, eager_bfs(grid, goal))
 
 
 def twice(monkeypatch, run):

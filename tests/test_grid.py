@@ -3,14 +3,15 @@ import random
 
 import pytest
 
-from spreadplan.grid import (DistanceField, GenerationError, GridMap,
-                             MapParseError, distance_field, generate_instance,
+from spreadplan.grid import (BLOCKED, FREE, NEIGHBOR_STEPS, DistanceField,
+                             FieldCache, GenerationError, GridMap, MapParseError,
+                             distance_field, generate_instance,
                              generate_random_grid, generate_warehouse,
                              grid_to_movingai, instance_from_json,
                              instance_to_json, largest_component_grid,
                              parse_movingai_map, parse_movingai_scen)
 
-from helpers import eager_bfs
+from helpers import eager_bfs, labelled
 
 DEN520D_PATH = os.environ.get(
     "SPREADPLAN_DEN520D",
@@ -188,7 +189,8 @@ def test_lazy_field_matches_eager_bfs_in_any_read_order():
                 assert field[cell] == want
             else:
                 assert field.get(cell, -1) == (-1 if want is None else want)
-        assert field.dist == expected
+        assert labelled(field) == expected
+        assert len(field) == len(expected)
 
 
 def test_lazy_field_labels_only_what_a_lookup_needs():
@@ -196,27 +198,96 @@ def test_lazy_field_labels_only_what_a_lookup_needs():
     field = distance_field(grid, (100, 100))
     assert (100, 101) not in field        # blocked
     assert field.get((-1, 100)) is None   # off the map
-    assert len(field.dist) == 1           # neither miss grew the field
+    assert len(field) == 1                # neither miss grew the field
     assert field[(101, 102)] == 3
     within_3 = {(100 + dx, 100 + dy) for dx in range(-3, 4)
                 for dy in range(-3, 4) if abs(dx) + abs(dy) <= 3}
     assert len(within_3) == 25
-    assert set(field.dist) <= within_3
+    cells = labelled(field)
+    assert set(cells) <= within_3
+    assert len(field) == len(cells)
 
 
 def test_distance_field_from_complete_dict():
-    field = DistanceField((0, 0), {(0, 0): 0, (1, 0): 1})
+    field = DistanceField.from_distances(GridMap(3, 1), (0, 0),
+                                         {(0, 0): 0, (1, 0): 1})
     assert field[(1, 0)] == 1 and (1, 0) in field
     assert (2, 0) not in field and field.get((2, 0), 7) == 7
     with pytest.raises(KeyError):
         field[(2, 0)]
 
 
-def test_adjacency_lists_passable_neighbours_in_step_order():
-    grid = generate_random_grid(9, 7, 0.2, 3)
-    assert set(grid.adjacency) == set(grid.vertices())
-    for v, nbrs in grid.adjacency.items():
-        assert list(nbrs) == grid.neighbors(v)
+def test_field_cache_evicts_least_recently_used(monkeypatch):
+    import spreadplan.grid as grid_module
+    grid = GridMap(6, 4)
+    built = []
+
+    def build(g, goal):
+        built.append(goal)
+        return distance_field(g, goal)
+
+    field_bytes = FieldCache(grid).field_bytes
+    monkeypatch.setattr(grid_module, "FIELD_CACHE_BYTES", 2 * field_bytes + 1)
+    cache = FieldCache(grid, build)
+    assert cache.max_bytes == 2 * field_bytes + 1
+    a, b, c = (0, 0), (5, 3), (2, 1)
+    assert cache.dist((1, 0), a) == 1
+    cache(b)
+    assert cache(a) is cache(a)           # a hit makes a the most recent
+    cache(c)                              # evicts b, the least recent
+    assert cache.evictions == 1 and cache.nbytes == 2 * field_bytes
+    cache(a)
+    assert built == [a, b, c]
+    assert cache.dist((5, 2), b) == 1     # b is built again, and c evicted
+    assert built == [a, b, c, b] and cache.evictions == 2
+    monkeypatch.setattr(grid_module, "FIELD_CACHE_BYTES", field_bytes - 1)
+    tiny = FieldCache(grid, build)        # no field fits: each use builds one
+    assert tiny(a)[(2, 0)] == 2 and tiny(a) is not tiny(a)
+    assert tiny.nbytes == 0 and tiny.evictions == 0
+
+
+def _id_test_maps():
+    """Random maps of every thin shape, obstacles included."""
+    rng = random.Random(5)
+    shapes = [(1, 1), (1, 7), (7, 1), (2, 1), (1, 2), (9, 7)]
+    shapes += [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(20)]
+    for width, height in shapes:
+        cells = [(x, y) for y in range(height) for x in range(width)]
+        yield GridMap(width, height,
+                      frozenset(c for c in cells if rng.random() < 0.25))
+
+
+def test_cell_ids_round_trip_and_template_marks_passable_cells():
+    for grid in _id_test_maps():
+        stride = grid.width + 2
+        assert grid.stride == stride
+        assert len(grid.template) == len(grid.cell_at) == stride * (grid.height + 2)
+        ids = set()
+        for y in range(grid.height):
+            for x in range(grid.width):
+                v = grid.cell_id((x, y))
+                assert v == (y + 1) * stride + (x + 1)
+                assert grid.cell_at[v] == (x, y)
+                want = FREE if grid.passable((x, y)) else BLOCKED
+                assert grid.template[v] == want
+                ids.add(v)
+        border = set(range(len(grid.template))) - ids
+        assert len(border) == 2 * stride + 2 * grid.height
+        for v in border:
+            assert grid.template[v] == BLOCKED
+            assert not grid.in_bounds(grid.cell_at[v])
+
+
+def test_id_steps_match_neighbors_in_step_order():
+    for grid in _id_test_maps():
+        stride = grid.stride
+        steps = [dx + dy * stride for dx, dy in NEIGHBOR_STEPS]
+        assert steps == [1, -1, stride, -stride]
+        for cell in grid.vertices():  # cells on the map's edge included
+            v = grid.cell_id(cell)
+            by_id = [grid.cell_at[u] for u in (v + 1, v - 1, v + stride, v - stride)
+                     if grid.template[u] != BLOCKED]
+            assert by_id == grid.neighbors(cell)
 
 
 def test_largest_component_grid():

@@ -1,10 +1,14 @@
+import dataclasses
 import itertools
 
 import pytest
 
-from spreadplan.grid import GridMap, generate_warehouse, distance_field
+import spreadplan.grid as grid_module
+import spreadplan.lifelong as lifelong
+from spreadplan.grid import (FieldCache, GridMap, distance_field,
+                             generate_instance, generate_warehouse)
 from spreadplan.lifelong import (GoalStream, HorizonConfig, LivelockError,
-                                 WindowedSolverError, _FieldCache,
+                                 WindowedSolverError,
                                  apply_horizon_cut, config_for_variant,
                                  horizon_cut_index, run_lifelong,
                                  solve_mpp_via_horizon, truncate_goal_list,
@@ -15,7 +19,7 @@ from spreadplan.usage import UsageParams
 
 
 def dist_on(grid):
-    cache = _FieldCache(grid)
+    cache = FieldCache(grid)
     return cache, cache.dist
 
 
@@ -147,7 +151,7 @@ def test_usage_guided_targets_spread_crossing_robots():
     grid = GridMap(7, 7)
     states = [(0, 0), (6, 0)]
     goals = [(6, 6), (0, 6)]
-    cache = _FieldCache(grid)
+    cache = FieldCache(grid)
     h = 2
 
     def one_cycle(cfg):
@@ -323,3 +327,47 @@ def test_solve_via_horizon_multi_robot_validates():
         assert path[0] == s
         assert path[path_length(path)] == g
     assert res.cost_ratio >= 1.0
+
+
+def test_field_cache_bound_keeps_outputs_and_is_never_passed(monkeypatch):
+    """With a byte bound of six fields, runs evict and rebuild fields and
+    still return what an unbounded cache gives."""
+    grid = generate_warehouse(21, 12, (3, 2), 2)
+    robots = generate_instance(grid, 10, seed=17)
+    tasks = [(s, gs[0]) for s, gs in robots]
+
+    def runs():
+        segments = []
+        solver = lifelong.windowed_solver
+
+        def kept(*args, **kwargs):
+            segments.append(solver(*args, **kwargs))
+            return segments[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(lifelong, "windowed_solver", kept)
+            streams = [GoalStream(grid, seed=100 + i) for i in range(12)]
+            stats = run_lifelong(grid, streams,
+                                 config_for_variant("cut+usage", h=5, seed=3),
+                                 stop_goals=40)
+        cycles = [dataclasses.replace(c, solver_ms=0.0) for c in stats.cycles]
+        horizon = solve_mpp_via_horizon(grid, tasks,
+                                        config_for_variant("cut+usage", h=5))
+        return segments, stats.goals_reached, cycles, horizon
+
+    unbounded = runs()
+    bound = 6 * FieldCache(grid).field_bytes
+    caches = set()
+    lookup = FieldCache.__call__
+
+    def watched(cache, goal):
+        field = lookup(cache, goal)
+        assert cache.nbytes <= cache.max_bytes == bound
+        caches.add(cache)
+        return field
+
+    monkeypatch.setattr(grid_module, "FIELD_CACHE_BYTES", bound)
+    monkeypatch.setattr(FieldCache, "__call__", watched)
+    assert runs() == unbounded
+    assert len(caches) >= 2
+    assert all(c.evictions > 0 for c in caches)

@@ -220,41 +220,59 @@ def test_solution_json_roundtrip():
     assert solution_paths_from_json(sol.to_json()) == sol.paths
 
 
+def reserved_steps(res):
+    """The (id, t) pairs and (from, to, arrival t) moves the keys stand for."""
+    vertex = {divmod(key, res.size)[::-1] for key in res.vertex}
+    edge = set()
+    for key in res.edge:
+        rest, to = divmod(key, res.size)
+        t, frm = divmod(rest, res.size)
+        edge.add((frm, to, t))
+    return vertex, edge
+
+
 def brute_path_is_clean(res, path):
     """Reference: every check made by scanning all reservations."""
+    vertex, edge = reserved_steps(res)
     for t, v in enumerate(path):
-        if any(r == (v, t) for r in res.vertex):
+        if any(r == (v, t) for r in vertex):
             return False
         if v in res.rest_from and t >= res.rest_from[v]:
             return False
-        if t > 0 and path[t - 1] != v and (v, path[t - 1], t) in res.edge:
+        if t > 0 and path[t - 1] != v and (v, path[t - 1], t) in edge:
             return False
     end = len(path) - 1
-    return not any(c == path[-1] and t >= end for c, t in res.vertex)
+    return not any(c == path[-1] and t >= end for c, t in vertex)
 
 
 def brute_free_from(res, v):
     if v in res.rest_from:
         return -2
-    return max((t for c, t in res.vertex if c == v), default=-1) + 1
+    vertex, _ = reserved_steps(res)
+    return max((t for c, t in vertex if c == v), default=-1) + 1
 
 
 def test_reservation_index_matches_brute_force():
     rng = random.Random(31)
+    grid = GridMap(7, 7)
+
+    def ids(path):
+        return [grid.cell_id(c) for c in path]
+
     clean_seen, free_seen = set(), set()
     for _ in range(200):
-        res = _Reservations()
-        reserved = random_walks(rng, rng.randint(2, 5), size=6)
+        res = _Reservations(len(grid.template))
+        reserved = [ids(p) for p in random_walks(rng, rng.randint(2, 5), size=6)]
         for path in reserved:
             res.add_path(path)
-        queries = random_walks(rng, 6, size=6)
+        queries = [ids(p) for p in random_walks(rng, 6, size=6)]
         # paths that end, early or late, where a reserved path rests
         queries += [q + [p[-1]] for q, p in zip(queries, reserved)]
         for path in queries:
             clean = res.path_is_clean(path)
             assert clean == brute_path_is_clean(res, path)
             clean_seen.add(clean)
-        for v in itertools.product(range(7), repeat=2):
+        for v in ids(itertools.product(range(7), repeat=2)):
             assert res.free_from(v) == brute_free_from(res, v)
             free_seen.add(res.free_from(v))
     assert clean_seen == {True, False}
