@@ -271,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-after", type=int, default=15)
     p.add_argument("--temporal", action="store_true")
     p.add_argument("--iterations", "-r", type=int, default=1)
-    p.add_argument("--resolver", choices=["prioritized"], default="prioritized")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--solution-out", default=None)

@@ -27,6 +27,7 @@ import json
 import random
 import sys
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -463,13 +464,17 @@ def generate_instance(grid: GridMap, n: int, seed: int,
     starts = rng.sample(cells, n)
     robots: list[tuple[Cell, list[Cell]]] = []
     if goals_per_robot == 1:
-        available = set(cells)
+        # indices into cells not yet taken as a goal, ascending: drawing
+        # from them past the start makes the draw `rng.choice` would make
+        # from the list of free cells other than the start
+        free = list(range(len(cells)))
+        index = {c: i for i, c in enumerate(cells)}
         for s in starts:
-            pool = [c for c in cells if c in available and c != s]
-            if not pool:  # forced on a map too small to avoid start == goal
-                pool = [c for c in cells if c in available]
-            g = rng.choice(pool)
-            available.discard(g)
+            at = bisect_left(free, index[s])
+            # pass over the start, unless it is the only free cell left
+            skip = at < len(free) and free[at] == index[s] and len(free) > 1
+            j = rng.choice(range(len(free) - skip))
+            g = cells[free.pop(j + (skip and j >= at))]
             robots.append((s, [g]))
     else:
         for s in starts:

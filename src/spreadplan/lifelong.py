@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 
 from .grid import BLOCKED, Cell, DistanceField, FieldCache, GridMap, distance_field
 from .metrics import path_length, throughput
-from .search import (NoPathError, SearchConfig, _fold, _mix, _unwind,
-                     find_path_cost_to_go)
+from .search import (NoPathError, SearchConfig, _fold, _mix, _Reservations,
+                     _unwind, find_path_cost_to_go)
 from .usage import Path, UsageParams, UsageTable
 
 
@@ -246,7 +246,6 @@ def windowed_solver(grid: GridMap, states: list[Cell],
     if fields is None:
         fields = FieldCache(grid, distance_field)
     cell_id, cell_at = grid.cell_id, grid.cell_at
-    size = len(grid.template)
     start_ids = [cell_id(c) for c in states]
     remaining0 = []
     for i in range(n):
@@ -265,20 +264,12 @@ def windowed_solver(grid: GridMap, states: list[Cell],
         if attempt > len(promoted) + 1:
             random.Random(_mix(seed, attempt)).shuffle(rest)
         order = promoted + rest
-        # reservations on padded ids, keyed as in `oneshot._Reservations`:
-        # id v at step t is t * size + v, and a move from a to b arriving
-        # at step t is (t * size + a) * size + b
-        vertex_res: set[int] = set()
-        edge_res: set[int] = set()
-        # robots that end the window standing still are treated as parked a
-        # while beyond it, so "wait, then walk through" never looks cheaper
-        # than an actual detour around them
-        rest_block: dict[int, int] = {}
+        reservations = _Reservations(len(grid.template))
         paths: list[list[int] | None] = [None] * n
         failed = False
         for i in order:
             path, exp = _plan_window(grid, start_ids[i], target_lists[i], h,
-                                     fields, vertex_res, edge_res, rest_block,
+                                     fields, reservations,
                                      _mix(seed, attempt, i), max_expansions)
             expansions_total += exp
             if path is None:
@@ -288,13 +279,11 @@ def windowed_solver(grid: GridMap, states: list[Cell],
                 failed = True
                 break
             path = paths[i] = path[:h + 1]
-            for t, v in enumerate(path):
-                vertex_res.add(t * size + v)
-            for t in range(1, len(path)):
-                if path[t - 1] != path[t]:
-                    edge_res.add((t * size + path[t - 1]) * size + path[t])
-            if path[h] == path[h - 1]:
-                rest_block[path[h]] = 2 * h
+            # a robot that ends the window standing still is parked up to
+            # step 2h, so "wait, then walk through" never looks cheaper than
+            # an actual detour around it
+            parked = h if path[h] == path[h - 1] else 0
+            reservations.add_path(path + [path[h]] * parked)
         if not failed:
             cells = [[cell_at[v] for v in p] for p in paths]  # type: ignore[union-attr]
             return cells, expansions_total
@@ -302,16 +291,18 @@ def windowed_solver(grid: GridMap, states: list[Cell],
 
 
 def _plan_window(grid: GridMap, start: int, targets: list[Cell], h: int,
-                 fields: FieldCache, vertex_res, edge_res, rest_block,
+                 fields: FieldCache, reservations: _Reservations,
                  seed: int, max_expansions: int) -> tuple[list[int] | None, int]:
-    """Space-time A* through the target chain; constrained only up to step h.
+    """Space-time A* through the target chain around earlier robots' windows.
 
     Works on padded ids: `start`, the reservations and the returned path.
-    A state (id v, step t, targets reached k) is the int
-    k * (max_t + 1) * size + t * size + v.  Finishes when the whole chain is
-    done and at least h steps have passed; if the chain cannot be finished
-    within the bound, falls back to the safe h-step prefix that gets closest
-    to the next target.
+    The reservations hold each earlier robot's h-step window, and a robot
+    that ends its window standing still stays reserved on that cell up to
+    step 2h; beyond that, planning is unconstrained.  A state (id v, step t,
+    targets reached k) is the int k * (max_t + 1) * size + t * size + v.
+    Finishes when the whole chain is done and at least h steps have passed;
+    if the chain cannot be finished within the bound, falls back to the safe
+    h-step prefix that gets closest to the next target.
     """
     K = len(targets)
     suffix = [0] * (K + 1)
@@ -336,6 +327,7 @@ def _plan_window(grid: GridMap, start: int, targets: list[Cell], h: int,
     stride = grid.stride
     size = len(template)
     k_step = (max_t + 1) * size
+    vertex_res, edge_res = reservations.vertex, reservations.edge
 
     def wait_safe(v: int, t_from: int) -> bool:
         return all(t * size + v not in vertex_res for t in range(t_from + 1, h + 1))
@@ -370,14 +362,11 @@ def _plan_window(grid: GridMap, start: int, targets: list[Cell], h: int,
         for nxt in (v + 1, v - 1, v + stride, v - stride, v):
             if template[nxt] == BLOCKED:
                 continue
-            if nt <= h:
-                reserved = at_nt + nxt
-                if reserved in vertex_res:
-                    continue
-                # a reserved move the other way, from nxt to v
-                if nxt != v and reserved * size + v in edge_res:
-                    continue
-            elif nt <= rest_block.get(nxt, 0):
+            reserved = at_nt + nxt
+            if reserved in vertex_res:
+                continue
+            # a reserved move the other way, from nxt to v
+            if nxt != v and reserved * size + v in edge_res:
                 continue
             nk = k
             if nk < K and nxt == target_ids[nk]:

@@ -20,7 +20,7 @@ from .grid import Cell, FieldCache, GridMap, distance_field
 from .metrics import (makespan, max_vertex_overlap, robots_by_step,
                       sum_of_cost, timed_conflicts, total_pairwise_overlap)
 from .search import (InstanceError, SearchConfig, SearchStats, _fold, _mix,
-                     _unwind, plan_independent_paths)
+                     _Reservations, _unwind, plan_independent_paths)
 from .usage import Path, UsageParams
 
 
@@ -144,66 +144,6 @@ def validate_solution(paths: list[Path], grid: GridMap | None = None,
     # a pair is never on one cell and swapping at the same step
     collisions.sort(key=lambda c: (c.robots, c.time))
     return conflicts + collisions
-
-
-class _Reservations:
-    """Space-time bookkeeping for prioritized planning, hashed on int keys.
-
-    Cells are padded ids below `size` (see `spreadplan.grid`), and so are
-    the paths that `add_path` and `path_is_clean` take.  Id v at step t is
-    the key t * size + v, and a move from `frm` to `to` that arrives at step
-    t is the key (t * size + frm) * size + to.
-    """
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.vertex: set[int] = set()  # keys of (id, t)
-        self.edge: set[int] = set()  # keys of (frm, to, arrival t)
-        self.rest_from: dict[int, int] = {}  # id -> first resting step
-        self.last: dict[int, int] = {}  # id -> latest reserved step
-        self.max_time = 0
-
-    def add_path(self, path: list[int]) -> None:
-        size, last = self.size, self.last
-        for t, v in enumerate(path):
-            self.vertex.add(t * size + v)
-            if last.get(v, -1) < t:
-                last[v] = t
-        for t in range(1, len(path)):
-            if path[t - 1] != path[t]:
-                self.edge.add((t * size + path[t - 1]) * size + path[t])
-        end = path[-1]
-        rest_start = len(path) - 1
-        self.rest_from[end] = min(self.rest_from.get(end, rest_start), rest_start)
-        self.max_time = max(self.max_time, len(path) - 1)
-
-    def blocked_vertex(self, v: int, t: int) -> bool:
-        if t * self.size + v in self.vertex:
-            return True
-        rest = self.rest_from.get(v)
-        return rest is not None and t >= rest
-
-    def blocked_move(self, frm: int, to: int, t: int) -> bool:
-        """True when arriving at `to` at step t collides with a reservation."""
-        if self.blocked_vertex(to, t):
-            return True
-        # a reserved move the other way, from `to` to `frm`
-        return frm != to and (t * self.size + to) * self.size + frm in self.edge
-
-    def path_is_clean(self, path: list[int]) -> bool:
-        for t, v in enumerate(path):
-            if self.blocked_vertex(v, t):
-                return False
-            if t > 0 and self.blocked_move(path[t - 1], v, t):
-                return False
-        # resting at the end must stay clean forever after
-        return self.last.get(path[-1], -1) < len(path) - 1
-
-    def free_from(self, v: int) -> int:
-        """First step after which v is never touched by a reservation."""
-        if v in self.rest_from:
-            return -2  # rested on forever; never free
-        return self.last.get(v, -1) + 1
 
 
 def default_resolver_prioritized(grid: GridMap, initial_paths: list[Path],

@@ -1,19 +1,22 @@
 """Single-robot search with usage-aware guidance, plus the multi-robot pass loop.
 
-Two integrations of the usage penalty into A*:
+One guided A* kernel, `_guided_search`, places each move's usage penalty
+either in f or in g, and its two entry points choose the weights:
 
 * cost_to_go: the penalty is added to the distance heuristic.  Because it
   stays below 1 it can only break ties between equal-length paths, and the
   returned path is a shortest path whose worst interior cell is as lightly
-  claimed as possible.
+  claimed as possible.  A closed state refuses later pushes.
 
 * cost_to_come: the penalty is folded into the transition cost, scaled by
   1 / (max start-goal distance + 1) so the surcharge accumulated along a
   whole path stays below one step.  The returned path is a shortest path
-  whose total overlap with other paths is minimal.
+  whose total overlap with other paths is minimal.  A closed state still
+  takes a better push, which re-parents it, but is not expanded again.
 
 `plan_independent_paths` runs these searches for every robot over several
-passes, keeping one usage table updated incrementally.
+passes, keeping one usage table updated incrementally.  Prioritized
+planners search around one space-time table, `_Reservations`.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ def _mix(seed: int, *parts: int) -> int:
 class SearchConfig:
     mode: str = "cost_to_go"  # or "cost_to_come"
     tie_break_seed: int = 0
-    max_time: int | None = None  # horizon bound for temporal search
 
 
 @dataclass
@@ -80,6 +82,66 @@ def _unwind(parents: dict, state: int, size: int) -> list[int]:
     return ids
 
 
+class _Reservations:
+    """Space-time bookkeeping for prioritized planning, hashed on int keys.
+
+    Cells are padded ids below `size` (see `spreadplan.grid`), and so are
+    the paths that `add_path` and `path_is_clean` take.  Id v at step t is
+    the key t * size + v, and a move from `frm` to `to` that arrives at step
+    t is the key (t * size + frm) * size + to.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.vertex: set[int] = set()  # keys of (id, t)
+        self.edge: set[int] = set()  # keys of (frm, to, arrival t)
+        self.rest_from: dict[int, int] = {}  # id -> first resting step
+        self.last: dict[int, int] = {}  # id -> latest reserved step
+        self.max_time = 0
+
+    def add_path(self, path: list[int]) -> None:
+        size, last = self.size, self.last
+        for t, v in enumerate(path):
+            self.vertex.add(t * size + v)
+            if last.get(v, -1) < t:
+                last[v] = t
+        for t in range(1, len(path)):
+            if path[t - 1] != path[t]:
+                self.edge.add((t * size + path[t - 1]) * size + path[t])
+        end = path[-1]
+        rest_start = len(path) - 1
+        self.rest_from[end] = min(self.rest_from.get(end, rest_start), rest_start)
+        self.max_time = max(self.max_time, len(path) - 1)
+
+    def blocked_vertex(self, v: int, t: int) -> bool:
+        if t * self.size + v in self.vertex:
+            return True
+        rest = self.rest_from.get(v)
+        return rest is not None and t >= rest
+
+    def blocked_move(self, frm: int, to: int, t: int) -> bool:
+        """True when arriving at `to` at step t collides with a reservation."""
+        if self.blocked_vertex(to, t):
+            return True
+        # a reserved move the other way, from `to` to `frm`
+        return frm != to and (t * self.size + to) * self.size + frm in self.edge
+
+    def path_is_clean(self, path: list[int]) -> bool:
+        for t, v in enumerate(path):
+            if self.blocked_vertex(v, t):
+                return False
+            if t > 0 and self.blocked_move(path[t - 1], v, t):
+                return False
+        # resting at the end must stay clean forever after
+        return self.last.get(path[-1], -1) < len(path) - 1
+
+    def free_from(self, v: int) -> int:
+        """First step after which v is never touched by a reservation."""
+        if v in self.rest_from:
+            return -2  # rested on forever; never free
+        return self.last.get(v, -1) + 1
+
+
 def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
                          table: UsageTable, dfield: DistanceField,
                          cfg: SearchConfig | None = None,
@@ -89,78 +151,13 @@ def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
 
     Aggregate tables are searched over plain vertices (waiting never helps at
     unit cost); temporal tables are searched over (vertex, time) states with
-    wait moves, bounded by max_time.  With stop_depth set, the search instead
-    returns the best shortest-path prefix of that many steps, which keeps the
-    cost bounded when only the first stretch of a long route matters.
+    wait moves, up to a bound derived from the distance and the table's
+    windows.  With stop_depth set, the search instead returns the best
+    shortest-path prefix of that many steps, which keeps the cost bounded
+    when only the first stretch of a long route matters.
     """
-    cfg = cfg or SearchConfig()
-    if stats is None:
-        stats = SearchStats()
-    if start not in dfield:
-        raise NoPathError(f"no path from {start} to {goal}")
-    params = table.params
-    temporal = params.temporal
-    seed = cfg.tie_break_seed
-    base = dfield[start]
-    max_time = cfg.max_time
-    if temporal and max_time is None:
-        max_time = base + 2 * (params.window_before + params.window_after) + 10
-
-    # a state is t * size + id, for padded ids below size, with t = 0 on an
-    # aggregate table; the table and the tie-break still see (x, y) cells
-    cell_at = grid.cell_at
-    size = len(cell_at)
-    stride = grid.stride
-    labels, label_at = dfield.labels, dfield.at
-    penalty = table.penalty
-    goal_id = grid.cell_id(goal)
-    cell_mix: dict[int, int] = {}  # _mix(seed, x, y) per id
-    counter = 0
-    start_state = grid.cell_id(start)
-    parents = {start_state: None}
-    best_f = {start_state: float(base)}
-    heap = [(float(base), 0, _mix(seed, start[0], start[1]), counter, start_state)]
-    while heap:
-        f, neg_g, _, _, state = heapq.heappop(heap)
-        if f > best_f.get(state, float("inf")):
-            continue  # stale queue entry
-        best_f[state] = -1.0  # closed marker: nothing beats a negative f
-        stats.expansions += 1
-        t, v = divmod(state, size)
-        g = -neg_g
-        if v == goal_id or (stop_depth is not None and g >= stop_depth):
-            return [cell_at[u] for u in _unwind(parents, state, size)]
-        t_next = (t + 1) if temporal else 0
-        if temporal and t_next > max_time:
-            continue
-        cv = cell_at[v]
-        if temporal:
-            moves = (v + 1, v - 1, v + stride, v - stride, v)
-        else:
-            moves = (v + 1, v - 1, v + stride, v - stride)
-        for nxt in moves:
-            h_dist = labels[nxt]
-            if h_dist < 0:
-                h_dist = label_at(nxt)
-                if h_dist is None:
-                    continue  # blocked, or not in the goal's component
-            cn = cell_at[nxt]
-            pen = penalty(cv, cn, t_next)
-            if not 0.0 <= pen < 1.0:
-                stats.penalty_bound_violations += 1
-            nf = (g + 1) + h_dist + pen
-            nstate = t_next * size + nxt
-            if nf < best_f.get(nstate, float("inf")):
-                best_f[nstate] = nf
-                parents[nstate] = state
-                counter += 1
-                stats.generated += 1
-                cm = cell_mix.get(nxt)
-                if cm is None:
-                    cm = cell_mix[nxt] = _mix(seed, cn[0], cn[1])
-                heapq.heappush(heap, (nf, -(g + 1), _fold(cm, t_next), counter,
-                                      nstate))
-    raise NoPathError(f"no path from {start} to {goal}")
+    return _guided_search(grid, start, goal, table, dfield, cfg, 1.0, 0.0,
+                          False, stats, stop_depth)
 
 
 def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
@@ -176,21 +173,38 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
     The surcharge unit is far above float rounding for any supported map
     size, so plain float comparisons are exact here.
     """
-    cfg = cfg or SearchConfig()
+    return _guided_search(grid, start, goal, table, dfield, cfg, 0.0,
+                          1.0 / (max_pair_dist + 1), True, stats, None)
+
+
+_UNSEEN = (float("inf"),)  # above every (f, g) key
+
+
+def _guided_search(grid: GridMap, start: Cell, goal: Cell, table: UsageTable,
+                   dfield: DistanceField, cfg: SearchConfig | None,
+                   f_weight: float, g_weight: float, reopen: bool,
+                   stats: SearchStats | None, stop_depth: int | None) -> Path:
+    """A* where a move costs 1 + pen * g_weight and f adds pen * f_weight.
+
+    A state's key is (f, g): a push must beat the best key so far and a pop
+    that no longer matches it is stale.  An expanded state is closed.  With
+    `reopen` a later, better push into a closed state is still recorded (it
+    re-parents the state and counts as generated) but never expanded;
+    without it the closed state refuses every push.
+    """
     if stats is None:
         stats = SearchStats()
     if start not in dfield:
         raise NoPathError(f"no path from {start} to {goal}")
+    seed = (cfg or SearchConfig()).tie_break_seed
     params = table.params
     temporal = params.temporal
-    seed = cfg.tie_break_seed
-    scale = 1.0 / (max_pair_dist + 1)
     base = dfield[start]
-    max_time = cfg.max_time
-    if temporal and max_time is None:
+    if temporal:
         max_time = base + 2 * (params.window_before + params.window_after) + 10
 
-    # states as in find_path_cost_to_go
+    # a state is t * size + id, for padded ids below size, with t = 0 on an
+    # aggregate table; the table and the tie-break still see (x, y) cells
     cell_at = grid.cell_at
     size = len(cell_at)
     stride = grid.stride
@@ -201,24 +215,27 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
     counter = 0
     start_state = grid.cell_id(start)
     parents = {start_state: None}
-    best_g = {start_state: 0.0}
-    heap = [(float(base), 0.0, _mix(seed, start[0], start[1]), counter, start_state)]
+    best = {start_state: (float(base), 0.0)}
     closed = set()
+    heap = [(float(base), 0.0, _mix(seed, start[0], start[1]), counter, start_state)]
     while heap:
         f, neg_g, _, _, state = heapq.heappop(heap)
         g = -neg_g
-        if state in closed:
-            continue
-        if g > best_g.get(state, float("inf")):
-            continue
-        closed.add(state)
+        if (f, g) > best[state] or state in closed:
+            continue  # a stale queue entry, or closed
+        if reopen:
+            closed.add(state)
+        else:
+            best[state] = (-1.0,)  # below every (f, g) key
         stats.expansions += 1
         t, v = divmod(state, size)
-        if v == goal_id:
+        if v == goal_id or (stop_depth is not None and g >= stop_depth):
             return [cell_at[u] for u in _unwind(parents, state, size)]
         t_next = (t + 1) if temporal else 0
         if temporal and t_next > max_time:
             continue
+        at_next = t_next * size
+        g_next = g + 1.0
         cv = cell_at[v]
         if temporal:
             moves = (v + 1, v - 1, v + stride, v - stride, v)
@@ -234,18 +251,20 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
             pen = penalty(cv, cn, t_next)
             if not 0.0 <= pen < 1.0:
                 stats.penalty_bound_violations += 1
-            ng = g + 1.0 + pen * scale
-            nstate = t_next * size + nxt
-            if ng < best_g.get(nstate, float("inf")):
-                best_g[nstate] = ng
+            ng = g_next + pen * g_weight
+            nf = ng + h_dist + pen * f_weight
+            nstate = at_next + nxt
+            key = (nf, ng)
+            if key < best.get(nstate, _UNSEEN):
+                best[nstate] = key
                 parents[nstate] = state
                 counter += 1
                 stats.generated += 1
                 cm = cell_mix.get(nxt)
                 if cm is None:
                     cm = cell_mix[nxt] = _mix(seed, cn[0], cn[1])
-                heapq.heappush(heap, (ng + h_dist, -ng, _fold(cm, t_next),
-                                      counter, nstate))
+                heapq.heappush(heap, (nf, -ng, _fold(cm, t_next), counter,
+                                      nstate))
     raise NoPathError(f"no path from {start} to {goal}")
 
 
@@ -301,8 +320,7 @@ def plan_independent_paths(grid: GridMap, tasks: list[tuple[Cell, Cell]],
 
     def search(i: int, table: UsageTable) -> Path:
         s, g = tasks[i]
-        robot_cfg = SearchConfig(cfg.mode, _mix(cfg.tie_break_seed, i),
-                                 cfg.max_time)
+        robot_cfg = SearchConfig(cfg.mode, _mix(cfg.tie_break_seed, i))
         if cfg.mode == "cost_to_come":
             return find_path_cost_to_come(grid, s, g, table, fields(g),
                                           max(dists), robot_cfg, stats)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import NoReturn
 
 Cell = tuple[int, int]
 Path = list[Cell]
@@ -51,11 +50,6 @@ class UsageUnderflowError(ValueError):
     """Removing a path that was never added."""
 
 
-def _underflow(key) -> NoReturn:
-    """A removal that would take a counter below zero."""
-    raise UsageUnderflowError(f"count underflow at {key}")
-
-
 @dataclass
 class UsageTable:
     """Occupancy counters over vertices and directed edges.
@@ -88,52 +82,27 @@ class UsageTable:
         """Add delta (+1 or -1) to each counter the path claims, in a fixed
         order; a removal that would take a counter below zero raises."""
         params = self.params
-        vertex_use, edge_use = self.vertex_use, self.edge_use
         if params.temporal:
             wb, wa = params.window_before, params.window_after
-            for t, (x, y) in enumerate(path):
-                for tq in range(max(0, t - wb), t + wa + 1):
-                    key = (x, y, tq)
-                    c = vertex_use.get(key, 0) + delta
-                    if c > 0:
-                        vertex_use[key] = c
-                    elif c == 0:
-                        del vertex_use[key]
-                    else:
-                        _underflow(key)
-            for t in range(1, len(path)):
-                u, v = path[t - 1], path[t]
-                if u == v:
-                    continue
-                for tq in range(max(0, t - wb), t + wa + 1):
-                    key = (u[0], u[1], v[0], v[1], tq)
-                    c = edge_use.get(key, 0) + delta
-                    if c > 0:
-                        edge_use[key] = c
-                    elif c == 0:
-                        del edge_use[key]
-                    else:
-                        _underflow(key)
+            vertex_keys = [(x, y, tq) for t, (x, y) in enumerate(path)
+                           for tq in range(max(0, t - wb), t + wa + 1)]
+            edge_keys = [(u[0], u[1], v[0], v[1], tq)
+                         for t, (u, v) in enumerate(zip(path, path[1:]), 1)
+                         if u != v for tq in range(max(0, t - wb), t + wa + 1)]
         else:
-            for key in path:
-                c = vertex_use.get(key, 0) + delta
+            vertex_keys = path
+            edge_keys = [(u[0], u[1], v[0], v[1])
+                         for u, v in zip(path, path[1:]) if u != v]
+        for counts, keys in ((self.vertex_use, vertex_keys),
+                             (self.edge_use, edge_keys)):
+            for key in keys:
+                c = counts.get(key, 0) + delta
                 if c > 0:
-                    vertex_use[key] = c
+                    counts[key] = c
                 elif c == 0:
-                    del vertex_use[key]
+                    del counts[key]
                 else:
-                    _underflow(key)
-            for t in range(1, len(path)):
-                u, v = path[t - 1], path[t]
-                if u != v:
-                    key = (u[0], u[1], v[0], v[1])
-                    c = edge_use.get(key, 0) + delta
-                    if c > 0:
-                        edge_use[key] = c
-                    elif c == 0:
-                        del edge_use[key]
-                    else:
-                        _underflow(key)
+                    raise UsageUnderflowError(f"count underflow at {key}")
 
     def penalty(self, frm: Cell, to: Cell, t: int = 0) -> float:
         """Surcharge for arriving at `to` from `frm` at time t.

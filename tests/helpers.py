@@ -43,6 +43,24 @@ def random_shortest_path(grid: GridMap, rng: random.Random):
     raise RuntimeError("could not sample a connected pair")
 
 
+def reference_one_goal_instance(grid: GridMap, n: int, seed: int):
+    """Reference for `generate_instance` with one goal per robot: it rebuilds
+    the pool of free cells other than the start for every robot."""
+    cells = list(grid.vertices())
+    rng = random.Random(seed)
+    starts = rng.sample(cells, n)
+    robots = []
+    available = set(cells)
+    for s in starts:
+        pool = [c for c in cells if c in available and c != s]
+        if not pool:  # forced on a map too small to avoid start == goal
+            pool = [c for c in cells if c in available]
+        g = rng.choice(pool)
+        available.discard(g)
+        robots.append((s, [g]))
+    return robots
+
+
 def build_prior_paths(grid: GridMap, rng: random.Random, count: int):
     return [random_shortest_path(grid, rng) for _ in range(count)]
 

@@ -11,7 +11,7 @@ from spreadplan.grid import (BLOCKED, FREE, NEIGHBOR_STEPS, DistanceField,
                              instance_to_json, largest_component_grid,
                              parse_movingai_map, parse_movingai_scen)
 
-from helpers import eager_bfs, labelled
+from helpers import eager_bfs, labelled, reference_one_goal_instance
 
 DEN520D_PATH = os.environ.get(
     "SPREADPLAN_DEN520D",
@@ -325,6 +325,26 @@ def test_generate_instance_deterministic_and_too_large():
     assert generate_instance(grid, 5, seed=9) == generate_instance(grid, 5, seed=9)
     with pytest.raises(ValueError):
         generate_instance(grid, 17, seed=0)
+
+
+def test_generate_instance_matches_pool_reference():
+    rng = random.Random(17)
+    forced = 0
+    for case in range(60):
+        w, h = rng.randint(1, 9), rng.randint(1, 9)
+        grid = generate_random_grid(w, h, rng.choice([0.0, 0.2]),
+                                    seed=rng.randrange(1 << 20))
+        n = rng.randint(1, grid.num_vertices)
+        if case % 3 == 0:
+            n = grid.num_vertices  # the last robot may find only its start free
+        seed = rng.randrange(1 << 30)
+        robots = generate_instance(grid, n, seed)
+        assert robots == reference_one_goal_instance(grid, n, seed)
+        forced += any(s == gs[0] for s, gs in robots)
+    assert forced  # the branch where only the start is free ran
+    one = GridMap(1, 1)
+    assert generate_instance(one, 1, 5) == [((0, 0), [(0, 0)])]
+    assert generate_instance(one, 1, 5) == reference_one_goal_instance(one, 1, 5)
 
 
 def test_generate_instance_goal_chains():

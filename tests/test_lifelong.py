@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
 
 import spreadplan.grid as grid_module
 import spreadplan.lifelong as lifelong
 from spreadplan.grid import (FieldCache, GridMap, distance_field,
-                             generate_instance, generate_warehouse)
+                             generate_instance, generate_random_grid,
+                             generate_warehouse)
 from spreadplan.lifelong import (GoalStream, HorizonConfig, LivelockError,
                                  WindowedSolverError,
                                  apply_horizon_cut, config_for_variant,
@@ -142,6 +144,31 @@ def test_windowed_two_crossing_robots_vs_exhaustive():
     assert reaching
     for i in range(2):
         assert targets[i][0] in paths[i]
+
+
+def test_windowed_solver_sweep_returns_valid_windows_or_raises():
+    rng = random.Random(23)
+    solved = 0
+    for _ in range(40):
+        grid = generate_random_grid(rng.randint(3, 10), rng.randint(3, 10),
+                                    rng.choice([0.0, 0.15, 0.3]),
+                                    seed=rng.randrange(1 << 20))
+        n = rng.randint(1, min(8, grid.num_vertices))
+        h = rng.randint(1, 6)
+        robots = generate_instance(grid, n, rng.randrange(1 << 20),
+                                   goals_per_robot=rng.randint(1, 3))
+        states = [s for s, _ in robots]
+        try:
+            paths, _ = windowed_solver(grid, states, [gs for _, gs in robots],
+                                       h, seed=rng.randrange(1 << 20),
+                                       retries=3)
+        except WindowedSolverError:
+            continue
+        solved += 1
+        assert all(len(p) == h + 1 for p in paths)
+        assert [p[0] for p in paths] == states
+        assert validate_solution(paths, grid) == []
+    assert solved >= 30
 
 
 def test_usage_guided_targets_spread_crossing_robots():

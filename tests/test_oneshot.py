@@ -7,10 +7,10 @@ import pytest
 from helpers import random_walks
 from spreadplan.grid import GridMap, generate_instance, generate_random_grid
 from spreadplan.oneshot import (Conflict, MppInstance, ResolverError, Solution,
-                                _Reservations, default_resolver_prioritized,
+                                default_resolver_prioritized,
                                 lower_bounds, solution_paths_from_json,
                                 solve_mpp, validate_solution)
-from spreadplan.search import InstanceError, SearchConfig
+from spreadplan.search import InstanceError, SearchConfig, _Reservations
 from spreadplan.usage import UsageParams
 
 

@@ -69,16 +69,21 @@ def test_temporal_window_clamps_at_zero():
 def test_add_then_remove_restores_table():
     rng = random.Random(0)
     grid = generate_random_grid(8, 8, 0.1, 1)
-    for params in [UsageParams(), UsageParams(0.5, 0.5, 2, 5, True, 4)]:
+    for params in [UsageParams(), UsageParams(0.5, 0.5, 2, 5, True, 4),
+                   UsageParams(1.0, 0.0, 9, 0, True),  # clamps at step 0
+                   UsageParams(0.5, 0.5, 0, 0, True, 2),
+                   UsageParams(0.3, 0.7, 1, 3, True, 3)]:
         base_paths = build_prior_paths(grid, rng, 3)
         table = UsageTable.build(base_paths, params)
         before_v = copy.deepcopy(table.vertex_use)
         before_e = copy.deepcopy(table.edge_use)
         extra = build_prior_paths(grid, rng, 1)[0]
-        table.add_path(extra)
-        table.remove_path(extra)
-        assert table.vertex_use == before_v
-        assert table.edge_use == before_e
+        waiting = [c for c in extra for _ in range(rng.randint(1, 3))]
+        for path in (extra, waiting, base_paths[0]):
+            table.add_path(path)
+            table.remove_path(path)
+            assert table.vertex_use == before_v
+            assert table.edge_use == before_e
 
 
 def test_build_equals_fold_of_add():
@@ -103,7 +108,11 @@ def test_two_identical_paths_double_counts():
 
 def test_remove_never_added_underflows():
     table = UsageTable.build([[(0, 0), (1, 0)]], UsageParams())
-    with pytest.raises(UsageUnderflowError):
+    with pytest.raises(UsageUnderflowError, match=r"at \(5, 5\)$"):
+        table.remove_path([(5, 5), (5, 6)])
+    table = UsageTable.build([[(0, 0), (1, 0)]],
+                             UsageParams(window_before=1, temporal=True))
+    with pytest.raises(UsageUnderflowError, match=r"at \(5, 5, 0\)$"):
         table.remove_path([(5, 5), (5, 6)])
 
 
