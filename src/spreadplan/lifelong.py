@@ -10,16 +10,16 @@ solver for an h-step collision-free segment and execute it.
 
 from __future__ import annotations
 
-import heapq
 import random
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .grid import BLOCKED, Cell, DistanceField, FieldCache, GridMap, distance_field
 from .metrics import path_length, throughput
 from .search import (NoPathError, SearchConfig, _fold, _mix, _Reservations,
-                     _unwind, find_path_cost_to_go)
+                     _TieQueue, _unwind, find_path_cost_to_go)
 from .usage import Path, UsageParams, UsageTable
 
 
@@ -245,17 +245,10 @@ def windowed_solver(grid: GridMap, states: list[Cell],
         raise ValueError("robot states must be pairwise distinct")
     if fields is None:
         fields = FieldCache(grid, distance_field)
-    cell_id, cell_at = grid.cell_id, grid.cell_at
-    start_ids = [cell_id(c) for c in states]
-    remaining0 = []
-    for i in range(n):
-        rem = 0
-        prev = states[i]
-        for g in target_lists[i]:
-            rem += fields.dist(prev, g)
-            prev = g
-        remaining0.append(rem)
-    base_order = sorted(range(n), key=lambda i: (-remaining0[i], i))
+    plans = [_window_plan(grid, states[i], target_lists[i], fields)
+             for i in range(n)]
+    base_order = sorted(range(n), key=lambda i: (-plans[i].rem0, i))
+    cell_at = grid.cell_at
     expansions_total = 0
     last_error: WindowedSolverError | None = None
     promoted: list[int] = []  # robots that got boxed in plan first next time
@@ -268,8 +261,7 @@ def windowed_solver(grid: GridMap, states: list[Cell],
         paths: list[list[int] | None] = [None] * n
         failed = False
         for i in order:
-            path, exp = _plan_window(grid, start_ids[i], target_lists[i], h,
-                                     fields, reservations,
+            path, exp = _plan_window(grid, plans[i], h, reservations,
                                      _mix(seed, attempt, i), max_expansions)
             expansions_total += exp
             if path is None:
@@ -290,61 +282,88 @@ def windowed_solver(grid: GridMap, states: list[Cell],
     raise last_error  # type: ignore[misc]
 
 
-def _plan_window(grid: GridMap, start: int, targets: list[Cell], h: int,
-                 fields: FieldCache, reservations: _Reservations,
-                 seed: int, max_expansions: int) -> tuple[list[int] | None, int]:
+class _WindowPlan(NamedTuple):
+    """One robot's search inputs, the same on every attempt of a window."""
+
+    start: int  # padded id
+    target_ids: list[int]
+    tfields: list[DistanceField]
+    tlabels: list  # each target field's labels
+    suffix: list[int]  # chained distance from target k to the last one
+    rem0: int  # chained distance from the start through every target
+
+
+def _window_plan(grid: GridMap, start: Cell, targets: list[Cell],
+                 fields: FieldCache) -> _WindowPlan:
+    """The plan of a robot at `start`; KeyError when a leg of its chain is
+    unreachable, naming the leg's first cell."""
+    tfields = [fields(g) for g in targets]
+    legs, prev = [], start
+    for f, g in zip(tfields, targets):
+        legs.append(f[prev])
+        prev = g
+    K = len(targets)
+    suffix = [0] * (K + 1)
+    for k in range(K - 2, -1, -1):
+        suffix[k] = suffix[k + 1] + legs[k + 1]
+    return _WindowPlan(grid.cell_id(start), [grid.cell_id(g) for g in targets],
+                       tfields, [f.labels for f in tfields], suffix, sum(legs))
+
+
+def _plan_window(grid: GridMap, plan: _WindowPlan, h: int,
+                 reservations: _Reservations, seed: int,
+                 max_expansions: int) -> tuple[list[int] | None, int]:
     """Space-time A* through the target chain around earlier robots' windows.
 
-    Works on padded ids: `start`, the reservations and the returned path.
-    The reservations hold each earlier robot's h-step window, and a robot
-    that ends its window standing still stays reserved on that cell up to
-    step 2h; beyond that, planning is unconstrained.  A state (id v, step t,
-    targets reached k) is the int k * (max_t + 1) * size + t * size + v.
+    Works on padded ids: the plan's start, the reservations and the returned
+    path.  The reservations hold each earlier robot's h-step window, and a
+    robot that ends its window standing still stays reserved on that cell up
+    to step 2h; beyond that, planning is unconstrained.  A state (id v, step
+    t, targets reached k) is the int k * (max_t + 1) * size + t * size + v.
     Finishes when the whole chain is done and at least h steps have passed;
     if the chain cannot be finished within the bound, falls back to the safe
     h-step prefix that gets closest to the next target.
     """
-    K = len(targets)
-    suffix = [0] * (K + 1)
-    for k in range(K - 2, -1, -1):
-        suffix[k] = suffix[k + 1] + fields.dist(targets[k], targets[k + 1])
-    # every target's field, most already made by the suffix sums
-    tfields = [fields(g) for g in targets]
-    tlabels = [f.labels for f in tfields]
-    target_ids = [grid.cell_id(g) for g in targets]
-
-    if K:
-        rem0 = tfields[0].at(start)
-        if rem0 is None:
-            return None, 0
-        rem0 += suffix[0]
-    else:
-        rem0 = 0
+    start, target_ids, tfields, tlabels, suffix, rem0 = plan
+    K = len(target_ids)
     max_t = h + rem0 + grid.width + grid.height
 
     cell_at = grid.cell_at
     template = grid.template
     stride = grid.stride
     size = len(template)
-    k_step = (max_t + 1) * size
+    span = max_t + 1
+    k_step = span * size
     vertex_res, edge_res = reservations.vertex, reservations.edge
 
     def wait_safe(v: int, t_from: int) -> bool:
         return all(t * size + v not in vertex_res for t in range(t_from + 1, h + 1))
 
     cell_mix: dict[int, int] = {}  # _mix(seed, x, y) per id
-    counter = 0
+
+    def tie(state: int) -> int:
+        k, v = divmod(state, k_step)
+        t, v = divmod(v, size)
+        cm = cell_mix.get(v)
+        if cm is None:
+            x, y = cell_at[v]
+            cm = cell_mix[v] = _mix(seed, x, y)
+        return _fold(_fold(cm, t), k)
+
+    # the key f * span + (span - 1 - t) orders states by (f, -t), for every
+    # t <= max_t; a state enters the queue once, when it first enters
+    # parents, so no state is popped twice and no closed set is needed
+    queue = _TieQueue(tie)
+    push, pop, live = queue.push, queue.pop, queue.keys
     parents: dict[int, int | None] = {start: None}  # the start state is t = k = 0
-    # a state enters the heap once, when it first enters parents, so no
-    # state is popped twice and no closed set is needed
-    x, y = cell_at[start]
-    heap = [(rem0, 0, _mix(seed, x, y, 0), counter, start)]
+    push(rem0 * span + span - 1, start)
     best_fallback = None  # (remaining, tie, state) among t == h pops
     expansions = 0
-    while heap and expansions < max_expansions:
-        f, neg_t, tie, _, state = heapq.heappop(heap)
+    while live and expansions < max_expansions:
+        key, state = pop()
         expansions += 1
-        t = -neg_t
+        f, r = divmod(key, span)
+        t = span - 1 - r
         k, v = divmod(state, k_step)
         v -= t * size
         if k == K and (t >= h or wait_safe(v, t)):
@@ -352,13 +371,15 @@ def _plan_window(grid: GridMap, start: int, targets: list[Cell], h: int,
             path.extend([v] * (h - t))
             return path, expansions
         if t == h:
-            rem = f - t
-            if best_fallback is None or (rem, tie) < best_fallback[:2]:
-                best_fallback = (rem, tie, state)
+            rem, rank = f - t, tie(state)
+            if best_fallback is None or (rem, rank) < best_fallback[:2]:
+                best_fallback = (rem, rank, state)
         if t >= max_t:
             continue
         nt = t + 1
         at_nt = nt * size
+        # no reserved move arrives after step h: the parked tail only waits
+        edges = edge_res if nt <= h else ()
         for nxt in (v + 1, v - 1, v + stride, v - stride, v):
             if template[nxt] == BLOCKED:
                 continue
@@ -366,7 +387,7 @@ def _plan_window(grid: GridMap, start: int, targets: list[Cell], h: int,
             if reserved in vertex_res:
                 continue
             # a reserved move the other way, from nxt to v
-            if nxt != v and reserved * size + v in edge_res:
+            if nxt != v and reserved * size + v in edges:
                 continue
             nk = k
             if nk < K and nxt == target_ids[nk]:
@@ -384,17 +405,10 @@ def _plan_window(grid: GridMap, start: int, targets: list[Cell], h: int,
             else:
                 rem = 0
             parents[nstate] = state
-            counter += 1
-            cm = cell_mix.get(nxt)
-            if cm is None:
-                x, y = cell_at[nxt]
-                cm = cell_mix[nxt] = _mix(seed, x, y)
-            heapq.heappush(heap, (nt + rem, -nt, _fold(_fold(cm, nt), nk),
-                                  counter, nstate))
+            push((nt + rem) * span + span - 1 - nt, nstate)
     if best_fallback is not None:
         return _unwind(parents, best_fallback[2], size), expansions
     return None, expansions
-
 
 
 def run_lifelong(grid: GridMap, streams: list[GoalStream], cfg: HorizonConfig,

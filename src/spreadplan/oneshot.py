@@ -11,7 +11,6 @@ be swapped in without touching phase 1.
 
 from __future__ import annotations
 
-import heapq
 import json
 import time
 from dataclasses import dataclass, field
@@ -20,7 +19,8 @@ from .grid import Cell, FieldCache, GridMap, distance_field
 from .metrics import (makespan, max_vertex_overlap, robots_by_step,
                       sum_of_cost, timed_conflicts, total_pairwise_overlap)
 from .search import (InstanceError, SearchConfig, SearchStats, _fold, _mix,
-                     _Reservations, _unwind, plan_independent_paths)
+                     _Reservations, _TieQueue, _unwind,
+                     plan_independent_paths)
 from .usage import Path, UsageParams
 
 
@@ -214,16 +214,27 @@ def _space_time_plan(grid: GridMap, start: int, goal: int, dfield,
     vertex, edge = reservations.vertex, reservations.edge
     rest_from = reservations.rest_from
     cell_mix: dict[int, int] = {}  # _mix(seed, x, y) per id
-    counter = 0
-    x, y = cell_at[start]
-    heap = [(h0, 0, _mix(seed, x, y, 0), counter, start)]
-    # a state enters the heap once, when it first enters parents, so no
+
+    def tie(state: int) -> int:
+        t, v = divmod(state, size)
+        cm = cell_mix.get(v)
+        if cm is None:
+            x, y = cell_at[v]
+            cm = cell_mix[v] = _mix(seed, x, y)
+        return _fold(cm, t)
+
+    # the key f * span + t orders states by (f, t), for every t <= bound
+    span = bound + 1
+    queue = _TieQueue(tie)
+    push, pop, live = queue.push, queue.pop, queue.keys
+    push(h0 * span, start)
+    # a state enters the queue once, when it first enters parents, so no
     # state is popped twice and no closed set is needed
     parents = {start: None}
-    while heap:
-        f, t, _, _, state = heapq.heappop(heap)
+    while live:
+        state = pop()[1]
         stats.resolver_expansions += 1
-        v = state - t * size
+        t, v = divmod(state, size)
         if v == goal and t >= goal_free_from:
             return _unwind(parents, state, size)
         if t >= bound:
@@ -248,12 +259,7 @@ def _space_time_plan(grid: GridMap, start: int, goal: int, dfield,
             if nstate in parents:
                 continue
             parents[nstate] = state
-            counter += 1
-            cm = cell_mix.get(nxt)
-            if cm is None:
-                x, y = cell_at[nxt]
-                cm = cell_mix[nxt] = _mix(seed, x, y)
-            heapq.heappush(heap, (nt + h, nt, _fold(cm, nt), counter, nstate))
+            push((nt + h) * span + nt, nstate)
     return None
 
 

@@ -17,13 +17,22 @@ either in f or in g, and its two entry points choose the weights:
 `plan_independent_paths` runs these searches for every robot over several
 passes, keeping one usage table updated incrementally.  Prioritized
 planners search around one space-time table, `_Reservations`.
+
+All three space-time loops (`_guided_search` here, `lifelong._plan_window`
+and `oneshot._space_time_plan`) pop their states through `_TieQueue`.  It
+pops in exactly the order of a heap of (key, tie, push counter, state)
+tuples, where the tie is a seeded splitmix hash of the state, yet it hashes
+a state only when another state holds the same key at pop time: keys
+compare the same way in a dict as in a heap, and push order within one key
+is the counter's order.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, replace
+from heapq import heappop, heappush
+from operator import add
 
 from .grid import Cell, DistanceField, FieldCache, GridMap, distance_field
 from .usage import Path, UsageParams, UsageTable
@@ -37,6 +46,74 @@ class NoPathError(RuntimeError):
 
 class InstanceError(ValueError):
     pass
+
+
+class _Ranked(list):
+    """A `_TieQueue` bucket that has been ranked: a heap of (tie, n, state)."""
+
+    __slots__ = ()
+
+
+class _TieQueue:
+    """Priority queue of int states that hashes a tie only when it must.
+
+    Pops come in the order of a heap of (key, tie(state), counter, state)
+    entries, the counter rising with every push.  States wait in buckets by
+    key, and the heap `keys` holds each live key once, so it is empty
+    exactly when the queue is.  A bucket popped while it holds one state
+    returns that state unhashed, since no other entry shares its key.  A
+    bucket popped while it holds more is ranked once by (tie, place in push
+    order); a later push into a ranked bucket is ranked after every state
+    pushed before it at the same tie.  Keys may be ints or tuples of
+    floats: a dict groups exactly the keys that a heap finds equal
+    (`-0.0 == 0.0`, and both hash alike), so the two orders agree.
+
+    `pop` returns (key, state).  Search loops bind `push` and `pop` to
+    locals.
+    """
+
+    __slots__ = ("_tie", "keys", "_buckets", "_late")
+
+    def __init__(self, tie) -> None:
+        self._tie = tie
+        self.keys: list = []  # heap of the keys with a live bucket
+        # key -> one state, or a list of states in push order, or a _Ranked
+        self._buckets: dict = {}
+        self._late = 0  # places of pushes into ranked buckets, all positive
+
+    def push(self, key, state: int) -> None:
+        buckets = self._buckets
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = state
+            heappush(self.keys, key)
+        elif type(bucket) is int:
+            buckets[key] = [bucket, state]
+        elif type(bucket) is list:
+            bucket.append(state)
+        else:
+            self._late += 1
+            heappush(bucket, (self._tie(state), self._late, state))
+
+    def pop(self) -> tuple:
+        keys, buckets = self.keys, self._buckets
+        key = keys[0]
+        bucket = buckets[key]
+        if type(bucket) is int:
+            heappop(keys)
+            del buckets[key]
+            return key, bucket
+        if type(bucket) is list:
+            tie, n = self._tie, len(bucket)
+            # places below zero rank these before any later push
+            bucket = buckets[key] = _Ranked(
+                (tie(s), i - n, s) for i, s in enumerate(bucket))
+            bucket.sort()
+        state = heappop(bucket)[2]
+        if not bucket:
+            heappop(keys)
+            del buckets[key]
+        return key, state
 
 
 def _fold(h: int, part: int) -> int:
@@ -101,8 +178,8 @@ class _Reservations:
 
     def add_path(self, path: list[int]) -> None:
         size, last = self.size, self.last
+        self.vertex.update(map(add, range(0, len(path) * size, size), path))
         for t, v in enumerate(path):
-            self.vertex.add(t * size + v)
             if last.get(v, -1) < t:
                 last[v] = t
         for t in range(1, len(path)):
@@ -194,12 +271,12 @@ def _guided_search(grid: GridMap, start: Cell, goal: Cell, table: UsageTable,
     """
     if stats is None:
         stats = SearchStats()
-    if start not in dfield:
+    base = dfield.get(start)
+    if base is None:
         raise NoPathError(f"no path from {start} to {goal}")
     seed = (cfg or SearchConfig()).tie_break_seed
     params = table.params
     temporal = params.temporal
-    base = dfield[start]
     if temporal:
         max_time = base + 2 * (params.window_before + params.window_after) + 10
 
@@ -212,14 +289,24 @@ def _guided_search(grid: GridMap, start: Cell, goal: Cell, table: UsageTable,
     penalty = table.penalty
     goal_id = grid.cell_id(goal)
     cell_mix: dict[int, int] = {}  # _mix(seed, x, y) per id
-    counter = 0
+
+    def tie(state: int) -> int:
+        t, v = divmod(state, size)
+        cm = cell_mix.get(v)
+        if cm is None:
+            x, y = cell_at[v]
+            cm = cell_mix[v] = _mix(seed, x, y)
+        return _fold(cm, t)
+
+    queue = _TieQueue(tie)
+    push, pop, live = queue.push, queue.pop, queue.keys
     start_state = grid.cell_id(start)
     parents = {start_state: None}
     best = {start_state: (float(base), 0.0)}
     closed = set()
-    heap = [(float(base), 0.0, _mix(seed, start[0], start[1]), counter, start_state)]
-    while heap:
-        f, neg_g, _, _, state = heapq.heappop(heap)
+    push((float(base), 0.0), start_state)
+    while live:
+        (f, neg_g), state = pop()
         g = -neg_g
         if (f, g) > best[state] or state in closed:
             continue  # a stale queue entry, or closed
@@ -247,8 +334,7 @@ def _guided_search(grid: GridMap, start: Cell, goal: Cell, table: UsageTable,
                 h_dist = label_at(nxt)
                 if h_dist is None:
                     continue  # blocked, or not in the goal's component
-            cn = cell_at[nxt]
-            pen = penalty(cv, cn, t_next)
+            pen = penalty(cv, cell_at[nxt], t_next)
             if not 0.0 <= pen < 1.0:
                 stats.penalty_bound_violations += 1
             ng = g_next + pen * g_weight
@@ -258,13 +344,8 @@ def _guided_search(grid: GridMap, start: Cell, goal: Cell, table: UsageTable,
             if key < best.get(nstate, _UNSEEN):
                 best[nstate] = key
                 parents[nstate] = state
-                counter += 1
                 stats.generated += 1
-                cm = cell_mix.get(nxt)
-                if cm is None:
-                    cm = cell_mix[nxt] = _mix(seed, cn[0], cn[1])
-                heapq.heappush(heap, (nf, -ng, _fold(cm, t_next), counter,
-                                      nstate))
+                push((nf, -ng), nstate)
     raise NoPathError(f"no path from {start} to {goal}")
 
 

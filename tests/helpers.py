@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import deque
 
@@ -22,6 +23,24 @@ def eager_bfs(grid: GridMap, goal):
                 dist[n] = dist[v] + 1
                 queue.append(n)
     return dist
+
+
+class EagerTieHeap:
+    """Reference for `search._TieQueue`: one heap of (key, tie, counter,
+    state) tuples, the tie hashed at every push."""
+
+    def __init__(self, tie):
+        self.tie = tie
+        self.heap = []
+        self.counter = 0
+
+    def push(self, key, state):
+        self.counter += 1
+        heapq.heappush(self.heap, (key, self.tie(state), self.counter, state))
+
+    def pop(self):
+        key, _, _, state = heapq.heappop(self.heap)
+        return key, state
 
 
 def labelled(field):

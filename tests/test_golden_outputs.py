@@ -1,9 +1,12 @@
-"""Golden outputs: sha256 digests of six small fixed runs.
+"""Golden outputs: sha256 digests of eight small fixed runs.
 
 The digests pin every path (and the search and resolver counts that come
 with them), so a change meant to be a pure speed-up shows here if it moves a
 single byte.  A deliberate change to the tie-break or the search order must
-update these digests and say so in CHANGES.md.
+update these digests and say so in CHANGES.md.  Two runs reach the windowed
+solver's rarer paths, a failed attempt and a fallback prefix, and assert
+that they do.  The last test counts the tie hashes of one run, so that
+eager hashing at every push cannot return unnoticed.
 
 Print the current digests with `PYTHONPATH=src python tests/test_golden_outputs.py`.
 """
@@ -16,8 +19,10 @@ import json
 import pytest
 
 import spreadplan.lifelong as lifelong
+import spreadplan.search as search
 from spreadplan.grid import generate_instance, generate_random_grid, generate_warehouse
-from spreadplan.lifelong import GoalStream, config_for_variant, run_lifelong, solve_mpp_via_horizon
+from spreadplan.lifelong import (GoalStream, config_for_variant, run_lifelong,
+                                 solve_mpp_via_horizon, windowed_solver)
 from spreadplan.oneshot import MppInstance, solve_mpp
 from spreadplan.search import SearchConfig, SearchStats, plan_independent_paths
 from spreadplan.usage import UsageParams
@@ -68,26 +73,69 @@ def run_solve_mpp_temporal():
             "generated": sol.stats.search.generated}
 
 
-def run_lifelong_cut_usage():
-    windows = []
-    solver = lifelong.windowed_solver
+def _recording(mp, name: str) -> list:
+    """Every result of `lifelong.<name>` while `mp` is active, in call order."""
+    results, func = [], getattr(lifelong, name)
 
     def recording(*args, **kwargs):
-        paths, expansions = solver(*args, **kwargs)
-        windows.append([paths, expansions])
-        return paths, expansions
+        result = func(*args, **kwargs)
+        results.append(result)
+        return result
 
-    grid = generate_warehouse(25, 14, (3, 2), 2)
-    streams = [GoalStream(grid, seed=100 + i) for i in range(24)]
+    mp.setattr(lifelong, name, recording)
+    return results
+
+
+def _recorded_lifelong(grid, robots: int, stop_goals: int):
+    """`run_lifelong` cut+usage at h=5, seed 2, recording every window and
+    every `_plan_window` result."""
+    streams = [GoalStream(grid, seed=100 + i) for i in range(robots)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lifelong, "windowed_solver", recording)
+        windows = _recording(mp, "windowed_solver")
+        attempts = _recording(mp, "_plan_window")
         stats = run_lifelong(grid, streams,
                              config_for_variant("cut+usage", h=5, seed=2),
-                             stop_goals=60)
+                             stop_goals=stop_goals)
     cycles = [[c.cycle, c.goals_cumulative, c.expansions, c.target_conflicts]
               for c in stats.cycles]
     return {"windows": windows, "cycles": cycles,
-            "goals": stats.goals_reached, "steps": stats.elapsed_steps}
+            "goals": stats.goals_reached, "steps": stats.elapsed_steps}, attempts
+
+
+def run_lifelong_cut_usage():
+    payload, _ = _recorded_lifelong(generate_warehouse(25, 14, (3, 2), 2), 24, 60)
+    return payload
+
+
+def run_lifelong_retries():
+    payload, attempts = _recorded_lifelong(
+        generate_warehouse(37, 20, (4, 2), 2), 80, 120)
+    # the run must reach the windowed solver's retry path
+    assert sum(path is None for path, _ in attempts) >= 1
+    return payload
+
+
+def run_window_fallback():
+    """One `windowed_solver` call whose expansion budget is too small for
+    some robots to finish their chains, so they keep their best h-step
+    prefix."""
+    grid = generate_warehouse(25, 14, (3, 2), 2)
+    robots = generate_instance(grid, 12, seed=3, goals_per_robot=2)
+    states = [s for s, _ in robots]
+    targets = [gs for _, gs in robots]
+    with pytest.MonkeyPatch.context() as mp:
+        attempts = _recording(mp, "_plan_window")
+        paths, expansions = windowed_solver(grid, states, targets, 5, seed=3,
+                                            max_expansions=40)
+    fallbacks = 0
+    for path, _ in attempts:
+        robot = states.index(grid.cell_at[path[0]])
+        walk = iter(grid.cell_at[v] for v in path[1:])
+        fallbacks += not all(g in walk for g in targets[robot])
+    # some robot's window is a fallback prefix that leaves its chain unfinished
+    assert fallbacks >= 1
+    windows = [[[grid.cell_at[v] for v in path], exp] for path, exp in attempts]
+    return {"paths": paths, "expansions": expansions, "windows": windows}
 
 
 def run_via_horizon():
@@ -110,14 +158,49 @@ GOLDEN = {
         "dfca3162080165786af9ac2c8485eebdfdd1d0808a1c6673315c9d98b25e41c0",
     "lifelong_cut_usage":
         "7ab7cc0b80fd83dbfc9ea801ad915dc5b1ce48b5a03b81ac9bf77859319f8ba2",
+    "lifelong_retries":
+        "84c701b2b9100f8bca651d7ed13e5b979228165a860b21075115204de971b13c",
     "via_horizon":
         "cd14344428782a6288f3d36ac834525965272cbe3f238615faa78b9d2f25bcda",
+    "window_fallback":
+        "61002b950bdb6763877bcb8870070eefcf7253509d52634606810a9c70d3af35",
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digest(name):
     assert _digest(globals()[f"run_{name}"]()) == GOLDEN[name]
+
+
+def test_lifelong_hashes_few_ties():
+    """The space-time loops hash a state's tie only when another state
+    shares its key: on the lifelong run fewer than a quarter of the pushed
+    states get hashed, in the window planner and in the cut's search."""
+    counts = {}
+    queue = search._TieQueue
+
+    def counting(loop):
+        pushed_hashed = counts.setdefault(loop, [0, 0])
+
+        class Counting(queue):
+            def __init__(self, tie):
+                def counted(state):
+                    pushed_hashed[1] += 1
+                    return tie(state)
+                super().__init__(counted)
+
+            def push(self, key, state):
+                pushed_hashed[0] += 1
+                super().push(key, state)
+        return Counting
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_TieQueue", counting("guided"))
+        mp.setattr(lifelong, "_TieQueue", counting("window"))
+        assert _digest(run_lifelong_cut_usage()) == GOLDEN["lifelong_cut_usage"]
+    for loop, (pushed, hashed) in counts.items():
+        assert pushed > 1000, loop
+        assert hashed < pushed / 4, (loop, hashed, pushed)
 
 
 if __name__ == "__main__":

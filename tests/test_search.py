@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from helpers import build_prior_paths
+from helpers import EagerTieHeap, build_prior_paths
 from spreadplan import metrics
 from spreadplan.bruteforce import enumerate_shortest_paths, min_objective
 from spreadplan.grid import GridMap, distance_field, generate_instance, generate_random_grid
 from spreadplan.search import (InstanceError, NoPathError, SearchConfig,
-                               SearchStats, _fold, _mix, find_path_cost_to_come,
+                               SearchStats, _fold, _mix, _TieQueue,
+                               find_path_cost_to_come,
                                find_path_cost_to_go, order_robots,
                                plan_independent_paths)
 from spreadplan.usage import UsageParams, UsageTable
@@ -342,3 +343,61 @@ def test_fold_continues_mix():
             assert _fold(_mix(seed, *parts), extra) == expected
         assert (_fold(_fold(_mix(seed, 3, 4), 5), 6)
                 == reference_mix(seed, 3, 4, 5, 6))
+
+
+def _random_key(rng, kind):
+    if kind == "int":
+        return rng.randrange(-2, 6)
+    # float tuples as the guided kernel's (f, -g); the signed zeros are equal
+    return (rng.choice((0.0, -0.0, 1.0, 1.5, 2.0)),
+            rng.choice((0.0, -0.0, -1.0, -0.5)))
+
+
+@pytest.mark.parametrize("kind", ["int", "float"])
+def test_tie_queue_pops_in_eager_heap_order(kind):
+    rng = random.Random(f"tie-queue/{kind}")
+    late = ranked = 0
+    for trial in range(300):
+        collide = trial % 2 == 0
+
+        def tie(state, trial=trial, collide=collide):
+            # forced collisions leave the order to push order alone
+            return state % 3 if collide else _mix(trial, state)
+
+        queue, eager = _TieQueue(tie), EagerTieHeap(tie)
+        for _ in range(rng.randint(1, 80)):
+            if eager.heap and rng.random() < 0.4:
+                key, state = queue.pop()
+                assert (key, state) == eager.pop()
+            else:
+                # few states, so some are pushed twice, even under one key
+                key, state = _random_key(rng, kind), rng.randrange(10)
+                queue.push(key, state)
+                eager.push(key, state)
+            ranked += any(type(b) not in (int, list)
+                          for b in queue._buckets.values())
+        while eager.heap:
+            assert queue.pop() == eager.pop()
+        assert not queue.keys
+        late += queue._late
+    # the interleavings did reach ranked buckets and pushes into them
+    assert ranked and late
+
+
+def test_tie_queue_hashes_only_shared_keys():
+    calls = []
+
+    def tie(state):
+        calls.append(state)
+        return -state
+
+    queue = _TieQueue(tie)
+    for key, state in [(3, 30), (1, 10), (2, 20), (2, 21), (2, 22), (0, 0)]:
+        queue.push(key, state)
+    assert [queue.pop() for _ in range(3)] == [(0, 0), (1, 10), (2, 22)]
+    assert sorted(calls) == [20, 21, 22]  # the bucket of key 2, ranked once
+    queue.push(2, 23)  # a late push, hashed on arrival
+    assert [queue.pop() for _ in range(4)] == [(2, 23), (2, 21), (2, 20),
+                                                (3, 30)]
+    assert sorted(calls) == [20, 21, 22, 23]
+    assert not queue.keys
