@@ -7,6 +7,13 @@ its phase-1 path when it is already clean against the reservations and
 re-planning around them otherwise.  Prioritized resolution is incomplete by
 design; the resolver interface is a single function so a stronger engine can
 be swapped in without touching phase 1.
+
+A re-plan is a layered search over bit masks, a bit-parallel BFS in the
+manner of Akiba et al. (SIGMOD 2013): one Python int per time step holds
+every cell the robot can stand on at that step, so a whole layer is a few
+shifts, ors and ands.  The search then walks back from the goal and picks
+at each step the predecessor a space-time A* would have expanded first, so
+its path, and the count of states that A* pops, are exactly the A*'s.
 """
 
 from __future__ import annotations
@@ -15,12 +22,11 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .grid import Cell, FieldCache, GridMap, distance_field
+from .grid import BLOCKED, Cell, FieldCache, GridMap, distance_field
 from .metrics import (makespan, max_vertex_overlap, robots_by_step,
                       sum_of_cost, timed_conflicts, total_pairwise_overlap)
 from .search import (InstanceError, SearchConfig, SearchStats, _fold, _mix,
-                     _Reservations, _TieQueue, _unwind,
-                     plan_independent_paths)
+                     _Reservations, plan_independent_paths)
 from .usage import Path, UsageParams
 
 
@@ -149,16 +155,22 @@ def validate_solution(paths: list[Path], grid: GridMap | None = None,
 def default_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
                                  priority: list[int] | None = None,
                                  seed: int = 0,
-                                 stats: SolveStats | None = None,
-                                 fields: FieldCache | None = None
+                                 stats: SolveStats | None = None
                                  ) -> list[Path]:
     """Sequential space-time scheduling around earlier robots' reservations.
 
     Robots whose initial path is already clean keep it unchanged; the rest
-    re-plan with waits allowed.  Each robot's final cell is reserved for all
-    later steps.  Raises ResolverError naming the first robot that cannot be
-    scheduled within the time bound.  `fields` is the map's field cache,
-    such as the one phase 1 filled.
+    re-plan with waits allowed, by the layered search of `_layered_plan`.
+    Each robot's final cell is reserved for all later steps.  Raises
+    ResolverError naming the first robot that cannot be scheduled within
+    the time bound.
+
+    A re-planned path is the one a space-time A* over (cell, step) states
+    returns (Silver, "Cooperative Pathfinding", AIIDE 2005): states keyed
+    by (f, t) with the goal distance as h, a seeded hash of (cell, t)
+    breaking ties and push order breaking equal hashes, terminal once the
+    robot can rest on its goal.  `resolver_expansions` counts the states
+    that A* pops.
     """
     n = len(initial_paths)
     if priority is None:
@@ -167,10 +179,11 @@ def default_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
         stats = SolveStats()
     reservations = _Reservations(len(grid.template))
     result: list[Path | None] = [None] * n
-    if fields is None:
-        fields = FieldCache(grid, distance_field)
     cell_id, cell_at = grid.cell_id, grid.cell_at
-    for order_idx, i in enumerate(priority):
+    # bit v set for every passable id v
+    passable = int("".join("0" if x == BLOCKED else "1"
+                           for x in reversed(grid.template)), 2)
+    for i in priority:
         path = initial_paths[i]
         ids = [cell_id(c) for c in path]
         if reservations.path_is_clean(ids):
@@ -178,14 +191,12 @@ def default_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
             reservations.add_path(ids)
             continue
         stats.robots_replanned += 1
-        goal = path[-1]
         bound = 2 * (grid.width + grid.height) + reservations.max_time
         goal_free_from = reservations.free_from(ids[-1])
         if goal_free_from == -2:
             raise ResolverError(i, f"robot {i}: goal permanently reserved", stats)
-        new_ids = _space_time_plan(grid, ids[0], ids[-1], fields(goal),
-                                   reservations, bound, goal_free_from,
-                                   _mix(seed, i), stats)
+        new_ids = _layered_plan(grid, passable, ids[0], ids[-1], reservations,
+                                bound, goal_free_from, _mix(seed, i), stats)
         if new_ids is None:
             raise ResolverError(
                 i, f"robot {i}: no conflict-free path within {bound} steps", stats)
@@ -195,72 +206,151 @@ def default_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
     return result  # type: ignore[return-value]
 
 
-def _space_time_plan(grid: GridMap, start: int, goal: int, dfield,
-                     reservations: _Reservations, bound: int,
-                     goal_free_from: int, seed: int,
-                     stats: SolveStats) -> list[int] | None:
-    """A* over (id, step) states; terminal only once resting at goal is safe.
+def _layered_plan(grid: GridMap, passable: int, start: int, goal: int,
+                  reservations: _Reservations, bound: int,
+                  goal_free_from: int, seed: int,
+                  stats: SolveStats) -> list[int] | None:
+    """The path of the resolver's space-time A*, from bit-mask layers.
 
-    `start`, `goal` and the returned path are padded ids, and a state is
-    its reservation key, t * size + id.
+    `start`, `goal` and the returned path are padded ids, and bit v of a
+    mask stands for id v.  Layer t holds every id the robot can stand on at
+    step t; the next layer is its four shifts and itself, cleared of
+    blocked ids, reserved and rested-on ids, and of moves that swap with a
+    reserved move.  The A*'s terminal is the goal in the first layer t >=
+    `goal_free_from` that holds it, so f* = t; there is none when a layer
+    is empty or t passes `bound`.
+
+    The A* pops a state before the terminal exactly when its f = t + h is
+    at most f* (and t < f*), since h is consistent; so it pops
+    popcount(layer t & ids within f* - t of the goal) states at each t <
+    f*, and every state of every layer when it fails.  It gives a state
+    its first-popped predecessor as parent.  Those predecessors all have
+    f <= f* and the same t, so the one with the least (h, tie) is the
+    parent; equal ties, which need a 64-bit `_mix` collision, fall back to
+    the queue's push order.
     """
-    h0 = dfield.at(start)
-    if h0 is None:
-        return None
-    cell_at = grid.cell_at
     stride = grid.stride
-    labels, label_at = dfield.labels, dfield.at
-    size = reservations.size
-    vertex, edge = reservations.vertex, reservations.edge
-    rest_from = reservations.rest_from
+    # balls[k]: the ids within k steps of the goal, by a bit-parallel BFS
+    ball = 1 << goal
+    balls = [ball]
+    start_bit = 1 << start
+    while not ball & start_bit:
+        wider = (ball | ball << 1 | ball >> 1 | ball << stride
+                 | ball >> stride) & passable
+        if wider == ball:
+            return None  # the start is not in the goal's component
+        ball = wider
+        balls.append(ball)
+
+    steps = (1, -1, stride, -stride)
+    vertex_masks, rest_masks, swaps = reservations.step_masks(steps)
+    swap1, swap2, swap3, swap4 = swaps
+    # from this step on, no id is reserved and no reserved move arrives
+    horizon = len(vertex_masks)
+    goal_bit = 1 << goal
+    layer = start_bit
+    layers = [layer]
+    rested = rest_masks[0]
+    t = 0
+    while t < goal_free_from or not layer & goal_bit:
+        if t >= bound:
+            layer = 0
+            break
+        t += 1
+        if t < horizon:
+            rested |= rest_masks[t]
+            layer = (layer | (layer & ~swap1[t]) << 1 | (layer & ~swap2[t]) >> 1
+                     | (layer & ~swap3[t]) << stride
+                     | (layer & ~swap4[t]) >> stride
+                     ) & passable & ~(vertex_masks[t] | rested)
+        else:
+            if t == horizon:
+                unreserved = passable & ~rested
+            layer = (layer | layer << 1 | layer >> 1 | layer << stride
+                     | layer >> stride) & unreserved
+        if not layer:
+            break
+        layers.append(layer)
+    if not layer:
+        stats.resolver_expansions += sum(r.bit_count() for r in layers)
+        return None
+
+    f_star = t
+    while len(balls) <= f_star:
+        ball = (ball | ball << 1 | ball >> 1 | ball << stride
+                | ball >> stride) & passable
+        balls.append(ball)
+    stats.resolver_expansions += 1 + sum(
+        (layers[k] & balls[f_star - k]).bit_count() for k in range(f_star))
+
+    cell_at = grid.cell_at
     cell_mix: dict[int, int] = {}  # _mix(seed, x, y) per id
 
-    def tie(state: int) -> int:
-        t, v = divmod(state, size)
+    def tie(v: int, t: int) -> int:
         cm = cell_mix.get(v)
         if cm is None:
             x, y = cell_at[v]
             cm = cell_mix[v] = _mix(seed, x, y)
         return _fold(cm, t)
 
-    # the key f * span + t orders states by (f, t), for every t <= bound
-    span = bound + 1
-    queue = _TieQueue(tie)
-    push, pop, live = queue.push, queue.pop, queue.keys
-    push(h0 * span, start)
-    # a state enters the queue once, when it first enters parents, so no
-    # state is popped twice and no closed set is needed
-    parents = {start: None}
-    while live:
-        state = pop()[1]
-        stats.resolver_expansions += 1
-        t, v = divmod(state, size)
-        if v == goal and t >= goal_free_from:
-            return _unwind(parents, state, size)
-        if t >= bound:
-            continue
-        nt = t + 1
-        at_nt = nt * size
-        for nxt in (v + 1, v - 1, v + stride, v - stride, v):
-            h = labels[nxt]
-            if h < 0:
-                h = label_at(nxt)
-                if h is None:
-                    continue  # blocked, or not in the goal's component
-            # the checks of `_Reservations.blocked_move`, in its order
-            nstate = at_nt + nxt
-            if nstate in vertex:
+    order = (1, -1, stride, -stride, 0)  # the A*'s push order of moves
+    parents: dict[int, tuple[int, int]] = {}  # t * size + id -> (id, h)
+    size = reservations.size
+
+    def parent(v: int, h: int, t: int) -> tuple[int, int]:
+        """The predecessor of (v, t) that the A* popped first, and its h."""
+        key = t * size + v
+        if key in parents:
+            return parents[key]
+        prev = layers[t - 1]
+        nearer = balls[h - 1] if h else 0
+        level = balls[h]
+        best, group = h + 2, []
+        for s, swap in zip(steps, swaps):
+            u = v - s
+            if not prev >> u & 1 or t < horizon and swap[t] >> u & 1:
                 continue
-            rest = rest_from.get(nxt)
-            if rest is not None and nt >= rest:
-                continue
-            if nxt != v and nstate * size + v in edge:
-                continue
-            if nstate in parents:
-                continue
-            parents[nstate] = state
-            push((nt + h) * span + nt, nstate)
-    return None
+            hu = h - 1 if nearer >> u & 1 else h if level >> u & 1 else h + 1
+            if hu < best:
+                best, group = hu, [u]
+            elif hu == best:
+                group.append(u)
+        if prev >> v & 1:  # a wait
+            if h < best:
+                best, group = h, [v]
+            elif h == best:
+                group.append(v)
+        u = group[0]
+        if len(group) > 1:
+            ranked = sorted((tie(w, t - 1), w) for w in group)
+            u = ranked[0][1]
+            for rank, w in ranked[1:]:
+                if rank != ranked[0][0]:
+                    break
+                u = popped_first(u, w, best, t - 1)
+        parents[key] = u, best
+        return u, best
+
+    def popped_first(a: int, b: int, h: int, t: int) -> int:
+        """Which of (a, t) and (b, t), both with this h and one tie, the
+        A* popped first: the one it pushed first."""
+        pa, ha = parent(a, h, t)
+        pb, hb = parent(b, h, t)
+        if pa == pb:  # pushed by one expansion, in the order of its moves
+            return a if order.index(a - pa) < order.index(b - pa) else b
+        # pushed in the order their parents were popped
+        rank_a, rank_b = (ha, tie(pa, t - 1)), (hb, tie(pb, t - 1))
+        if rank_a != rank_b:
+            return a if rank_a < rank_b else b
+        return a if popped_first(pa, pb, ha, t - 1) == pa else b
+
+    path = [goal]
+    v, h = goal, 0
+    for t in range(f_star, 0, -1):
+        v, h = parent(v, h, t)
+        path.append(v)
+    path.reverse()
+    return path
 
 
 def solve_mpp(instance: MppInstance, params: UsageParams | None = None,
@@ -268,7 +358,7 @@ def solve_mpp(instance: MppInstance, params: UsageParams | None = None,
               resolver=None, fields: FieldCache | None = None) -> Solution:
     """Two-phase solve: guided independent paths, then collision resolution.
 
-    Both phases read one field cache of the map: `fields`, or a new one.
+    Phase 1 reads one field cache of the map: `fields`, or a new one.
     """
     params = params or UsageParams()
     cfg = cfg or SearchConfig()
@@ -289,8 +379,7 @@ def solve_mpp(instance: MppInstance, params: UsageParams | None = None,
     t1 = time.perf_counter()
     if resolver is None:
         final = default_resolver_prioritized(instance.grid, initial,
-                                             seed=cfg.tie_break_seed, stats=stats,
-                                             fields=fields)
+                                             seed=cfg.tie_break_seed, stats=stats)
     else:
         final = resolver(instance.grid, initial)
     stats.resolve_seconds = time.perf_counter() - t1

@@ -18,13 +18,15 @@ either in f or in g, and its two entry points choose the weights:
 passes, keeping one usage table updated incrementally.  Prioritized
 planners search around one space-time table, `_Reservations`.
 
-All three space-time loops (`_guided_search` here, `lifelong._plan_window`
-and `oneshot._space_time_plan`) pop their states through `_TieQueue`.  It
-pops in exactly the order of a heap of (key, tie, push counter, state)
-tuples, where the tie is a seeded splitmix hash of the state, yet it hashes
-a state only when another state holds the same key at pop time: keys
-compare the same way in a dict as in a heap, and push order within one key
-is the counter's order.
+Both A* loops over space-time states (`_guided_search` here and
+`lifelong._plan_window`) pop their states through `_TieQueue`.  It pops in
+exactly the order of a heap of (key, tie, push counter, state) tuples, where
+the tie is a seeded splitmix hash of the state, yet it hashes a state only
+when another state holds the same key at pop time: keys compare the same way
+in a dict as in a heap, and push order within one key is the counter's
+order.  The one-shot resolver needs no queue: its layered search
+(`oneshot._layered_plan`) recovers the path and the pop count of an A* with
+this order from bit-mask layers.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from operator import add
 
-from .grid import Cell, DistanceField, FieldCache, GridMap, distance_field
+from .grid import (BLOCKED, Cell, DistanceField, FieldCache, GridMap,
+                   distance_field)
 from .usage import Path, UsageParams, UsageTable
 
 MASK64 = (1 << 64) - 1
@@ -166,57 +169,113 @@ class _Reservations:
     the paths that `add_path` and `path_is_clean` take.  Id v at step t is
     the key t * size + v, and a move from `frm` to `to` that arrives at step
     t is the key (t * size + frm) * size + to.
+
+    `add_path` stores the path and fills the `vertex` and `edge` key sets,
+    which every planner reads.  The one-shot resolver also reads where
+    paths rest, how late each id is reserved and bit masks by step; these
+    are derived from the stored paths when first read after an add, so the
+    windowed solver never pays for them.
     """
 
     def __init__(self, size: int) -> None:
         self.size = size
         self.vertex: set[int] = set()  # keys of (id, t)
         self.edge: set[int] = set()  # keys of (frm, to, arrival t)
-        self.rest_from: dict[int, int] = {}  # id -> first resting step
-        self.last: dict[int, int] = {}  # id -> latest reserved step
-        self.max_time = 0
+        self._pending: list[list[int]] = []  # paths not yet in the indexes
+        self._rest_from: dict[int, int] = {}  # id -> first resting step
+        self._last: dict[int, int] = {}  # id -> latest reserved step
+        self._max_time = 0
+        # by step t <= max_time, bit v for id v: the ids reserved at t, the
+        # ids where a path starts resting at t, and per difference to - frm
+        # the `to` ids of the reserved moves that arrive at t
+        self._vertex_masks = [0]
+        self._rest_masks = [0]
+        self._move_masks: dict[int, list[int]] = {}
 
     def add_path(self, path: list[int]) -> None:
-        size, last = self.size, self.last
+        size = self.size
+        self._pending.append(path)
         self.vertex.update(map(add, range(0, len(path) * size, size), path))
-        for t, v in enumerate(path):
-            if last.get(v, -1) < t:
-                last[v] = t
         for t in range(1, len(path)):
             if path[t - 1] != path[t]:
                 self.edge.add((t * size + path[t - 1]) * size + path[t])
-        end = path[-1]
-        rest_start = len(path) - 1
-        self.rest_from[end] = min(self.rest_from.get(end, rest_start), rest_start)
-        self.max_time = max(self.max_time, len(path) - 1)
 
-    def blocked_vertex(self, v: int, t: int) -> bool:
-        if t * self.size + v in self.vertex:
-            return True
-        rest = self.rest_from.get(v)
-        return rest is not None and t >= rest
+    def _index(self) -> None:
+        """Fold the paths stored since the last read into the indexes."""
+        if not self._pending:
+            return
+        last, rest_from = self._last, self._rest_from
+        vertex_masks, rest_masks = self._vertex_masks, self._rest_masks
+        move_masks = self._move_masks
+        for path in self._pending:
+            end = len(path) - 1
+            if end > self._max_time:
+                grow = [0] * (end - self._max_time)
+                for masks in (vertex_masks, rest_masks, *move_masks.values()):
+                    masks.extend(grow)
+                self._max_time = end
+            prev = path[0]
+            for t, v in enumerate(path):
+                if last.get(v, -1) < t:
+                    last[v] = t
+                vertex_masks[t] |= 1 << v
+                if v != prev:
+                    moved = move_masks.get(v - prev)
+                    if moved is None:
+                        moved = move_masks[v - prev] = [0] * (self._max_time + 1)
+                    moved[t] |= 1 << v
+                prev = v
+            rest_from[path[-1]] = min(rest_from.get(path[-1], end), end)
+            rest_masks[end] |= 1 << path[-1]
+        self._pending = []
 
-    def blocked_move(self, frm: int, to: int, t: int) -> bool:
-        """True when arriving at `to` at step t collides with a reservation."""
-        if self.blocked_vertex(to, t):
-            return True
-        # a reserved move the other way, from `to` to `frm`
-        return frm != to and (t * self.size + to) * self.size + frm in self.edge
+    @property
+    def rest_from(self) -> dict[int, int]:
+        self._index()
+        return self._rest_from
+
+    @property
+    def max_time(self) -> int:
+        self._index()
+        return self._max_time
+
+    def step_masks(self, steps) -> tuple[list[int], list[int], list[list[int]]]:
+        """Bit masks by step t = 0..max_time, bit v standing for id v.
+
+        The ids reserved at t; the ids where a path starts resting at t; and
+        for each id difference s in `steps`, the ids u whose move to u + s
+        arriving at t would swap with a reserved move from u + s to u.
+        """
+        self._index()
+        none = [0] * (self._max_time + 1)
+        return (self._vertex_masks, self._rest_masks,
+                [self._move_masks.get(-s, none) for s in steps])
 
     def path_is_clean(self, path: list[int]) -> bool:
+        """True when no step of `path` meets a reservation: a reserved or
+        rested-on id, or a reserved move the other way."""
+        self._index()
+        size, vertex, edge = self.size, self.vertex, self.edge
+        rest_from = self._rest_from
+        prev = path[0]
         for t, v in enumerate(path):
-            if self.blocked_vertex(v, t):
+            key = t * size + v
+            if key in vertex:
                 return False
-            if t > 0 and self.blocked_move(path[t - 1], v, t):
+            rest = rest_from.get(v)
+            if rest is not None and t >= rest:
                 return False
+            if v != prev and key * size + prev in edge:
+                return False
+            prev = v
         # resting at the end must stay clean forever after
-        return self.last.get(path[-1], -1) < len(path) - 1
+        return self._last.get(path[-1], -1) < len(path) - 1
 
     def free_from(self, v: int) -> int:
         """First step after which v is never touched by a reservation."""
         if v in self.rest_from:
             return -2  # rested on forever; never free
-        return self.last.get(v, -1) + 1
+        return self._last.get(v, -1) + 1
 
 
 def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
@@ -331,9 +390,11 @@ def _guided_search(grid: GridMap, start: Cell, goal: Cell, table: UsageTable,
         for nxt in moves:
             h_dist = labels[nxt]
             if h_dist < 0:
+                if h_dist == BLOCKED:
+                    continue
                 h_dist = label_at(nxt)
                 if h_dist is None:
-                    continue  # blocked, or not in the goal's component
+                    continue  # not in the goal's component
             pen = penalty(cv, cell_at[nxt], t_next)
             if not 0.0 <= pen < 1.0:
                 stats.penalty_bound_violations += 1

@@ -5,11 +5,13 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
+from operator import add
 
-from spreadplan.grid import GridMap, distance_field
-from spreadplan.oneshot import Conflict
-from spreadplan.search import SearchConfig, find_path_cost_to_go
-from spreadplan.usage import UsageParams, UsageTable
+from spreadplan.grid import FieldCache, GridMap, distance_field
+from spreadplan.oneshot import Conflict, ResolverError, SolveStats
+from spreadplan.search import (SearchConfig, _fold, _mix, _TieQueue, _unwind,
+                               find_path_cost_to_go)
+from spreadplan.usage import Path, UsageParams, UsageTable
 
 
 def eager_bfs(grid: GridMap, goal):
@@ -146,3 +148,188 @@ def random_walks(rng: random.Random, count: int, size: int = 5):
             # j walks onto i's resting cell after i has stopped there
             paths[j] = walk(cell(), len(pi) + 1) + [pi[-1]]
     return paths
+
+
+# Reference for the prioritized resolver: its space-time A* and the
+# reservation table it read, as they were before the layered search.
+
+class ReferenceReservations:
+    """Reference for `search._Reservations`, every index kept at each add.
+
+    Space-time bookkeeping for prioritized planning, hashed on int keys.
+
+    Cells are padded ids below `size` (see `spreadplan.grid`), and so are
+    the paths that `add_path` and `path_is_clean` take.  Id v at step t is
+    the key t * size + v, and a move from `frm` to `to` that arrives at step
+    t is the key (t * size + frm) * size + to.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.vertex: set[int] = set()  # keys of (id, t)
+        self.edge: set[int] = set()  # keys of (frm, to, arrival t)
+        self.rest_from: dict[int, int] = {}  # id -> first resting step
+        self.last: dict[int, int] = {}  # id -> latest reserved step
+        self.max_time = 0
+
+    def add_path(self, path: list[int]) -> None:
+        size, last = self.size, self.last
+        self.vertex.update(map(add, range(0, len(path) * size, size), path))
+        for t, v in enumerate(path):
+            if last.get(v, -1) < t:
+                last[v] = t
+        for t in range(1, len(path)):
+            if path[t - 1] != path[t]:
+                self.edge.add((t * size + path[t - 1]) * size + path[t])
+        end = path[-1]
+        rest_start = len(path) - 1
+        self.rest_from[end] = min(self.rest_from.get(end, rest_start), rest_start)
+        self.max_time = max(self.max_time, len(path) - 1)
+
+    def blocked_vertex(self, v: int, t: int) -> bool:
+        if t * self.size + v in self.vertex:
+            return True
+        rest = self.rest_from.get(v)
+        return rest is not None and t >= rest
+
+    def blocked_move(self, frm: int, to: int, t: int) -> bool:
+        """True when arriving at `to` at step t collides with a reservation."""
+        if self.blocked_vertex(to, t):
+            return True
+        # a reserved move the other way, from `to` to `frm`
+        return frm != to and (t * self.size + to) * self.size + frm in self.edge
+
+    def path_is_clean(self, path: list[int]) -> bool:
+        for t, v in enumerate(path):
+            if self.blocked_vertex(v, t):
+                return False
+            if t > 0 and self.blocked_move(path[t - 1], v, t):
+                return False
+        # resting at the end must stay clean forever after
+        return self.last.get(path[-1], -1) < len(path) - 1
+
+    def free_from(self, v: int) -> int:
+        """First step after which v is never touched by a reservation."""
+        if v in self.rest_from:
+            return -2  # rested on forever; never free
+        return self.last.get(v, -1) + 1
+
+
+def reference_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
+                                   priority: list[int] | None = None,
+                                   seed: int = 0,
+                                   stats: SolveStats | None = None,
+                                   fields: FieldCache | None = None
+                                   ) -> list[Path]:
+    """Reference for `oneshot.default_resolver_prioritized`, which re-planned
+    each robot with the space-time A* below.
+
+    Sequential space-time scheduling around earlier robots' reservations.
+
+    Robots whose initial path is already clean keep it unchanged; the rest
+    re-plan with waits allowed.  Each robot's final cell is reserved for all
+    later steps.  Raises ResolverError naming the first robot that cannot be
+    scheduled within the time bound.  `fields` is the map's field cache,
+    such as the one phase 1 filled.
+    """
+    n = len(initial_paths)
+    if priority is None:
+        priority = sorted(range(n), key=lambda i: (-(len(initial_paths[i]) - 1), i))
+    if stats is None:
+        stats = SolveStats()
+    reservations = ReferenceReservations(len(grid.template))
+    result: list[Path | None] = [None] * n
+    if fields is None:
+        fields = FieldCache(grid, distance_field)
+    cell_id, cell_at = grid.cell_id, grid.cell_at
+    for order_idx, i in enumerate(priority):
+        path = initial_paths[i]
+        ids = [cell_id(c) for c in path]
+        if reservations.path_is_clean(ids):
+            result[i] = path
+            reservations.add_path(ids)
+            continue
+        stats.robots_replanned += 1
+        goal = path[-1]
+        bound = 2 * (grid.width + grid.height) + reservations.max_time
+        goal_free_from = reservations.free_from(ids[-1])
+        if goal_free_from == -2:
+            raise ResolverError(i, f"robot {i}: goal permanently reserved", stats)
+        new_ids = reference_space_time_plan(grid, ids[0], ids[-1], fields(goal),
+                                            reservations, bound, goal_free_from,
+                                            _mix(seed, i), stats)
+        if new_ids is None:
+            raise ResolverError(
+                i, f"robot {i}: no conflict-free path within {bound} steps", stats)
+        result[i] = [cell_at[v] for v in new_ids]
+        reservations.add_path(new_ids)
+        stats.wait_steps_added += (len(new_ids) - 1) - (len(path) - 1)
+    return result  # type: ignore[return-value]
+
+
+def reference_space_time_plan(grid: GridMap, start: int, goal: int, dfield,
+                              reservations: ReferenceReservations, bound: int,
+                              goal_free_from: int, seed: int,
+                              stats: SolveStats) -> list[int] | None:
+    """A* over (id, step) states; terminal only once resting at goal is safe.
+
+    `start`, `goal` and the returned path are padded ids, and a state is
+    its reservation key, t * size + id.
+    """
+    h0 = dfield.at(start)
+    if h0 is None:
+        return None
+    cell_at = grid.cell_at
+    stride = grid.stride
+    labels, label_at = dfield.labels, dfield.at
+    size = reservations.size
+    vertex, edge = reservations.vertex, reservations.edge
+    rest_from = reservations.rest_from
+    cell_mix: dict[int, int] = {}  # _mix(seed, x, y) per id
+
+    def tie(state: int) -> int:
+        t, v = divmod(state, size)
+        cm = cell_mix.get(v)
+        if cm is None:
+            x, y = cell_at[v]
+            cm = cell_mix[v] = _mix(seed, x, y)
+        return _fold(cm, t)
+
+    # the key f * span + t orders states by (f, t), for every t <= bound
+    span = bound + 1
+    queue = _TieQueue(tie)
+    push, pop, live = queue.push, queue.pop, queue.keys
+    push(h0 * span, start)
+    # a state enters the queue once, when it first enters parents, so no
+    # state is popped twice and no closed set is needed
+    parents = {start: None}
+    while live:
+        state = pop()[1]
+        stats.resolver_expansions += 1
+        t, v = divmod(state, size)
+        if v == goal and t >= goal_free_from:
+            return _unwind(parents, state, size)
+        if t >= bound:
+            continue
+        nt = t + 1
+        at_nt = nt * size
+        for nxt in (v + 1, v - 1, v + stride, v - stride, v):
+            h = labels[nxt]
+            if h < 0:
+                h = label_at(nxt)
+                if h is None:
+                    continue  # blocked, or not in the goal's component
+            # the checks of `_Reservations.blocked_move`, in its order
+            nstate = at_nt + nxt
+            if nstate in vertex:
+                continue
+            rest = rest_from.get(nxt)
+            if rest is not None and nt >= rest:
+                continue
+            if nxt != v and nstate * size + v in edge:
+                continue
+            if nstate in parents:
+                continue
+            parents[nstate] = state
+            push((nt + h) * span + nt, nstate)
+    return None

@@ -1,12 +1,14 @@
-"""Golden outputs: sha256 digests of eight small fixed runs.
+"""Golden outputs: sha256 digests of ten small fixed runs.
 
 The digests pin every path (and the search and resolver counts that come
 with them), so a change meant to be a pure speed-up shows here if it moves a
 single byte.  A deliberate change to the tie-break or the search order must
 update these digests and say so in CHANGES.md.  Two runs reach the windowed
-solver's rarer paths, a failed attempt and a fallback prefix, and assert
-that they do.  The last test counts the tie hashes of one run, so that
-eager hashing at every push cannot return unnoticed.
+solver's rarer paths, a failed attempt and a fallback prefix; two reach the
+resolver's, a robot that waits for its goal to be free and a robot it
+cannot schedule; all four assert that they do.  The last test counts the
+tie hashes of one run, so that eager hashing at every push cannot return
+unnoticed.
 
 Print the current digests with `PYTHONPATH=src python tests/test_golden_outputs.py`.
 """
@@ -20,10 +22,11 @@ import pytest
 
 import spreadplan.lifelong as lifelong
 import spreadplan.search as search
-from spreadplan.grid import generate_instance, generate_random_grid, generate_warehouse
+from spreadplan.grid import (distance_field, generate_instance, generate_random_grid,
+                            generate_warehouse)
 from spreadplan.lifelong import (GoalStream, config_for_variant, run_lifelong,
                                  solve_mpp_via_horizon, windowed_solver)
-from spreadplan.oneshot import MppInstance, solve_mpp
+from spreadplan.oneshot import MppInstance, ResolverError, solve_mpp
 from spreadplan.search import SearchConfig, SearchStats, plan_independent_paths
 from spreadplan.usage import UsageParams
 
@@ -71,6 +74,44 @@ def run_solve_mpp_temporal():
     return {"solution": json.loads(sol.to_json()),
             "expansions": sol.stats.search.expansions,
             "generated": sol.stats.search.generated}
+
+
+def run_solve_mpp_goal_wait():
+    """A crowded run where some robot re-plans and must wait until a robot
+    planned before it has passed through its goal."""
+    grid = generate_random_grid(12, 12, 0.1, seed=0)
+    robots = generate_instance(grid, 20, seed=0)
+    tasks = [(s, gs[0]) for s, gs in robots]
+    sol = solve_mpp(MppInstance(grid, tasks), UsageParams(num_robots=20), 1,
+                    SearchConfig(tie_break_seed=0))
+    # some robot arrives at its goal for good only after another robot's
+    # visit there, at a step no shorter path could have reached it by
+    waited = 0
+    for i, (path, (s, g)) in enumerate(zip(sol.paths, tasks)):
+        arrival = len(path) - 1
+        while arrival and path[arrival - 1] == g:
+            arrival -= 1
+        dist = distance_field(grid, g)[s]
+        waited += any(dist <= t < arrival
+                      for j, other in enumerate(sol.paths) if j != i
+                      for t, c in enumerate(other) if c == g)
+    assert waited >= 1
+    return {"solution": json.loads(sol.to_json())}
+
+
+def run_resolver_error():
+    """A run whose resolver meets a robot it cannot schedule within the
+    time bound."""
+    grid = generate_random_grid(10, 10, 0.15, seed=2)
+    robots = generate_instance(grid, 24, seed=2)
+    tasks = [(s, gs[0]) for s, gs in robots]
+    with pytest.raises(ResolverError) as err:
+        solve_mpp(MppInstance(grid, tasks), UsageParams(num_robots=24), 1,
+                  SearchConfig(tie_break_seed=2))
+    message = str(err.value)
+    assert "no conflict-free path within" in message
+    return {"robot": err.value.robot, "message": message,
+            "expansions": err.value.stats.resolver_expansions}
 
 
 def _recording(mp, name: str) -> list:
@@ -154,6 +195,10 @@ GOLDEN = {
         "541383550321d900f3e8bfe5043602f9ec1c749bf8a938a489525e2e7e100e93",
     "passes_cost_to_come_temporal":
         "4e5f7eec35261a36961e84a2985323d90e52b100e66386ea705f1af11488c7a7",
+    "resolver_error":
+        "ae9b276492ce2659db7e0844ee172c6e94b0cafeee88772efd19fce48d6971be",
+    "solve_mpp_goal_wait":
+        "91c1401b576ec4ab829036b77e001cb08fdf696699798a50b0e831e1db5d878f",
     "solve_mpp_temporal":
         "dfca3162080165786af9ac2c8485eebdfdd1d0808a1c6673315c9d98b25e41c0",
     "lifelong_cut_usage":

@@ -4,13 +4,17 @@ import random
 
 import pytest
 
-from helpers import random_walks
-from spreadplan.grid import GridMap, generate_instance, generate_random_grid
+import helpers
+import spreadplan.oneshot as oneshot
+from helpers import random_walks, reference_resolver_prioritized
+from spreadplan.grid import (GenerationError, GridMap, generate_instance,
+                             generate_random_grid)
 from spreadplan.oneshot import (Conflict, MppInstance, ResolverError, Solution,
-                                default_resolver_prioritized,
+                                SolveStats, default_resolver_prioritized,
                                 lower_bounds, solution_paths_from_json,
                                 solve_mpp, validate_solution)
-from spreadplan.search import InstanceError, SearchConfig, _Reservations
+from spreadplan.search import (InstanceError, SearchConfig, _Reservations,
+                               plan_independent_paths)
 from spreadplan.usage import UsageParams
 
 
@@ -277,3 +281,79 @@ def test_reservation_index_matches_brute_force():
             free_seen.add(res.free_from(v))
     assert clean_seen == {True, False}
     assert {-2, 0, 5} <= free_seen
+
+
+def random_resolver_case(rng: random.Random, max_side: int = 16):
+    """A seeded random one-shot case for the resolver: the map, the tasks,
+    phase-1 paths from an aggregate or temporal table after r = 0..2
+    passes, and the resolver's seed.  Crowded enough that robots often
+    re-plan, wait for their goals or cannot be scheduled."""
+    while True:
+        width, height = rng.randint(6, max_side), rng.randint(6, max_side)
+        try:
+            grid = generate_random_grid(width, height, rng.uniform(0.0, 0.3),
+                                        seed=rng.randrange(1 << 30))
+        except GenerationError:
+            continue
+        cells = sum(1 for _ in grid.vertices())
+        if cells >= 4:
+            break
+    n = rng.randint(2, max(2, min(cells // 3, 40)))
+    robots = generate_instance(grid, n, seed=rng.randrange(1 << 30))
+    tasks = [(s, gs[0]) for s, gs in robots]
+    temporal = rng.random() < 0.5
+    params = UsageParams(0.5, 0.5, rng.randint(0, 2) if temporal else 0,
+                         rng.randint(0, 15) if temporal else 0, temporal, n)
+    cfg = SearchConfig(rng.choice(("cost_to_go", "cost_to_come")),
+                       tie_break_seed=rng.randrange(1 << 30))
+    initial = plan_independent_paths(grid, tasks, params, rng.randint(0, 2), cfg)
+    return grid, tasks, initial, rng.randrange(1 << 30)
+
+
+def resolve_both(grid, initial, seed):
+    """The outcome of the resolver and of the reference A* resolver: the
+    paths, or the failing robot and message, then the three counters."""
+    outcomes = []
+    for resolver in (default_resolver_prioritized, reference_resolver_prioritized):
+        stats = SolveStats()
+        try:
+            result = resolver(grid, initial, seed=seed, stats=stats)
+        except ResolverError as err:
+            result = (err.robot, str(err))
+        outcomes.append((result, stats.resolver_expansions,
+                         stats.robots_replanned, stats.wait_steps_added))
+    return outcomes
+
+
+def test_layered_resolver_matches_reference_astar():
+    """The layered search returns the A*'s paths, counters and errors, and
+    every solution it returns validates against the map and the tasks."""
+    rng = random.Random(2013)
+    solved = failed = waited = 0
+    for _ in range(60):
+        grid, tasks, initial, seed = random_resolver_case(rng)
+        ours, reference = resolve_both(grid, initial, seed)
+        assert ours == reference
+        result, _, _, waits = ours
+        if isinstance(result, tuple):
+            failed += 1
+            continue
+        solved += 1
+        waited += waits > 0
+        assert validate_solution(result, grid, tasks) == []
+    assert solved >= 30 and failed >= 1 and waited >= 10, (solved, failed, waited)
+
+
+def test_layered_resolver_matches_reference_on_equal_ties(monkeypatch):
+    """With `_mix` constant, every tie at one step is equal, so only the
+    queue's push order decides between states of one key."""
+    rng = random.Random(2005)
+    cases = [random_resolver_case(rng, max_side=10) for _ in range(15)]
+    monkeypatch.setattr(oneshot, "_mix", lambda *parts: 12345)
+    monkeypatch.setattr(helpers, "_mix", lambda *parts: 12345)
+    replanned = 0
+    for grid, _, initial, seed in cases:
+        ours, reference = resolve_both(grid, initial, seed)
+        assert ours == reference
+        replanned += ours[2]
+    assert replanned >= 10
