@@ -58,15 +58,18 @@ def min_objective(enumeration: PathEnumeration, table: UsageTable,
     """Exact minimum of a conflict objective over every enumerated path.
 
     objective "peak": worst usage count over interior cells.
-    objective "total": summed usage count over the whole path image.
+    objective "total": summed usage count over the whole path image, which
+    an aggregate table alone defines; a temporal table raises ValueError.
     """
+    if objective == "total" and table.params.temporal:
+        raise ValueError('objective "total" needs an aggregate table')
     best_value = None
     best_path = None
     for path in enumeration.paths:
         if objective == "peak":
             value = peak_vertex_overlap(path, table)
         elif objective == "total":
-            value = sum(table.vertex_use.get(v, 0) for v in set(path))
+            value = sum(table.vertex_count(v) for v in set(path))
         else:
             raise ValueError(f"unknown objective {objective!r}")
         if best_value is None or value < best_value:

@@ -416,7 +416,9 @@ def run_lifelong(grid: GridMap, streams: list[GoalStream], cfg: HorizonConfig,
                  positions: list[Cell] | None = None) -> LifelongStats:
     """Plan-execute loop until stop_goals goals have been reached.
 
-    Deterministic for a given configuration, seed, and stream seeds.
+    Deterministic for a given configuration, seed, and stream seeds.  Raises
+    LivelockError when every stream has run out of goals before stop_goals
+    were reached, as fixed goal lists can: no later cycle could reach one.
     """
     n = len(streams)
     stats = LifelongStats()
@@ -438,9 +440,14 @@ def run_lifelong(grid: GridMap, streams: list[GoalStream], cfg: HorizonConfig,
 
     cycle = 0
     while stats.goals_reached < stop_goals:
+        for stream in streams:
+            stream.ensure(h + 2)
+        if all(len(stream) == 0 for stream in streams):
+            raise LivelockError(
+                f"every goal stream is empty after {stats.goals_reached} goals "
+                f"of the {stop_goals} to reach")
         chains = []
         for i in range(n):
-            streams[i].ensure(h + 2)
             chain, d = truncate_goal_list(positions[i],
                                           streams[i].upcoming(h + 2), h,
                                           fields.dist)

@@ -43,17 +43,10 @@ def peak_vertex_overlap(path: Path, table: UsageTable) -> int:
     The table should be built from the *other* robots' paths; temporal tables
     are read at the step each cell is visited.
     """
-    if len(path) <= 1:
-        return 0
-    worst = 0
     if table.params.temporal:
-        for t in range(1, len(path) - 1):
-            x, y = path[t]
-            worst = max(worst, table.vertex_use.get((x, y, t), 0))
-    else:
-        for v in path[1:-1]:
-            worst = max(worst, table.vertex_use.get(v, 0))
-    return worst
+        return max((table.vertex_count(path[t], t)
+                    for t in range(1, len(path) - 1)), default=0)
+    return max((table.vertex_count(v) for v in path[1:-1]), default=0)
 
 
 def max_vertex_overlap(paths: list[Path]) -> int:

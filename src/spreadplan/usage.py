@@ -5,11 +5,17 @@ directed edge, either aggregated over time or per time step.  Searches consult
 it through `penalty`, a sub-unit surcharge that steers a robot away from cells
 and head-to-head edges other robots have claimed, without ever trading away
 path length.
+
+A temporal table stores each occupancy once, as a step in a sorted list per
+cell or directed edge, and counts the occupancies whose window covers a step
+when it is read, with two bisects.  A path step thus costs one or two list
+inserts, however wide the window.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 Cell = tuple[int, int]
@@ -52,17 +58,20 @@ class UsageUnderflowError(ValueError):
 
 @dataclass
 class UsageTable:
-    """Occupancy counters over vertices and directed edges.
+    """Occupancy counts over vertices and directed edges.
 
-    Keys are (x, y) / (x1, y1, x2, y2) in aggregate mode and gain a trailing
-    time component in temporal mode.  Mutated in place by add/remove so a
-    planning loop can swap one robot's path without rebuilding; remove is the
-    exact inverse of add.
+    An aggregate table keeps a counter per (x, y) cell and per directed edge
+    (x1, y1, x2, y2).  A temporal table keeps, under the same keys, the
+    sorted steps at which a path occupies the cell or arrives over the edge;
+    an occupancy at step s counts at every t >= 0 with
+    s - window_before <= t <= s + window_after.  Mutated in place by
+    add/remove so a planning loop can swap one robot's path without
+    rebuilding; remove is the exact inverse of add.
     """
 
     params: UsageParams = field(default_factory=UsageParams)
-    vertex_use: dict = field(default_factory=dict)
-    edge_use: dict = field(default_factory=dict)
+    _vertex: dict = field(default_factory=dict, init=False, repr=False)
+    _edge: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def build(cls, paths: list[Path | None], params: UsageParams) -> "UsageTable":
@@ -79,22 +88,38 @@ class UsageTable:
         self._update(path, -1)
 
     def _update(self, path: Path, delta: int) -> None:
-        """Add delta (+1 or -1) to each counter the path claims, in a fixed
-        order; a removal that would take a counter below zero raises."""
-        params = self.params
-        if params.temporal:
-            wb, wa = params.window_before, params.window_after
-            vertex_keys = [(x, y, tq) for t, (x, y) in enumerate(path)
-                           for tq in range(max(0, t - wb), t + wa + 1)]
-            edge_keys = [(u[0], u[1], v[0], v[1], tq)
-                         for t, (u, v) in enumerate(zip(path, path[1:]), 1)
-                         if u != v for tq in range(max(0, t - wb), t + wa + 1)]
-        else:
-            vertex_keys = path
-            edge_keys = [(u[0], u[1], v[0], v[1])
-                         for u, v in zip(path, path[1:]) if u != v]
-        for counts, keys in ((self.vertex_use, vertex_keys),
-                             (self.edge_use, edge_keys)):
+        """Add (+1) or remove (-1) the path's claims, vertices first and then
+        edges, each in path order.  Removing a claim the table does not hold
+        raises; in a temporal table the error names the key with the first
+        step of the claim's window."""
+        if self.params.temporal:
+            edges = [(t, (u[0], u[1], v[0], v[1]))
+                     for t, (u, v) in enumerate(zip(path, path[1:]), 1) if u != v]
+            for steps, claims in ((self._vertex, enumerate(path)),
+                                  (self._edge, edges)):
+                if delta > 0:
+                    for t, key in claims:
+                        held = steps.get(key)
+                        if held is None:
+                            steps[key] = [t]
+                        else:
+                            insort(held, t)
+                else:
+                    for t, key in claims:
+                        held = steps.get(key, ())
+                        i = bisect_left(held, t)
+                        if i == len(held) or held[i] != t:
+                            first = max(0, t - self.params.window_before)
+                            raise UsageUnderflowError(
+                                f"count underflow at {(*key, first)}")
+                        if len(held) == 1:
+                            del steps[key]
+                        else:
+                            del held[i]
+            return
+        edge_keys = [(u[0], u[1], v[0], v[1])
+                     for u, v in zip(path, path[1:]) if u != v]
+        for counts, keys in ((self._vertex, path), (self._edge, edge_keys)):
             for key in keys:
                 c = counts.get(key, 0) + delta
                 if c > 0:
@@ -113,20 +138,57 @@ class UsageTable:
         """
         params = self.params
         if params.temporal:
-            vcount = self.vertex_use.get((to[0], to[1], t), 0)
-            ecount = 0 if to == frm else self.edge_use.get(
-                (to[0], to[1], frm[0], frm[1], t), 0)
+            if t < 0:
+                return 0.0
+            lo, hi = t - params.window_after, t + params.window_before
+            held = self._vertex.get(to)
+            vcount = 0 if held is None else (bisect_right(held, hi)
+                                             - bisect_left(held, lo))
+            held = None if to == frm else self._edge.get(
+                (to[0], to[1], frm[0], frm[1]))
+            ecount = 0 if held is None else (bisect_right(held, hi)
+                                             - bisect_left(held, lo))
         else:
-            vcount = self.vertex_use.get(to, 0)
-            ecount = 0 if to == frm else self.edge_use.get(
+            vcount = self._vertex.get(to, 0)
+            ecount = 0 if to == frm else self._edge.get(
                 (to[0], to[1], frm[0], frm[1]), 0)
         return (params.vertex_weight * vcount
                 + params.edge_weight * ecount) / params.num_robots
 
     def vertex_count(self, cell: Cell, t: int | None = None) -> int:
-        if self.params.temporal:
-            return self.vertex_use.get((cell[0], cell[1], 0 if t is None else t), 0)
-        return self.vertex_use.get(cell, 0)
+        """Claims on `cell`; a temporal table counts those at step t (0 when
+        omitted)."""
+        if not self.params.temporal:
+            return self._vertex.get(cell, 0)
+        t = 0 if t is None else t
+        held = self._vertex.get(cell)
+        if held is None or t < 0:
+            return 0
+        return (bisect_right(held, t + self.params.window_before)
+                - bisect_left(held, t - self.params.window_after))
+
+    @property
+    def vertex_use(self) -> dict:
+        """Vertex counts by (x, y), or by (x, y, t) in a temporal table, where
+        the temporal view is built on each read."""
+        return self._windowed(self._vertex) if self.params.temporal else self._vertex
+
+    @property
+    def edge_use(self) -> dict:
+        """Edge counts by (x1, y1, x2, y2), gaining a trailing t in a temporal
+        table, where the view is built on each read."""
+        return self._windowed(self._edge) if self.params.temporal else self._edge
+
+    def _windowed(self, steps: dict) -> dict:
+        """Each key's count at every step its window covers, from step 0."""
+        wb, wa = self.params.window_before, self.params.window_after
+        counts: dict = {}
+        for key, held in steps.items():
+            for s in held:
+                for t in range(max(0, s - wb), s + wa + 1):
+                    timed = (*key, t)
+                    counts[timed] = counts.get(timed, 0) + 1
+        return counts
 
     def to_json(self) -> str:
         """Stable debug dump: sorted comma-joined keys to counts."""

@@ -302,7 +302,7 @@ def test_10_one_shot_via_horizon_near_optimal_at_scale():
                                     config_for_variant("cut+usage", h=50,
                                                        seed=seed))
         slowest = max(slowest, time.perf_counter() - t0)
-        assert validate_solution(res.paths) == []
+        assert validate_solution(res.paths, grid, tasks) == []
         mk_ratios.append(res.makespan_ratio)
         sc_ratios.append(res.cost_ratio)
     mk = sum(mk_ratios) / len(mk_ratios)

@@ -72,3 +72,14 @@ def test_min_objective_unknown():
     table = UsageTable.build([], UsageParams())
     with pytest.raises(ValueError):
         min_objective(enum, table, "nope")
+
+
+def test_min_objective_total_rejects_temporal_table():
+    # a temporal table counts claims per step, so a summed count over the
+    # path image has no step to read at
+    enum = enumerate_shortest_paths(GridMap(3, 3), (0, 0), (2, 2))
+    table = UsageTable.build([[(1, 1), (1, 1)]],
+                             UsageParams(window_after=2, temporal=True))
+    assert min_objective(enum, table, "peak")[0] == 0
+    with pytest.raises(ValueError, match="aggregate"):
+        min_objective(enum, table, "total")

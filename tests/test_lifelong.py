@@ -263,6 +263,19 @@ def test_run_lifelong_all_variants_work():
         assert len(stats.cycles) == stats.elapsed_steps // 5
 
 
+def test_run_lifelong_raises_once_every_stream_is_empty():
+    # six fixed goals in all can never make ten; the loop must not cycle on
+    grid = generate_warehouse(25, 14, (3, 2), 2)
+    cells = list(grid.vertices())
+    rng = random.Random(3)
+    positions = rng.sample(cells, 3)
+    streams = [GoalStream(grid, initial=rng.sample(cells, 2)) for _ in range(3)]
+    cfg = config_for_variant("cut+usage", h=5, seed=0)
+    with pytest.raises(LivelockError, match=r"empty after \d+ goals of the 10"):
+        run_lifelong(grid, streams, cfg, stop_goals=10, positions=positions)
+    assert all(len(stream) == 0 for stream in streams)
+
+
 def test_horizon_config_validation():
     with pytest.raises(ValueError):
         HorizonConfig(h=0)
@@ -310,14 +323,14 @@ def test_solve_via_horizon_single_robot():
     assert res.makespan == 16
     assert res.makespan_ratio == 1.0
     assert res.cost_ratio == 1.0
-    assert validate_solution(res.paths) == []
+    assert validate_solution(res.paths, grid, [((0, 0), (8, 8))]) == []
 
 
 def test_solve_via_horizon_swap_corridor_with_pocket():
     grid = GridMap(6, 2, frozenset({(0, 1), (1, 1), (2, 1), (4, 1), (5, 1)}))
     tasks = [((0, 0), (5, 0)), ((5, 0), (0, 0))]
     res = solve_mpp_via_horizon(grid, tasks, config_for_variant("cut", h=3))
-    assert validate_solution(res.paths) == []
+    assert validate_solution(res.paths, grid, tasks) == []
     assert res.paths[0][-1] == (5, 0)
     assert res.paths[1][-1] == (0, 0)
 
@@ -338,7 +351,7 @@ def test_solve_via_horizon_row_reversal():
     tasks = [((0, 0), (20, 11)), ((1, 0), (19, 11)), ((2, 0), (18, 11)),
              ((3, 0), (17, 11)), ((4, 0), (16, 11)), ((5, 0), (15, 11))]
     res = solve_mpp_via_horizon(grid, tasks, config_for_variant("cut+usage", h=5))
-    assert validate_solution(res.paths) == []
+    assert validate_solution(res.paths, grid, tasks) == []
     for path, (_, g) in zip(res.paths, tasks):
         assert path[path_length(path)] == g
 
@@ -349,7 +362,7 @@ def test_solve_via_horizon_multi_robot_validates():
     robots = generate_instance(grid, 8, seed=17)
     tasks = [(s, gs[0]) for s, gs in robots]
     res = solve_mpp_via_horizon(grid, tasks, config_for_variant("cut+usage", h=5))
-    assert validate_solution(res.paths) == []
+    assert validate_solution(res.paths, grid, tasks) == []
     for path, (s, g) in zip(res.paths, tasks):
         assert path[0] == s
         assert path[path_length(path)] == g

@@ -45,6 +45,19 @@ def test_peak_vertex_overlap_empty_table():
     assert metrics.peak_vertex_overlap([(0, 0), (1, 0), (2, 0)], table) == 0
 
 
+def test_peak_vertex_overlap_temporal_reads_each_step():
+    # (1, 0) is held at step 3, which a forward window of 1 stretches to 4
+    table = UsageTable.build([[(3, 0), (2, 0), (1, 1), (1, 0)]],
+                             UsageParams(window_after=1, temporal=True,
+                                         num_robots=2))
+    assert metrics.peak_vertex_overlap([(0, 0), (1, 0), (2, 0)], table) == 0
+    late = [(0, 0), (0, 0), (0, 0), (0, 0), (1, 0), (2, 0)]
+    assert metrics.peak_vertex_overlap(late, table) == 1
+    assert metrics.peak_vertex_overlap(late + [(2, 0)], table) == 1
+    assert metrics.peak_vertex_overlap([(0, 0)] * 5 + [(1, 0), (2, 0)],
+                                       table) == 0
+
+
 def test_max_vertex_overlap_counts_images():
     assert metrics.max_vertex_overlap([]) == 0
     assert metrics.max_vertex_overlap([[(0, 0), (1, 0)], [(5, 5), (5, 6)]]) == 1

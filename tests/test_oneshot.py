@@ -94,7 +94,7 @@ def test_single_robot_solution():
     lb_mk, lb_sc = lower_bounds(inst)
     assert sol.makespan == lb_mk
     assert sol.sum_of_cost == lb_sc
-    assert validate_solution(sol.paths) == []
+    assert validate_solution(sol.paths, grid, inst.tasks) == []
 
 
 def brute_force_joint_optimum(grid, tasks, horizon):
@@ -137,7 +137,7 @@ def test_two_crossing_robots_near_optimal():
     tasks = [((0, 1), (2, 1)), ((1, 0), (1, 2))]
     inst = MppInstance(grid, tasks)
     sol = solve_mpp(inst, UsageParams(num_robots=2), 1, SearchConfig(tie_break_seed=0))
-    assert validate_solution(sol.paths) == []
+    assert validate_solution(sol.paths, grid, tasks) == []
     joint = brute_force_joint_optimum(grid, tasks, horizon=6)
     assert joint is not None
     _, lb_sc = lower_bounds(inst)

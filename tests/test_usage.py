@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import build_prior_paths
+from helpers import ReferenceUsageTable, build_prior_paths
 from spreadplan.grid import generate_random_grid
 from spreadplan.usage import (UsageParams, UsageTable, UsageUnderflowError)
 
@@ -116,6 +116,17 @@ def test_remove_never_added_underflows():
         table.remove_path([(5, 5), (5, 6)])
 
 
+def test_remove_step_covered_by_other_windows_underflows():
+    # (0, 0) is held at step 1, whose window covers step 0; a path
+    # that stood there at step 0 was never added and cannot be removed
+    table = UsageTable.build([[(1, 0), (0, 0), (0, 0)]],
+                             UsageParams(window_before=1, window_after=1,
+                                         temporal=True))
+    with pytest.raises(UsageUnderflowError, match=r"at \(0, 0, 0\)$"):
+        table.remove_path([(0, 0)])
+    assert table.vertex_count((0, 0), 0) == 1
+
+
 def test_penalty_vertex_term():
     table = UsageTable.build([[(0, 0), (1, 0), (2, 0)]],
                              UsageParams(1.0, 0.0, num_robots=2))
@@ -189,3 +200,92 @@ def test_json_dump_is_stable():
     assert payload["vertex_use"] == {"0,0": 1, "1,0": 1}
     assert payload["edge_use"] == {"0,0,1,0": 1}
     assert table.to_json() == table.to_json()
+
+
+# Equivalence with the reference table, which smears every temporal
+# occupancy over its window when written.
+
+SWEEP_PARAMS = [
+    UsageParams(),
+    UsageParams(0.3, 0.7, num_robots=5),
+    UsageParams(0.5, 0.5, 0, 0, True, 3),  # zero window
+    UsageParams(0.5, 0.5, 2, 15, True, 6),  # the benchmark's asymmetric window
+    UsageParams(0.2, 0.8, 4, 1, True, 4),
+    UsageParams(1.0, 0.0, 40, 3, True, 2),  # reaches back past step 0
+]
+
+
+def _with_waits(path, rng):
+    return [c for c in path for _ in range(rng.choice((1, 1, 1, 2, 3)))]
+
+
+def _assert_same(table, ref, grid, horizon):
+    wa, wb = table.params.window_after, table.params.window_before
+    steps = range(-2, horizon + wa + wb + 2)
+    for v in grid.vertices():
+        for u in grid.neighbors(v) + [v]:
+            for t in steps:
+                assert table.penalty(v, u, t) == ref.penalty(v, u, t), (v, u, t)
+        for t in steps:
+            assert table.vertex_count(v, t) == (
+                ref.vertex_use.get((*v, t), 0) if ref.params.temporal
+                else ref.vertex_use.get(v, 0))
+    assert table.vertex_use == ref.vertex_use
+    assert table.edge_use == ref.edge_use
+    assert table.to_json() == ref.to_json()
+
+
+def test_penalties_match_reference_over_random_adds_and_removes():
+    rng = random.Random(31)
+    for case in range(12):
+        grid = generate_random_grid(rng.randint(4, 7), rng.randint(4, 7),
+                                    rng.choice((0.0, 0.1, 0.2)), case)
+        pool = [_with_waits(p, rng) for p in build_prior_paths(grid, rng, 5)]
+        pool.append([rng.choice(list(grid.vertices()))])  # a lone step
+        for params in SWEEP_PARAMS:
+            table, ref = UsageTable(params=params), ReferenceUsageTable(params=params)
+            held = []
+            for _ in range(8):
+                if held and rng.random() < 0.4:
+                    path = held.pop(rng.randrange(len(held)))
+                    table.remove_path(path)
+                    ref.remove_path(path)
+                else:
+                    path = rng.choice(pool)  # repeats stack on one another
+                    held.append(path)
+                    table.add_path(path)
+                    ref.add_path(path)
+                _assert_same(table, ref, grid, max(map(len, pool)))
+
+
+def test_build_matches_reference():
+    rng = random.Random(32)
+    grid = generate_random_grid(7, 7, 0.1, 33)
+    paths = [_with_waits(p, rng) for p in build_prior_paths(grid, rng, 6)]
+    for params in SWEEP_PARAMS:
+        _assert_same(UsageTable.build(paths + [None], params),
+                     ReferenceUsageTable.build(paths + [None], params),
+                     grid, max(map(len, paths)))
+
+
+def test_remove_never_added_raises_whenever_reference_does():
+    rng = random.Random(34)
+    for case in range(40):
+        grid = generate_random_grid(5, 5, 0.1, case)
+        paths = [_with_waits(p, rng) for p in build_prior_paths(grid, rng, 3)]
+        for params in SWEEP_PARAMS:
+            # a held path shifted by a wait, cut short, or one never added
+            probe = rng.choice((
+                [paths[0][0]] + paths[0], paths[1][1:] or paths[1],
+                paths[2][:rng.randint(1, len(paths[2]))],
+                build_prior_paths(grid, rng, 1)[0]))
+            outcome = []
+            for table in (UsageTable.build(paths, params),
+                          ReferenceUsageTable.build(paths, params)):
+                try:
+                    table.remove_path(probe)
+                    outcome.append(False)
+                except UsageUnderflowError:
+                    outcome.append(True)
+            raised, ref_raised = outcome
+            assert raised or not ref_raised, (case, params, probe)
