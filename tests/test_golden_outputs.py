@@ -3,14 +3,18 @@
 The digests pin every path (and the search and resolver counts that come
 with them), so a change meant to be a pure speed-up shows here if it moves a
 single byte.  A deliberate change to the tie-break or the search order must
-update these digests and say so in CHANGES.md.  Two runs reach the windowed
+update these digests and say so in CHANGES.md.  The guided search's
+`generated` count is pinned apart from the digests, as a readable integer
+in `GENERATED`: a change that only prunes pushes which are never popped
+moves those integers and no digest.  Two runs reach the windowed
 solver's rarer paths, a failed attempt and a fallback prefix; two reach the
 resolver's, a robot that waits for its goal to be free and a robot it
 cannot schedule; all four assert that they do.  The last test counts the
 tie hashes of one run, so that eager hashing at every push cannot return
 unnoticed.
 
-Print the current digests with `PYTHONPATH=src python tests/test_golden_outputs.py`.
+Print the current digests and counts, ready to paste, with
+`PYTHONPATH=src python tests/test_golden_outputs.py`.
 """
 
 from __future__ import annotations
@@ -190,17 +194,17 @@ def run_via_horizon():
 
 GOLDEN = {
     "passes_cost_to_go":
-        "7b67965b592bcc2a65689ad6ad51e041c8357994af1d5c52e0a6effeb486edcb",
+        "8f1928d220ab3427866361a83f8b6c33028156455fd013ad660d16a0c2994837",
     "passes_cost_to_come":
-        "541383550321d900f3e8bfe5043602f9ec1c749bf8a938a489525e2e7e100e93",
+        "7e19b291d9c0964e10720329d8a764d19ce834c85f06a67bab77de0eae497807",
     "passes_cost_to_come_temporal":
-        "4e5f7eec35261a36961e84a2985323d90e52b100e66386ea705f1af11488c7a7",
+        "64f1220d5aa11ff9ec2b59b86dfd44b1d60c7b990efe591fc3b826b5ceffffe8",
     "resolver_error":
         "ae9b276492ce2659db7e0844ee172c6e94b0cafeee88772efd19fce48d6971be",
     "solve_mpp_goal_wait":
         "91c1401b576ec4ab829036b77e001cb08fdf696699798a50b0e831e1db5d878f",
     "solve_mpp_temporal":
-        "dfca3162080165786af9ac2c8485eebdfdd1d0808a1c6673315c9d98b25e41c0",
+        "c9faa27ffe98725070e2904dcbc9a19ab9b47894f0bff0ec1cc84ea1e5f68dc9",
     "lifelong_cut_usage":
         "7ab7cc0b80fd83dbfc9ea801ad915dc5b1ce48b5a03b81ac9bf77859319f8ba2",
     "lifelong_retries":
@@ -212,9 +216,27 @@ GOLDEN = {
 }
 
 
+GENERATED = {
+    "passes_cost_to_come": 6796,
+    "passes_cost_to_come_temporal": 8914,
+    "passes_cost_to_go": 5547,
+    "solve_mpp_temporal": 6729,
+}
+
+
+def _outputs(name: str) -> tuple[str, int | None]:
+    """The digest of run `name` without its `generated` count, and the count
+    (None for a run that does not report one)."""
+    payload = globals()[f"run_{name}"]()
+    generated = payload.pop("generated", None)
+    return _digest(payload), generated
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digest(name):
-    assert _digest(globals()[f"run_{name}"]()) == GOLDEN[name]
+    digest, generated = _outputs(name)
+    assert digest == GOLDEN[name]
+    assert generated == GENERATED.get(name)
 
 
 def test_lifelong_hashes_few_ties():
@@ -249,5 +271,12 @@ def test_lifelong_hashes_few_ties():
 
 
 if __name__ == "__main__":
-    for key in sorted(GOLDEN):
-        print(f'    "{key}": "{_digest(globals()[f"run_{key}"]())}",')
+    outputs = {name: _outputs(name) for name in sorted(GOLDEN)}
+    print("GOLDEN = {")
+    for name, (digest, _) in outputs.items():
+        print(f'    "{name}":\n        "{digest}",')
+    print("}\n\n\nGENERATED = {")
+    for name, (_, generated) in outputs.items():
+        if generated is not None:
+            print(f'    "{name}": {generated},')
+    print("}")
