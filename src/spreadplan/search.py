@@ -1,12 +1,16 @@
 """Single-robot search with usage-aware guidance, plus the multi-robot pass loop.
 
-One guided A* kernel, `_guided_search`, places each move's usage penalty
-either in f or in g, and its two entry points choose the weights:
+One guided A* kernel, `_guided_search`, searches only the shortest-path DAG:
+from each cell it takes only the moves one distance level nearer the goal,
+so every path it returns is a shortest path whatever the table holds.  Its
+state is the cell's id alone, also on a temporal table, where the step of a
+cell on the DAG is fixed by its distance.  It places each move's usage
+penalty either in f or in g, and its two entry points choose the weights:
 
-* cost_to_go: the penalty is added to the distance heuristic.  Because it
-  stays below 1 it can only break ties between equal-length paths, and the
-  returned path is a shortest path whose worst interior cell is as lightly
-  claimed as possible.  A closed state refuses later pushes.
+* cost_to_go: the penalty is added to the distance heuristic and breaks
+  ties between the equal-length paths; the returned path is a shortest path
+  whose worst interior cell is as lightly claimed as possible.  A closed
+  state refuses later pushes.
 
 * cost_to_come: the penalty is folded into the transition cost, scaled by
   1 / (max start-goal distance + 1) so the surcharge accumulated along a
@@ -18,8 +22,8 @@ either in f or in g, and its two entry points choose the weights:
 passes, keeping one usage table updated incrementally.  Prioritized
 planners search around one space-time table, `_Reservations`.
 
-Both A* loops over space-time states (`_guided_search` here and
-`lifelong._plan_window`) pop their states through `_TieQueue`.  It pops in
+Both A* loops (`_guided_search` here, over ids, and `lifelong._plan_window`,
+over space-time states) pop their states through `_TieQueue`.  It pops in
 exactly the order of a heap of (key, tie, push counter, state) tuples, where
 the tie is a seeded splitmix hash of the state, yet it hashes a state only
 when another state holds the same key at pop time: keys compare the same way
@@ -36,8 +40,7 @@ from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from operator import add
 
-from .grid import (BLOCKED, Cell, DistanceField, FieldCache, GridMap,
-                   distance_field)
+from .grid import Cell, DistanceField, FieldCache, GridMap, distance_field
 from .usage import Path, UsageParams, UsageTable
 
 MASK64 = (1 << 64) - 1
@@ -285,12 +288,12 @@ def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
                          stop_depth: int | None = None) -> Path:
     """Shortest path with the usage penalty as a heuristic tie-breaker.
 
-    Aggregate tables are searched over plain vertices (waiting never helps at
-    unit cost); temporal tables are searched over (vertex, time) states with
-    wait moves, up to a bound derived from the distance and the table's
-    windows.  With stop_depth set, the search instead returns the best
-    shortest-path prefix of that many steps, which keeps the cost bounded
-    when only the first stretch of a long route matters.
+    The search runs over cells on the shortest-path DAG, with no wait move:
+    on a temporal table a cell's step is its distance from the start, and
+    the penalty is read at that step.  With stop_depth set, the search
+    instead returns the best shortest-path prefix of that many steps, which
+    keeps the cost bounded when only the first stretch of a long route
+    matters.
     """
     return _guided_search(grid, start, goal, table, dfield, cfg, 1.0, 0.0,
                           False, stats, stop_depth)
@@ -305,9 +308,11 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
 
     Each transition costs 1 + penalty / (max_pair_dist + 1); since a shortest
     path has at most max_pair_dist steps and every penalty is below 1, the
-    total surcharge stays below one step and length is never traded away.
-    The surcharge unit is far above float rounding for any supported map
-    size, so plain float comparisons are exact here.
+    total surcharge stays below one step.  Keys are plain floats, so two
+    paths of equal summed surcharge can reach a cell with g values a few
+    ulps apart (1.8e-15 has been seen); then float rounding, not the seeded
+    tie, picks between them, and a push that rounds better re-parents a
+    closed state.
     """
     return _guided_search(grid, start, goal, table, dfield, cfg, 0.0,
                           1.0 / (max_pair_dist + 1), True, stats, None)
@@ -320,13 +325,16 @@ def _guided_search(grid: GridMap, start: Cell, goal: Cell, table: UsageTable,
                    dfield: DistanceField, cfg: SearchConfig | None,
                    f_weight: float, g_weight: float, reopen: bool,
                    stats: SearchStats | None, stop_depth: int | None) -> Path:
-    """A* where a move costs 1 + pen * g_weight and f adds pen * f_weight.
+    """A* over the shortest-path DAG where a move costs 1 + pen * g_weight
+    and f adds pen * f_weight.
 
     A state's key is (f, g): a push must beat the best key so far and a pop
     that no longer matches it is stale.  An expanded state is closed.  With
     `reopen` a later, better push into a closed state is still recorded (it
     re-parents the state and counts as generated) but never expanded;
-    without it the closed state refuses every push.
+    without it the closed state refuses every push.  With every penalty in
+    [0, 1), a move off the DAG, or a wait, would give f >= d* + 1 and never
+    be popped before the goal, so leaving them out changes no result.
     """
     if stats is None:
         stats = SearchStats()
@@ -334,79 +342,65 @@ def _guided_search(grid: GridMap, start: Cell, goal: Cell, table: UsageTable,
     if base is None:
         raise NoPathError(f"no path from {start} to {goal}")
     seed = (cfg or SearchConfig()).tie_break_seed
-    params = table.params
-    temporal = params.temporal
-    if temporal:
-        max_time = base + 2 * (params.window_before + params.window_after) + 10
+    temporal = table.params.temporal
 
-    # a state is t * size + id, for padded ids below size, with t = 0 on an
-    # aggregate table; the table and the tie-break still see (x, y) cells
+    # a state is a padded id below size; on a temporal table the step of id
+    # v is base - labels[v], since only moves one level nearer the goal are
+    # searched.  The table and the tie-break still see (x, y) cells.
     cell_at = grid.cell_at
     size = len(cell_at)
     stride = grid.stride
-    labels, label_at = dfield.labels, dfield.at
+    labels = dfield.labels
     penalty = table.penalty
     goal_id = grid.cell_id(goal)
     cell_mix: dict[int, int] = {}  # _mix(seed, x, y) per id
 
-    def tie(state: int) -> int:
-        t, v = divmod(state, size)
+    def tie(v: int) -> int:
         cm = cell_mix.get(v)
         if cm is None:
             x, y = cell_at[v]
             cm = cell_mix[v] = _mix(seed, x, y)
-        return _fold(cm, t)
+        return _fold(cm, base - labels[v] if temporal else 0)
 
     queue = _TieQueue(tie)
     push, pop, live = queue.push, queue.pop, queue.keys
-    start_state = grid.cell_id(start)
-    parents = {start_state: None}
-    best = {start_state: (float(base), 0.0)}
+    start_id = grid.cell_id(start)
+    parents = {start_id: None}
+    best = {start_id: (float(base), 0.0)}
     closed = set()
-    push((float(base), 0.0), start_state)
+    push((float(base), 0.0), start_id)
     while live:
-        (f, neg_g), state = pop()
+        (f, neg_g), v = pop()
         g = -neg_g
-        if (f, g) > best[state] or state in closed:
+        if (f, g) > best[v] or v in closed:
             continue  # a stale queue entry, or closed
         if reopen:
-            closed.add(state)
+            closed.add(v)
         else:
-            best[state] = (-1.0,)  # below every (f, g) key
+            best[v] = (-1.0,)  # below every (f, g) key
         stats.expansions += 1
-        t, v = divmod(state, size)
         if v == goal_id or (stop_depth is not None and g >= stop_depth):
-            return [cell_at[u] for u in _unwind(parents, state, size)]
-        t_next = (t + 1) if temporal else 0
-        if temporal and t_next > max_time:
-            continue
-        at_next = t_next * size
+            return [cell_at[u] for u in _unwind(parents, v, size)]
+        # _grow labels whole BFS levels, so every cell one level nearer the
+        # goal than the labelled v is labelled already
+        h_next = labels[v] - 1
+        t_next = base - h_next if temporal else 0
         g_next = g + 1.0
         cv = cell_at[v]
-        if temporal:
-            moves = (v + 1, v - 1, v + stride, v - stride, v)
-        else:
-            moves = (v + 1, v - 1, v + stride, v - stride)
-        for nxt in moves:
-            h_dist = labels[nxt]
-            if h_dist < 0:
-                if h_dist == BLOCKED:
-                    continue
-                h_dist = label_at(nxt)
-                if h_dist is None:
-                    continue  # not in the goal's component
+        for nxt in (v + 1, v - 1, v + stride, v - stride):
+            if labels[nxt] != h_next:
+                continue
             pen = penalty(cv, cell_at[nxt], t_next)
             if not 0.0 <= pen < 1.0:
                 stats.penalty_bound_violations += 1
             ng = g_next + pen * g_weight
-            nf = ng + h_dist + pen * f_weight
-            nstate = at_next + nxt
+            nf = ng + h_next + pen * f_weight
             key = (nf, ng)
-            if key < best.get(nstate, _UNSEEN):
-                best[nstate] = key
-                parents[nstate] = state
+            if key < best.get(nxt, _UNSEEN):
+                best[nxt] = key
+                parents[nxt] = v
                 stats.generated += 1
-                push((nf, -ng), nstate)
+                push((nf, -ng), nxt)
     raise NoPathError(f"no path from {start} to {goal}")
 
 

@@ -217,10 +217,10 @@ GOLDEN = {
 
 
 GENERATED = {
-    "passes_cost_to_come": 6796,
-    "passes_cost_to_come_temporal": 8914,
-    "passes_cost_to_go": 5547,
-    "solve_mpp_temporal": 6729,
+    "passes_cost_to_come": 4319,
+    "passes_cost_to_come_temporal": 2768,
+    "passes_cost_to_go": 3354,
+    "solve_mpp_temporal": 2028,
 }
 
 
