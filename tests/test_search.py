@@ -196,6 +196,7 @@ def test_objectives_disagree_and_each_mode_wins_its_own():
 
 def test_randomized_oracle_equivalence_both_modes():
     rng = random.Random(42)
+    windows = random.Random(43)  # a stream apart, so the cases stay as drawn
     stats = SearchStats()
     cases = 0
     while cases < 120:
@@ -215,6 +216,15 @@ def test_randomized_oracle_equivalence_both_modes():
         assert len(p1) - 1 == field[s]
         assert metrics.peak_vertex_overlap(p1, table) == \
             min_objective(enum, table, "peak")[0]
+        # the same claims as a temporal vertex-only table, read at each step
+        timed = UsageTable.build(priors, UsageParams(
+            1.0, 0.0, windows.randint(0, 2), windows.randint(0, 3), True,
+            len(priors) + 1))
+        p3 = find_path_cost_to_go(grid, s, g, timed, field,
+                                  SearchConfig(tie_break_seed=cases), stats)
+        assert len(p3) - 1 == field[s]
+        assert metrics.peak_vertex_overlap(p3, timed) == \
+            min_objective(enum, timed, "peak")[0]
         dmax = max([field[s]] + [len(p) - 1 for p in priors])
         p2 = find_path_cost_to_come(grid, s, g, table, field, dmax,
                                     SearchConfig("cost_to_come", cases), stats)
@@ -223,6 +233,27 @@ def test_randomized_oracle_equivalence_both_modes():
             min_objective(enum, table, "total")[0]
         cases += 1
     assert stats.penalty_bound_violations == 0
+
+
+@pytest.mark.parametrize("temporal", [False, True])
+def test_over_unit_penalties_buy_no_detour(temporal):
+    # the straight row is claimed five times in a table sized for one robot,
+    # so every penalty on it is at least 1: the search counts the breach, yet
+    # it only searches shortest paths, so no detour around the row pays
+    grid = GridMap(5, 3)
+    row = [(x, 1) for x in range(5)]
+    table = UsageTable.build([row] * 5, UsageParams(1.0, 0.0, 0, 0, temporal, 1))
+    start, goal = (0, 1), (4, 1)
+    field = distance_field(grid, goal)
+    stats = SearchStats()
+    paths = [find_path_cost_to_go(grid, start, goal, table, field,
+                                  SearchConfig(tie_break_seed=0), stats),
+             find_path_cost_to_come(grid, start, goal, table, field, 4,
+                                    SearchConfig("cost_to_come", 0), stats)]
+    for path in paths:
+        assert_valid_path(grid, path, start, goal)
+        assert len(path) - 1 == field[start]
+    assert stats.penalty_bound_violations > 0
 
 
 def test_prefix_search_stops_at_depth():
