@@ -381,8 +381,7 @@ def _guided_search(grid: GridMap, start: Cell, goal: Cell, table: UsageTable,
         stats.expansions += 1
         if v == goal_id or (stop_depth is not None and g >= stop_depth):
             return [cell_at[u] for u in _unwind(parents, v, size)]
-        # _grow labels whole BFS levels, so every cell one level nearer the
-        # goal than the labelled v is labelled already
+        # _grow labels whole BFS levels: every cell nearer the goal is labelled
         h_next = labels[v] - 1
         t_next = base - h_next if temporal else 0
         g_next = g + 1.0
