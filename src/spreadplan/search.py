@@ -1,36 +1,36 @@
 """Single-robot search with usage-aware guidance, plus the multi-robot pass loop.
 
-One guided A* kernel, `_guided_search`, searches only the shortest-path DAG:
-from each cell it takes only the moves one distance level nearer the goal,
-so every path it returns is a shortest path whatever the table holds.  Its
-state is the cell's id alone, also on a temporal table, where the step of a
-cell on the DAG is fixed by its distance.  It places each move's usage
-penalty either in f or in g, and its two entry points choose the weights:
+Both single-robot searches walk only the shortest-path DAG: from each cell
+they take only the moves one distance level nearer the goal, so every path
+they return is a shortest path whatever the table holds.  A state is the
+cell's id alone, also on a temporal table, where the step of a cell on the
+DAG is fixed by its distance.  They differ in how a move's usage penalty
+counts:
 
-* cost_to_go: the penalty is added to the distance heuristic and breaks
-  ties between the equal-length paths; the returned path is a shortest path
-  whose worst interior cell is as lightly claimed as possible.  A closed
-  state refuses later pushes.
+* cost_to_go (`find_path_cost_to_go`): an A* whose f adds the penalty to
+  the distance, so the penalty breaks ties between the equal-length paths;
+  the returned path is a shortest path whose worst interior cell is as
+  lightly claimed as possible.
 
-* cost_to_come: the penalty is folded into the transition cost, scaled by
-  1 / (max start-goal distance + 1) so the surcharge accumulated along a
-  whole path stays below one step.  The returned path is a shortest path
-  whose total overlap with other paths is minimal.  A closed state still
-  takes a better push, which re-parents it, but is not expanded again.
+* cost_to_come (`find_path_cost_to_come`): a min-sum sweep over the DAG's
+  distance levels from the start, with no queue; the returned path is a
+  shortest path with the least summed penalty, which on an aggregate
+  vertex table is the least total overlap with other paths.  An exactly
+  equal sum goes to the predecessor with the smaller `_mix(seed, x, y)`.
 
 `plan_independent_paths` runs these searches for every robot over several
 passes, keeping one usage table updated incrementally.  Prioritized
 planners search around one space-time table, `_Reservations`.
 
-Both A* loops (`_guided_search` here, over ids, and `lifelong._plan_window`,
-over space-time states) pop their states through `_TieQueue`.  It pops in
-exactly the order of a heap of (key, tie, push counter, state) tuples, where
-the tie is a seeded splitmix hash of the state, yet it hashes a state only
-when another state holds the same key at pop time: keys compare the same way
-in a dict as in a heap, and push order within one key is the counter's
-order.  The one-shot resolver needs no queue: its layered search
-(`oneshot._layered_plan`) recovers the path and the pop count of an A* with
-this order from bit-mask layers.
+Both A* loops (`find_path_cost_to_go` here, over ids, and
+`lifelong._plan_window`, over space-time states) pop their states through
+`_TieQueue`.  It pops in exactly the order of a heap of (key, tie, push
+counter, state) tuples, where the tie is a seeded splitmix hash of the
+state, yet it hashes a state only when another state holds the same key at
+pop time: keys compare the same way in a dict as in a heap, and push order
+within one key is the counter's order.  The one-shot resolver needs no
+queue: its layered search (`oneshot._layered_plan`) recovers the path and
+the pop count of an A* with this order from bit-mask layers.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class _TieQueue:
     bucket popped while it holds more is ranked once by (tie, place in push
     order); a later push into a ranked bucket is ranked after every state
     pushed before it at the same tie.  Keys may be ints or tuples of
-    floats: a dict groups exactly the keys that a heap finds equal
+    numbers: a dict groups exactly the keys that a heap finds equal
     (`-0.0 == 0.0`, and both hash alike), so the two orders agree.
 
     `pop` returns (key, state).  Search loops bind `push` and `pop` to
@@ -151,6 +151,7 @@ class SearchConfig:
 class SearchStats:
     expansions: int = 0
     generated: int = 0
+    evaluations: int = 0  # penalty reads
     penalty_bound_violations: int = 0
 
 
@@ -281,6 +282,9 @@ class _Reservations:
         return self._last.get(v, -1) + 1
 
 
+_UNSEEN = float("inf")  # above every f
+
+
 def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
                          table: UsageTable, dfield: DistanceField,
                          cfg: SearchConfig | None = None,
@@ -288,53 +292,17 @@ def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
                          stop_depth: int | None = None) -> Path:
     """Shortest path with the usage penalty as a heuristic tie-breaker.
 
-    The search runs over cells on the shortest-path DAG, with no wait move:
-    on a temporal table a cell's step is its distance from the start, and
-    the penalty is read at that step.  With stop_depth set, the search
-    instead returns the best shortest-path prefix of that many steps, which
-    keeps the cost bounded when only the first stretch of a long route
-    matters.
-    """
-    return _guided_search(grid, start, goal, table, dfield, cfg, 1.0, 0.0,
-                          False, stats, stop_depth)
-
-
-def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
-                           table: UsageTable, dfield: DistanceField,
-                           max_pair_dist: int,
-                           cfg: SearchConfig | None = None,
-                           stats: SearchStats | None = None) -> Path:
-    """Shortest path minimizing the summed usage surcharge along it.
-
-    Each transition costs 1 + penalty / (max_pair_dist + 1); since a shortest
-    path has at most max_pair_dist steps and every penalty is below 1, the
-    total surcharge stays below one step.  Keys are plain floats, so two
-    paths of equal summed surcharge can reach a cell with g values a few
-    ulps apart (1.8e-15 has been seen); then float rounding, not the seeded
-    tie, picks between them, and a push that rounds better re-parents a
-    closed state.
-    """
-    return _guided_search(grid, start, goal, table, dfield, cfg, 0.0,
-                          1.0 / (max_pair_dist + 1), True, stats, None)
-
-
-_UNSEEN = (float("inf"),)  # above every (f, g) key
-
-
-def _guided_search(grid: GridMap, start: Cell, goal: Cell, table: UsageTable,
-                   dfield: DistanceField, cfg: SearchConfig | None,
-                   f_weight: float, g_weight: float, reopen: bool,
-                   stats: SearchStats | None, stop_depth: int | None) -> Path:
-    """A* over the shortest-path DAG where a move costs 1 + pen * g_weight
-    and f adds pen * f_weight.
-
-    A state's key is (f, g): a push must beat the best key so far and a pop
-    that no longer matches it is stale.  An expanded state is closed.  With
-    `reopen` a later, better push into a closed state is still recorded (it
-    re-parents the state and counts as generated) but never expanded;
-    without it the closed state refuses every push.  With every penalty in
-    [0, 1), a move off the DAG, or a wait, would give f >= d* + 1 and never
-    be popped before the goal, so leaving them out changes no result.
+    A* over the cells of the shortest-path DAG, with no wait move: on a
+    temporal table a cell's step is its distance from the start, and the
+    penalty is read at that step.  Every move on the DAG keeps g + h at the
+    start's distance d*, so a state's f is d* + pen of the move that reached
+    it; the queue key is (f, h), deepest first among equal f.  An expanded
+    state is closed and refuses later pushes.  With every penalty in [0, 1),
+    a move off the DAG, or a wait, would give f >= d* + 1 and never be
+    popped before the goal, so leaving them out changes no result.  With
+    stop_depth set, the search instead returns the best shortest-path prefix
+    of that many steps, which keeps the cost bounded when only the first
+    stretch of a long route matters.
     """
     if stats is None:
         stats = SearchStats()
@@ -343,10 +311,10 @@ def _guided_search(grid: GridMap, start: Cell, goal: Cell, table: UsageTable,
         raise NoPathError(f"no path from {start} to {goal}")
     seed = (cfg or SearchConfig()).tie_break_seed
     temporal = table.params.temporal
+    depth_end = -1 if stop_depth is None else base - stop_depth
 
     # a state is a padded id below size; on a temporal table the step of id
-    # v is base - labels[v], since only moves one level nearer the goal are
-    # searched.  The table and the tie-break still see (x, y) cells.
+    # v is base - labels[v].  The table and the tie-break see (x, y) cells.
     cell_at = grid.cell_at
     size = len(cell_at)
     stride = grid.stride
@@ -366,41 +334,118 @@ def _guided_search(grid: GridMap, start: Cell, goal: Cell, table: UsageTable,
     push, pop, live = queue.push, queue.pop, queue.keys
     start_id = grid.cell_id(start)
     parents = {start_id: None}
-    best = {start_id: (float(base), 0.0)}
-    closed = set()
-    push((float(base), 0.0), start_id)
+    best = {start_id: float(base)}  # least f pushed; -1.0 once closed
+    push((float(base), base), start_id)
     while live:
-        (f, neg_g), v = pop()
-        g = -neg_g
-        if (f, g) > best[v] or v in closed:
+        (f, h), v = pop()
+        if f > best[v]:
             continue  # a stale queue entry, or closed
-        if reopen:
-            closed.add(v)
-        else:
-            best[v] = (-1.0,)  # below every (f, g) key
+        best[v] = -1.0
         stats.expansions += 1
-        if v == goal_id or (stop_depth is not None and g >= stop_depth):
+        if v == goal_id or h <= depth_end:
             return [cell_at[u] for u in _unwind(parents, v, size)]
         # _grow labels whole BFS levels: every cell nearer the goal is labelled
-        h_next = labels[v] - 1
+        h_next = h - 1
         t_next = base - h_next if temporal else 0
-        g_next = g + 1.0
         cv = cell_at[v]
         for nxt in (v + 1, v - 1, v + stride, v - stride):
             if labels[nxt] != h_next:
                 continue
             pen = penalty(cv, cell_at[nxt], t_next)
+            stats.evaluations += 1
             if not 0.0 <= pen < 1.0:
                 stats.penalty_bound_violations += 1
-            ng = g_next + pen * g_weight
-            nf = ng + h_next + pen * f_weight
-            key = (nf, ng)
-            if key < best.get(nxt, _UNSEEN):
-                best[nxt] = key
+            nf = float(base) + pen
+            if nf < best.get(nxt, _UNSEEN):
+                best[nxt] = nf
                 parents[nxt] = v
                 stats.generated += 1
-                push((nf, -ng), nxt)
+                push((nf, h_next), nxt)
     raise NoPathError(f"no path from {start} to {goal}")
+
+
+def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
+                           table: UsageTable, dfield: DistanceField,
+                           max_pair_dist: int,
+                           cfg: SearchConfig | None = None,
+                           stats: SearchStats | None = None) -> Path:
+    """Shortest path with the least summed usage penalty along it.
+
+    A sweep over the shortest-path DAG from the start, one distance level
+    at a time: each reached cell keeps the least penalty sum over the moves
+    into it from the level before, and the predecessor that gives it.  An
+    exactly equal sum goes to the predecessor with the smaller
+    `_mix(seed, x, y)`.  On a temporal table a move is read at the step of
+    the cell it arrives at, base - its label.  Every path compared is a
+    shortest path, so the sum needs no scaling and carries no step count;
+    `max_pair_dist` is accepted for callers and not used.  `expansions`
+    counts the reached cells, `generated` the moves that lowered a sum.
+    """
+    if stats is None:
+        stats = SearchStats()
+    base = dfield.get(start)
+    if base is None:
+        raise NoPathError(f"no path from {start} to {goal}")
+    seed = (cfg or SearchConfig()).tie_break_seed
+    temporal = table.params.temporal
+    cell_at = grid.cell_at
+    stride = grid.stride
+    labels = dfield.labels
+    penalty = table.penalty
+    cell_mix: dict[int, int] = {}  # _mix(seed, x, y) per id, hashed on a tie
+
+    def mix(v: int) -> int:
+        cm = cell_mix.get(v)
+        if cm is None:
+            x, y = cell_at[v]
+            cm = cell_mix[v] = _mix(seed, x, y)
+        return cm
+
+    start_id = grid.cell_id(start)
+    sums = {start_id: 0.0}
+    parents = {start_id: None}
+    level = [start_id]
+    evaluations = generated = violations = 0
+    # _grow labels whole BFS levels: every cell nearer the goal is labelled
+    for h in range(base - 1, -1, -1):
+        t = base - h if temporal else 0
+        reached = []
+        for u in level:
+            su = sums[u]
+            cu = cell_at[u]
+            for v in (u + 1, u - 1, u + stride, u - stride):
+                if labels[v] != h:
+                    continue
+                pen = penalty(cu, cell_at[v], t)
+                evaluations += 1
+                if not 0.0 <= pen < 1.0:
+                    violations += 1
+                s = su + pen
+                old = sums.get(v)
+                if old is None:
+                    reached.append(v)
+                elif s > old:
+                    continue
+                elif s == old:
+                    if mix(u) < mix(parents[v]):
+                        parents[v] = u
+                    continue
+                sums[v] = s
+                parents[v] = u
+                generated += 1
+        stats.expansions += len(level)
+        level = reached
+    stats.expansions += len(level)
+    stats.evaluations += evaluations
+    stats.generated += generated
+    stats.penalty_bound_violations += violations
+    path = []
+    v = level[0]  # the goal, the only cell at distance 0
+    while v is not None:
+        path.append(cell_at[v])
+        v = parents[v]
+    path.reverse()
+    return path
 
 
 def order_robots(distances: list[int]) -> list[int]:
@@ -453,12 +498,14 @@ def plan_independent_paths(grid: GridMap, tasks: list[tuple[Cell, Cell]],
     else:
         raise ValueError(f"unknown order {order!r}")
 
+    max_dist = max(dists, default=0)
+
     def search(i: int, table: UsageTable) -> Path:
         s, g = tasks[i]
         robot_cfg = SearchConfig(cfg.mode, _mix(cfg.tie_break_seed, i))
         if cfg.mode == "cost_to_come":
             return find_path_cost_to_come(grid, s, g, table, fields(g),
-                                          max(dists), robot_cfg, stats)
+                                          max_dist, robot_cfg, stats)
         return find_path_cost_to_go(grid, s, g, table, fields(g), robot_cfg, stats)
 
     paths: list[Path | None] = [None] * n

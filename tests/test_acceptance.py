@@ -130,7 +130,7 @@ def test_03_min_total_matches_bruteforce():
 
 
 def test_04_penalty_always_below_one():
-    evaluated = SHARED_SEARCH_STATS.generated
+    evaluated = SHARED_SEARCH_STATS.evaluations
     violations = SHARED_SEARCH_STATS.penalty_bound_violations
     report(4, "penalty stays in [0,1) during all searches",
            evaluated > 0 and violations == 0,

@@ -196,9 +196,9 @@ GOLDEN = {
     "passes_cost_to_go":
         "8f1928d220ab3427866361a83f8b6c33028156455fd013ad660d16a0c2994837",
     "passes_cost_to_come":
-        "7e19b291d9c0964e10720329d8a764d19ce834c85f06a67bab77de0eae497807",
+        "b4f5a7a369da2db4765b6ef2275785999a25f83771024941f8458bcbda7c030b",
     "passes_cost_to_come_temporal":
-        "64f1220d5aa11ff9ec2b59b86dfd44b1d60c7b990efe591fc3b826b5ceffffe8",
+        "53f00651ceb8eb6293c32cf927b29adeb55f51dc380cc6ce473324f7a5231fba",
     "resolver_error":
         "ae9b276492ce2659db7e0844ee172c6e94b0cafeee88772efd19fce48d6971be",
     "solve_mpp_goal_wait":
@@ -217,8 +217,8 @@ GOLDEN = {
 
 
 GENERATED = {
-    "passes_cost_to_come": 4319,
-    "passes_cost_to_come_temporal": 2768,
+    "passes_cost_to_come": 5726,
+    "passes_cost_to_come_temporal": 5280,
     "passes_cost_to_go": 3354,
     "solve_mpp_temporal": 2028,
 }

@@ -151,6 +151,37 @@ def test_cost_to_come_empty_table_shortest():
     field = distance_field(grid, (3, 3))
     path = find_path_cost_to_come(grid, (0, 0), (3, 3), empty_table(), field, 6)
     assert len(path) - 1 == 6
+    # on an empty table every sum ties, so the seed alone picks the path
+    grid = GridMap(6, 6)
+    field = distance_field(grid, (5, 5))
+    paths = set()
+    for seed in range(10):
+        cfg = SearchConfig("cost_to_come", seed)
+        path = find_path_cost_to_come(grid, (0, 0), (5, 5), empty_table(),
+                                      field, 10, cfg)
+        assert_valid_path(grid, path, (0, 0), (5, 5))
+        assert len(path) - 1 == 10
+        assert find_path_cost_to_come(grid, (0, 0), (5, 5), empty_table(),
+                                      field, 10, cfg) == path
+        paths.add(tuple(path))
+    assert len(paths) >= 2
+
+
+def test_search_counts_every_penalty_evaluation():
+    # corner to corner on an open 3x3 map the DAG has 2 + 4 + 4 + 2 moves,
+    # and the sweep reads each of them once
+    grid = GridMap(3, 3)
+    field = distance_field(grid, (2, 2))
+    come = SearchStats()
+    find_path_cost_to_come(grid, (0, 0), (2, 2), empty_table(), field, 4,
+                           SearchConfig("cost_to_come", 3), come)
+    assert come.evaluations == 12
+    assert come.expansions == 9  # every cell of the DAG is reached
+    go = SearchStats()
+    find_path_cost_to_go(grid, (0, 0), (2, 2), empty_table(), field,
+                         SearchConfig(tie_break_seed=3), go)
+    for stats in (come, go):
+        assert stats.evaluations >= stats.generated > 0
 
 
 def test_cost_to_come_prefers_lighter_corridor():
@@ -194,6 +225,42 @@ def test_objectives_disagree_and_each_mode_wins_its_own():
     assert come_peak == 2  # concentrates to keep the sum down
 
 
+def path_penalty(path, table):
+    """The summed penalty of `path`, each move read at its arrival step."""
+    return sum(table.penalty(path[t - 1], path[t], t)
+               for t in range(1, len(path)))
+
+
+def check_oracle_case(grid, s, g, priors, window, seed, stats):
+    """Both modes on one case against the exhaustive minima over every
+    shortest path: cost_to_go's worst interior cell on an aggregate and a
+    temporal vertex-only table, and cost_to_come's summed overlap on that
+    aggregate table and its summed penalty on every kind of table."""
+    field = distance_field(grid, g)
+    n = len(priors) + 1
+    table = UsageTable.build(priors, UsageParams(1.0, 0.0, num_robots=n))
+    mixed = UsageTable.build(priors, UsageParams(0.5, 0.5, num_robots=n))
+    # the same claims as a temporal vertex-only table, read at each step
+    timed = UsageTable.build(priors, UsageParams(1.0, 0.0, *window, True, n))
+    enum = enumerate_shortest_paths(grid, s, g)
+    for claims in (table, timed):
+        path = find_path_cost_to_go(grid, s, g, claims, field,
+                                    SearchConfig(tie_break_seed=seed), stats)
+        assert len(path) - 1 == field[s]
+        assert metrics.peak_vertex_overlap(path, claims) == \
+            min_objective(enum, claims, "peak")[0]
+    dmax = max([field[s]] + [len(p) - 1 for p in priors])
+    for claims in (table, mixed, timed):
+        path = find_path_cost_to_come(grid, s, g, claims, field, dmax,
+                                      SearchConfig("cost_to_come", seed), stats)
+        assert len(path) - 1 == field[s]
+        assert path_penalty(path, claims) == pytest.approx(
+            min(path_penalty(p, claims) for p in enum.paths), abs=1e-9)
+        if claims is table:
+            assert sum(table.vertex_use.get(v, 0) for v in set(path)) == \
+                min_objective(enum, table, "total")[0]
+
+
 def test_randomized_oracle_equivalence_both_modes():
     rng = random.Random(42)
     windows = random.Random(43)  # a stream apart, so the cases stay as drawn
@@ -204,35 +271,27 @@ def test_randomized_oracle_equivalence_both_modes():
                                     rng.choice([0.0, 0.1]), rng.randrange(999))
         cells = list(grid.vertices())
         s, g = rng.sample(cells, 2)
-        field = distance_field(grid, g)
-        if s not in field:
+        if s not in distance_field(grid, g):
             continue
         priors = build_prior_paths(grid, rng, rng.randint(0, 6))
-        table = UsageTable.build(priors,
-                                 UsageParams(1.0, 0.0, num_robots=len(priors) + 1))
-        enum = enumerate_shortest_paths(grid, s, g)
-        p1 = find_path_cost_to_go(grid, s, g, table, field,
-                                  SearchConfig(tie_break_seed=cases), stats)
-        assert len(p1) - 1 == field[s]
-        assert metrics.peak_vertex_overlap(p1, table) == \
-            min_objective(enum, table, "peak")[0]
-        # the same claims as a temporal vertex-only table, read at each step
-        timed = UsageTable.build(priors, UsageParams(
-            1.0, 0.0, windows.randint(0, 2), windows.randint(0, 3), True,
-            len(priors) + 1))
-        p3 = find_path_cost_to_go(grid, s, g, timed, field,
-                                  SearchConfig(tie_break_seed=cases), stats)
-        assert len(p3) - 1 == field[s]
-        assert metrics.peak_vertex_overlap(p3, timed) == \
-            min_objective(enum, timed, "peak")[0]
-        dmax = max([field[s]] + [len(p) - 1 for p in priors])
-        p2 = find_path_cost_to_come(grid, s, g, table, field, dmax,
-                                    SearchConfig("cost_to_come", cases), stats)
-        assert len(p2) - 1 == field[s]
-        assert sum(table.vertex_use.get(v, 0) for v in set(p2)) == \
-            min_objective(enum, table, "total")[0]
+        window = (windows.randint(0, 2), windows.randint(0, 3))
+        check_oracle_case(grid, s, g, priors, window, cases, stats)
+        cases += 1
+    # larger maps, drawn from a third stream
+    larger = random.Random(44)
+    while cases < 160:
+        grid = generate_random_grid(larger.randint(6, 8), larger.randint(6, 8),
+                                    larger.choice([0.0, 0.1]),
+                                    larger.randrange(999))
+        s, g = larger.sample(list(grid.vertices()), 2)
+        if s not in distance_field(grid, g):
+            continue
+        priors = build_prior_paths(grid, larger, larger.randint(0, 10))
+        window = (larger.randint(0, 2), larger.randint(0, 3))
+        check_oracle_case(grid, s, g, priors, window, cases, stats)
         cases += 1
     assert stats.penalty_bound_violations == 0
+    assert stats.evaluations >= stats.generated > 0
 
 
 @pytest.mark.parametrize("temporal", [False, True])
@@ -379,7 +438,7 @@ def test_fold_continues_mix():
 def _random_key(rng, kind):
     if kind == "int":
         return rng.randrange(-2, 6)
-    # float tuples as the guided kernel's (f, -g); the signed zeros are equal
+    # tuples like the cost-to-go search's (f, h) keys; signed zeros are equal
     return (rng.choice((0.0, -0.0, 1.0, 1.5, 2.0)),
             rng.choice((0.0, -0.0, -1.0, -0.5)))
 
