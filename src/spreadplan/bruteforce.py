@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grid import Cell, GridMap, distance_field
-from .metrics import pairwise_overlap, peak_vertex_overlap
+from .metrics import peak_vertex_overlap
 from .usage import Path, UsageTable
 
 
@@ -79,11 +79,3 @@ def min_objective(enumeration: PathEnumeration, table: UsageTable,
         raise ValueError("empty enumeration")
     return best_value, best_path
 
-
-def min_peak_overlap(enumeration: PathEnumeration, table: UsageTable) -> int:
-    return min_objective(enumeration, table, "peak")[0]
-
-
-def min_total_overlap(enumeration: PathEnumeration, prior_paths: list[Path]) -> int:
-    """Minimum pairwise image overlap against explicit prior paths."""
-    return min(pairwise_overlap(p, prior_paths) for p in enumeration.paths)

@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import metrics
 from .grid import (FieldCache, GenerationError, MapParseError, generate_instance,
@@ -57,14 +55,6 @@ def _load_grid(path: str):
         return parse_movingai_map(fh.read())
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SPREADPLAN_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def cmd_gen_map(args) -> int:
     if args.kind == "random":
         grid = generate_random_grid(args.width, args.height, args.obstacle_ratio,
@@ -72,7 +62,7 @@ def cmd_gen_map(args) -> int:
     else:
         grid = generate_warehouse(args.width, args.height,
                                   (args.shelf_width, args.shelf_height),
-                                  args.aisle, args.seed)
+                                  args.aisle)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(grid_to_movingai(grid))
     _write_manifest(args.out, vars(args) | {"command": "gen-map"})
@@ -158,19 +148,19 @@ _STANDALONE_METRICS = {
 }
 
 
-def run_standalone_case(case: tuple) -> tuple[int, list[int]]:
-    """Worker: one seed of a standalone sweep; returns (seed, metric per r)."""
-    (seed, width, height, ratio, n, r_max, order, metric_name, mode,
-     window_before, window_after) = case
-    metric_fn, preset = _STANDALONE_METRICS[metric_name]
-    grid = generate_random_grid(width, height, ratio, seed)
+def run_standalone_case(args, seed: int) -> list[int]:
+    """One seed of a standalone sweep: the metric after each pass r."""
+    metric_fn, preset = _STANDALONE_METRICS[args.metric]
+    grid = generate_random_grid(args.width, args.height, args.obstacle_ratio,
+                                seed)
+    n, r_max, order = args.n, args.r_max, args.order
     robots = generate_instance(grid, n, seed * 31 + 1)
     tasks = [(s, gs[0]) for s, gs in robots]
     params = UsageParams(preset["vw"], preset["ew"],
-                         window_before if preset["temporal"] else 0,
-                         window_after if preset["temporal"] else 0,
+                         args.window_before if preset["temporal"] else 0,
+                         args.window_after if preset["temporal"] else 0,
                          preset["temporal"], n)
-    cfg = SearchConfig(mode=mode, tie_break_seed=seed)
+    cfg = SearchConfig(mode=args.mode, tie_break_seed=seed)
     values: list[int] = []
     baseline = plan_independent_paths(grid, tasks, params, 0, cfg, order=order)
     values.append(metric_fn(baseline))
@@ -183,25 +173,17 @@ def run_standalone_case(case: tuple) -> tuple[int, list[int]]:
         plan_independent_paths(grid, tasks, params, r_max, cfg, order=order,
                                on_iteration=record)
         values.extend(per_iteration[r] for r in range(1, r_max + 1))
-    return seed, values
+    return values
 
 
 def cmd_bench_standalone(args) -> int:
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
-    cases = [(seed, args.width, args.height, args.obstacle_ratio, args.n,
-              args.r_max, args.order, args.metric, args.mode,
-              args.window_before, args.window_after) for seed in seeds]
-    workers = _worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(run_standalone_case, cases))
-    else:
-        results = dict(map(run_standalone_case, cases))
+    results = {seed: run_standalone_case(args, seed) for seed in seeds}
 
     header = ["seed", "order", "metric"] + [f"r{r}" for r in range(args.r_max + 1)]
     rows = []
     for seed in seeds:
-        rows.append([seed, args.order, args.metric] + list(results[seed]))
+        rows.append([seed, args.order, args.metric] + results[seed])
     means = [sum(results[s][r] for s in seeds) / len(seeds)
              for r in range(args.r_max + 1)]
     rows.append(["mean", args.order, args.metric] + [_fmt(m) for m in means])

@@ -368,35 +368,34 @@ def parse_movingai_scen(text: str) -> list[ScenEntry]:
 
 
 def generate_random_grid(width: int, height: int, obstacle_ratio: float,
-                         seed: int, max_attempts: int = 100) -> GridMap:
+                         seed: int) -> GridMap:
     """Random connected grid with floor(width*height*ratio) blocked cells.
 
-    Deterministic per seed; retries with fresh draws from the same stream
-    until the passable region is connected.
+    Deterministic per seed; retries with fresh draws from the same stream,
+    up to 100 times, until the passable region is connected.
     """
     if not 0 <= obstacle_ratio < 1:
         raise ValueError("obstacle_ratio must be in [0, 1)")
     rng = random.Random(seed)
     n_blocked = int(width * height * obstacle_ratio)
     cells = [(x, y) for y in range(height) for x in range(width)]
-    for _ in range(max_attempts):
+    for _ in range(100):
         blocked = frozenset(rng.sample(cells, n_blocked))
         grid = GridMap(width, height, blocked)
         if grid.is_connected():
             return grid
     raise GenerationError(
         f"no connected {width}x{height} map at ratio {obstacle_ratio} "
-        f"within {max_attempts} attempts")
+        "within 100 attempts")
 
 
 def generate_warehouse(width: int, height: int, shelf_block: tuple[int, int],
-                       aisle: int, seed: int = 0) -> GridMap:
+                       aisle: int) -> GridMap:
     """Warehouse layout: rectangular shelf blocks separated by aisles.
 
     A passable boundary ring is kept on all four sides.  The layout is
-    deterministic; the seed argument is accepted for interface uniformity.
+    deterministic.
     """
-    del seed
     shelf_w, shelf_h = shelf_block
     if aisle < 1:
         raise GenerationError("aisle width must be >= 1")

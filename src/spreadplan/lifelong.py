@@ -17,9 +17,10 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .grid import BLOCKED, Cell, DistanceField, FieldCache, GridMap, distance_field
-from .metrics import path_length, throughput
-from .search import (NoPathError, SearchConfig, _fold, _mix, _Reservations,
-                     _TieQueue, _unwind, find_path_cost_to_go)
+from .metrics import makespan, sum_of_cost, throughput
+from .oneshot import MppInstance, lower_bounds
+from .search import (NoPathError, SearchConfig, _cell_mix, _fold, _mix,
+                     _Reservations, _TieQueue, _unwind, find_path_cost_to_go)
 from .usage import Path, UsageParams, UsageTable
 
 
@@ -43,8 +44,6 @@ class HorizonConfig:
     params: UsageParams = field(default_factory=UsageParams)
     seed: int = 0
     commit: int | None = None  # steps executed per cycle; defaults to h
-    retries: int = 10
-    max_expansions: int = 200_000
 
     def __post_init__(self) -> None:
         if self.h < 1:
@@ -56,22 +55,20 @@ class HorizonConfig:
 VARIANTS = ("baseline", "cut", "cut+usage", "cut+usage+temporal")
 
 
-def config_for_variant(variant: str, h: int, seed: int = 0,
-                       window_before: int = 1, window_after: int = 5) -> HorizonConfig:
+def config_for_variant(variant: str, h: int, seed: int = 0) -> HorizonConfig:
     """Benchmark presets: no cut, plain cut, usage-picked targets, temporal.
 
-    The temporal windows default to a short smear around each leg step; target
-    legs are only loosely synchronized with execution, and a batch calibration
-    on warehouse runs showed a small forward window works best there.
+    The temporal windows are a short smear around each leg step, 1 step
+    before and 5 after; target legs are only loosely synchronized with
+    execution, and a batch calibration on warehouse runs showed a small
+    forward window works best there.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     cut = variant != "baseline"
     usage_targets = variant.startswith("cut+usage")
     temporal = variant == "cut+usage+temporal"
-    params = UsageParams(0.5, 0.5,
-                         window_before if temporal else 0,
-                         window_after if temporal else 0,
+    params = UsageParams(0.5, 0.5, 1 if temporal else 0, 5 if temporal else 0,
                          temporal, 1)
     return HorizonConfig(h=h, use_horizon_cut=cut,
                          use_usage_targets=usage_targets,
@@ -328,7 +325,6 @@ def _plan_window(grid: GridMap, plan: _WindowPlan, h: int,
     K = len(target_ids)
     max_t = h + rem0 + grid.width + grid.height
 
-    cell_at = grid.cell_at
     template = grid.template
     stride = grid.stride
     size = len(template)
@@ -339,16 +335,12 @@ def _plan_window(grid: GridMap, plan: _WindowPlan, h: int,
     def wait_safe(v: int, t_from: int) -> bool:
         return all(t * size + v not in vertex_res for t in range(t_from + 1, h + 1))
 
-    cell_mix: dict[int, int] = {}  # _mix(seed, x, y) per id
+    mix = _cell_mix(grid, seed)
 
     def tie(state: int) -> int:
         k, v = divmod(state, k_step)
         t, v = divmod(v, size)
-        cm = cell_mix.get(v)
-        if cm is None:
-            x, y = cell_at[v]
-            cm = cell_mix[v] = _mix(seed, x, y)
-        return _fold(_fold(cm, t), k)
+        return _fold(_fold(mix(v), t), k)
 
     # the key f * span + (span - 1 - t) orders states by (f, -t), for every
     # t <= max_t; a state enters the queue once, when it first enters
@@ -459,8 +451,7 @@ def run_lifelong(grid: GridMap, streams: list[GoalStream], cfg: HorizonConfig,
 
         t0 = time.perf_counter()
         paths, expansions = windowed_solver(grid, positions, targets, h,
-                                            fields, _mix(cfg.seed, cycle),
-                                            cfg.retries, cfg.max_expansions)
+                                            fields, _mix(cfg.seed, cycle))
         solver_ms = (time.perf_counter() - t0) * 1000.0
 
         finals: dict[Cell, int] = {}
@@ -499,17 +490,17 @@ def solve_mpp_via_horizon(grid: GridMap, tasks: list[tuple[Cell, Cell]],
                           stall_cycles: int = 20) -> HorizonSolveResult:
     """One-shot solving as a horizon loop with single-goal target lists.
 
-    Cycles until every robot rests on its goal at a cycle boundary; raises
-    LivelockError when `stall_cycles` consecutive cycles pass with no robot
-    newly settled.
+    The tasks are checked as an `MppInstance`, so blocked or repeated starts
+    or goals raise InstanceError.  Cycles until every robot rests on its
+    goal at a cycle boundary; raises LivelockError when `stall_cycles`
+    consecutive cycles pass with no robot newly settled.
     """
+    instance = MppInstance(grid, tasks)
     n = len(tasks)
     starts = [s for s, _ in tasks]
     goals = [g for _, g in tasks]
-    if len(set(starts)) != n or len(set(goals)) != n:
-        raise ValueError("starts and goals must be pairwise distinct")
     fields = FieldCache(grid, distance_field)
-    lb_dists = [fields.dist(s, g) for (s, g) in tasks]
+    lb_mk, lb_sc = lower_bounds(instance, fields)
 
     positions = list(starts)
     trajectories: list[Path] = [[s] for s in starts]
@@ -520,20 +511,14 @@ def solve_mpp_via_horizon(grid: GridMap, tasks: list[tuple[Cell, Cell]],
     while True:
         if all(positions[i] == goals[i] for i in range(n)):
             break
-        chains = []
-        for i in range(n):
-            if positions[i] == goals[i]:
-                chains.append(([positions[i], goals[i]], 0))
-            else:
-                chains.append((
-                    [positions[i], goals[i]], fields.dist(positions[i], goals[i])))
+        chains = [truncate_goal_list(positions[i], [goals[i]], cfg.h, fields.dist)
+                  for i in range(n)]
         if cfg.use_horizon_cut:
             targets = apply_horizon_cut(grid, chains, cfg, fields, cycle)
         else:
             targets = [chain[1:] for chain, _ in chains]
         paths, expansions = windowed_solver(grid, positions, targets, cfg.h,
-                                            fields, _mix(cfg.seed, cycle),
-                                            cfg.retries, cfg.max_expansions)
+                                            fields, _mix(cfg.seed, cycle))
         expansions_total += expansions
         for i in range(n):
             trajectories[i].extend(paths[i][1:])
@@ -549,11 +534,7 @@ def solve_mpp_via_horizon(grid: GridMap, tasks: list[tuple[Cell, Cell]],
                 raise LivelockError(
                     f"no progress for {stall_cycles} cycles ({settled}/{n} settled)")
 
-    lengths = [path_length(tr) for tr in trajectories]
-    mk = max(lengths, default=0)
-    sc = sum(lengths)
-    lb_mk = max(lb_dists, default=0)
-    lb_sc = sum(lb_dists)
+    mk, sc = makespan(trajectories), sum_of_cost(trajectories)
     return HorizonSolveResult(
         paths=trajectories, makespan=mk, sum_of_cost=sc,
         makespan_ratio=mk / lb_mk if lb_mk else 1.0,

@@ -1,12 +1,13 @@
 """One-shot multi-robot pipeline: guided independent paths, then resolution.
 
 Phase 1 plans individually-shortest paths that spread usage; phase 2 turns
-them into a collision-free set.  The default resolver is prioritized
+them into a collision-free set.  The resolver is prioritized
 space-time planning: robots are processed longest-path-first, each keeping
 its phase-1 path when it is already clean against the reservations and
 re-planning around them otherwise.  Prioritized resolution is incomplete by
-design; the resolver interface is a single function so a stronger engine can
-be swapped in without touching phase 1.
+design: it can fail on a solvable instance.  Phase 2 reads only phase 1's
+paths, so a stronger resolver would replace `default_resolver_prioritized`
+without touching phase 1.
 
 A re-plan is a layered search over bit masks, a bit-parallel BFS in the
 manner of Akiba et al. (SIGMOD 2013): one Python int per time step holds
@@ -25,8 +26,8 @@ from dataclasses import dataclass, field
 from .grid import BLOCKED, Cell, FieldCache, GridMap, distance_field
 from .metrics import (makespan, max_vertex_overlap, robots_by_step,
                       sum_of_cost, timed_conflicts, total_pairwise_overlap)
-from .search import (InstanceError, SearchConfig, SearchStats, _fold, _mix,
-                     _Reservations, plan_independent_paths)
+from .search import (InstanceError, SearchConfig, SearchStats, _cell_mix,
+                     _fold, _mix, _Reservations, plan_independent_paths)
 from .usage import Path, UsageParams
 
 
@@ -153,15 +154,15 @@ def validate_solution(paths: list[Path], grid: GridMap | None = None,
 
 
 def default_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
-                                 priority: list[int] | None = None,
                                  seed: int = 0,
                                  stats: SolveStats | None = None
                                  ) -> list[Path]:
     """Sequential space-time scheduling around earlier robots' reservations.
 
-    Robots whose initial path is already clean keep it unchanged; the rest
-    re-plan with waits allowed, by the layered search of `_layered_plan`.
-    Each robot's final cell is reserved for all later steps.  Raises
+    Robots go longest initial path first, ties by index.  Robots whose
+    initial path is already clean keep it unchanged; the rest re-plan with
+    waits allowed, by the layered search of `_layered_plan`.  Each robot's
+    final cell is reserved for all later steps.  Raises
     ResolverError naming the first robot that cannot be scheduled within
     the time bound.
 
@@ -173,8 +174,7 @@ def default_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
     that A* pops.
     """
     n = len(initial_paths)
-    if priority is None:
-        priority = sorted(range(n), key=lambda i: (-(len(initial_paths[i]) - 1), i))
+    priority = sorted(range(n), key=lambda i: (-(len(initial_paths[i]) - 1), i))
     if stats is None:
         stats = SolveStats()
     reservations = _Reservations(len(grid.template))
@@ -283,15 +283,10 @@ def _layered_plan(grid: GridMap, passable: int, start: int, goal: int,
     stats.resolver_expansions += 1 + sum(
         (layers[k] & balls[f_star - k]).bit_count() for k in range(f_star))
 
-    cell_at = grid.cell_at
-    cell_mix: dict[int, int] = {}  # _mix(seed, x, y) per id
+    mix = _cell_mix(grid, seed)
 
     def tie(v: int, t: int) -> int:
-        cm = cell_mix.get(v)
-        if cm is None:
-            x, y = cell_at[v]
-            cm = cell_mix[v] = _mix(seed, x, y)
-        return _fold(cm, t)
+        return _fold(mix(v), t)
 
     order = (1, -1, stride, -stride, 0)  # the A*'s push order of moves
     parents: dict[int, tuple[int, int]] = {}  # t * size + id -> (id, h)
@@ -355,7 +350,7 @@ def _layered_plan(grid: GridMap, passable: int, start: int, goal: int,
 
 def solve_mpp(instance: MppInstance, params: UsageParams | None = None,
               iterations: int = 1, cfg: SearchConfig | None = None,
-              resolver=None, fields: FieldCache | None = None) -> Solution:
+              fields: FieldCache | None = None) -> Solution:
     """Two-phase solve: guided independent paths, then collision resolution.
 
     Phase 1 reads one field cache of the map: `fields`, or a new one.
@@ -377,11 +372,8 @@ def solve_mpp(instance: MppInstance, params: UsageParams | None = None,
     stats.initial_total_overlap = total_pairwise_overlap(initial)
 
     t1 = time.perf_counter()
-    if resolver is None:
-        final = default_resolver_prioritized(instance.grid, initial,
-                                             seed=cfg.tie_break_seed, stats=stats)
-    else:
-        final = resolver(instance.grid, initial)
+    final = default_resolver_prioritized(instance.grid, initial,
+                                         seed=cfg.tie_break_seed, stats=stats)
     stats.resolve_seconds = time.perf_counter() - t1
     return Solution(final, makespan(final), sum_of_cost(final), stats)
 

@@ -141,6 +141,20 @@ def _mix(seed: int, *parts: int) -> int:
     return h
 
 
+def _cell_mix(grid: GridMap, seed: int):
+    """`_mix(seed, x, y)` of a padded id's cell, memoized per id."""
+    cell_at = grid.cell_at
+    memo: dict[int, int] = {}
+
+    def mix(v: int) -> int:
+        m = memo.get(v)
+        if m is None:
+            x, y = cell_at[v]
+            m = memo[v] = _mix(seed, x, y)
+        return m
+    return mix
+
+
 @dataclass
 class SearchConfig:
     mode: str = "cost_to_go"  # or "cost_to_come"
@@ -321,14 +335,10 @@ def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
     labels = dfield.labels
     penalty = table.penalty
     goal_id = grid.cell_id(goal)
-    cell_mix: dict[int, int] = {}  # _mix(seed, x, y) per id
+    mix = _cell_mix(grid, seed)
 
     def tie(v: int) -> int:
-        cm = cell_mix.get(v)
-        if cm is None:
-            x, y = cell_at[v]
-            cm = cell_mix[v] = _mix(seed, x, y)
-        return _fold(cm, base - labels[v] if temporal else 0)
+        return _fold(mix(v), base - labels[v] if temporal else 0)
 
     queue = _TieQueue(tie)
     push, pop, live = queue.push, queue.pop, queue.keys
@@ -366,7 +376,6 @@ def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
 
 def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
                            table: UsageTable, dfield: DistanceField,
-                           max_pair_dist: int,
                            cfg: SearchConfig | None = None,
                            stats: SearchStats | None = None) -> Path:
     """Shortest path with the least summed usage penalty along it.
@@ -377,9 +386,9 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
     exactly equal sum goes to the predecessor with the smaller
     `_mix(seed, x, y)`.  On a temporal table a move is read at the step of
     the cell it arrives at, base - its label.  Every path compared is a
-    shortest path, so the sum needs no scaling and carries no step count;
-    `max_pair_dist` is accepted for callers and not used.  `expansions`
-    counts the reached cells, `generated` the moves that lowered a sum.
+    shortest path, so the sum needs no scaling and carries no step count.
+    `expansions` counts the reached cells, `generated` the moves that
+    lowered a sum.
     """
     if stats is None:
         stats = SearchStats()
@@ -392,14 +401,7 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
     stride = grid.stride
     labels = dfield.labels
     penalty = table.penalty
-    cell_mix: dict[int, int] = {}  # _mix(seed, x, y) per id, hashed on a tie
-
-    def mix(v: int) -> int:
-        cm = cell_mix.get(v)
-        if cm is None:
-            x, y = cell_at[v]
-            cm = cell_mix[v] = _mix(seed, x, y)
-        return cm
+    mix = _cell_mix(grid, seed)  # hashed on a tie only
 
     start_id = grid.cell_id(start)
     sums = {start_id: 0.0}
@@ -498,14 +500,12 @@ def plan_independent_paths(grid: GridMap, tasks: list[tuple[Cell, Cell]],
     else:
         raise ValueError(f"unknown order {order!r}")
 
-    max_dist = max(dists, default=0)
-
     def search(i: int, table: UsageTable) -> Path:
         s, g = tasks[i]
         robot_cfg = SearchConfig(cfg.mode, _mix(cfg.tie_break_seed, i))
         if cfg.mode == "cost_to_come":
             return find_path_cost_to_come(grid, s, g, table, fields(g),
-                                          max_dist, robot_cfg, stats)
+                                          robot_cfg, stats)
         return find_path_cost_to_go(grid, s, g, table, fields(g), robot_cfg, stats)
 
     paths: list[Path | None] = [None] * n

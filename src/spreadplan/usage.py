@@ -26,8 +26,11 @@ Path = list[Cell]
 class UsageParams:
     """Weights and windows for the usage penalty.
 
-    vertex_weight + edge_weight must equal 1 so the penalty stays below 1 and
-    acts purely as a tie-breaker between equal-length paths.  In temporal
+    vertex_weight + edge_weight must equal 1, so on a table of the other
+    robots' paths, none revisiting a cell, the penalty stays below 1.  The
+    searches do not rely on that bound: both walk only shortest paths, so
+    the penalty only chooses among equal-length paths whatever its size,
+    and a penalty of 1 or more is merely counted.  In temporal
     mode, an occupancy at time t also counts for the window_before steps
     before t and the window_after steps after it; occupancies late in a plan
     are the ones most likely to slip, so the forward window is typically the

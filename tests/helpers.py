@@ -219,7 +219,6 @@ class ReferenceReservations:
 
 
 def reference_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
-                                   priority: list[int] | None = None,
                                    seed: int = 0,
                                    stats: SolveStats | None = None,
                                    fields: FieldCache | None = None
@@ -236,8 +235,7 @@ def reference_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
     such as the one phase 1 filled.
     """
     n = len(initial_paths)
-    if priority is None:
-        priority = sorted(range(n), key=lambda i: (-(len(initial_paths[i]) - 1), i))
+    priority = sorted(range(n), key=lambda i: (-(len(initial_paths[i]) - 1), i))
     if stats is None:
         stats = SolveStats()
     reservations = ReferenceReservations(len(grid.template))

@@ -67,11 +67,10 @@ def test_01_shortest_length_preserved_in_both_modes():
                              rng.randint(0, 4) if temporal else 0,
                              temporal, n)
         table = UsageTable.build(priors, params)
-        dmax = max([field[s]] + [len(p) - 1 for p in priors])
         p1 = find_path_cost_to_go(grid, s, g, table, field,
                                   SearchConfig(tie_break_seed=case_seed),
                                   SHARED_SEARCH_STATS)
-        p2 = find_path_cost_to_come(grid, s, g, table, field, dmax,
+        p2 = find_path_cost_to_come(grid, s, g, table, field,
                                     SearchConfig("cost_to_come", case_seed),
                                     SHARED_SEARCH_STATS)
         good += (len(p1) - 1 == field[s])
@@ -107,8 +106,7 @@ def _oracle_cases(mode, objective, count=500):
                                         SHARED_SEARCH_STATS)
             value = metrics.peak_vertex_overlap(path, table)
         else:
-            dmax = max([field[s]] + [len(p) - 1 for p in priors])
-            path = find_path_cost_to_come(grid, s, g, table, field, dmax,
+            path = find_path_cost_to_come(grid, s, g, table, field,
                                           SearchConfig("cost_to_come", case_seed),
                                           SHARED_SEARCH_STATS)
             value = sum(table.vertex_use.get(v, 0) for v in set(path))

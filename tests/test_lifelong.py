@@ -17,6 +17,7 @@ from spreadplan.lifelong import (GoalStream, HorizonConfig, LivelockError,
                                  windowed_solver)
 from spreadplan.metrics import path_length, timed_conflicts
 from spreadplan.oneshot import validate_solution
+from spreadplan.search import InstanceError
 from spreadplan.usage import UsageParams
 
 
@@ -333,6 +334,16 @@ def test_solve_via_horizon_swap_corridor_with_pocket():
     assert validate_solution(res.paths, grid, tasks) == []
     assert res.paths[0][-1] == (5, 0)
     assert res.paths[1][-1] == (0, 0)
+
+
+def test_solve_via_horizon_checks_its_tasks():
+    # a blocked start and a repeated goal are rejected before any search
+    grid = GridMap(4, 4, frozenset({(1, 1)}))
+    cfg = config_for_variant("cut", h=3)
+    for tasks in ([((1, 1), (3, 3))],
+                  [((0, 0), (3, 3)), ((3, 0), (3, 3))]):
+        with pytest.raises(InstanceError):
+            solve_mpp_via_horizon(grid, tasks, cfg)
 
 
 def test_solve_via_horizon_livelock_detected():

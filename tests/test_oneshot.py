@@ -6,6 +6,7 @@ import pytest
 
 import helpers
 import spreadplan.oneshot as oneshot
+import spreadplan.search as search
 from helpers import random_walks, reference_resolver_prioritized
 from spreadplan.grid import (GenerationError, GridMap, generate_instance,
                              generate_random_grid)
@@ -202,19 +203,6 @@ def test_guided_phase_one_reduces_initial_conflicts():
     assert guided < base
 
 
-def test_custom_resolver_plugs_in():
-    grid = GridMap(4, 1)
-    inst = MppInstance(grid, [((0, 0), (3, 0))])
-    called = {}
-
-    def resolver(g, initial):
-        called["paths"] = initial
-        return initial
-
-    sol = solve_mpp(inst, UsageParams(num_robots=1), 1, resolver=resolver)
-    assert called["paths"] == sol.paths
-
-
 def test_solution_json_roundtrip():
     grid = GridMap(3, 3)
     inst = MppInstance(grid, [((0, 0), (2, 2))])
@@ -350,6 +338,7 @@ def test_layered_resolver_matches_reference_on_equal_ties(monkeypatch):
     rng = random.Random(2005)
     cases = [random_resolver_case(rng, max_side=10) for _ in range(15)]
     monkeypatch.setattr(oneshot, "_mix", lambda *parts: 12345)
+    monkeypatch.setattr(search, "_mix", lambda *parts: 12345)
     monkeypatch.setattr(helpers, "_mix", lambda *parts: 12345)
     replanned = 0
     for grid, _, initial, seed in cases:

@@ -39,7 +39,7 @@ def test_no_path_raises():
     with pytest.raises(NoPathError):
         find_path_cost_to_go(grid, (0, 0), (2, 0), empty_table(), field)
     with pytest.raises(NoPathError):
-        find_path_cost_to_come(grid, (0, 0), (2, 0), empty_table(), field, 2)
+        find_path_cost_to_come(grid, (0, 0), (2, 0), empty_table(), field)
 
 
 def test_loaded_middle_row_keeps_length_and_matches_oracle():
@@ -149,7 +149,7 @@ def test_temporal_information_scenario():
 def test_cost_to_come_empty_table_shortest():
     grid = GridMap(4, 4)
     field = distance_field(grid, (3, 3))
-    path = find_path_cost_to_come(grid, (0, 0), (3, 3), empty_table(), field, 6)
+    path = find_path_cost_to_come(grid, (0, 0), (3, 3), empty_table(), field)
     assert len(path) - 1 == 6
     # on an empty table every sum ties, so the seed alone picks the path
     grid = GridMap(6, 6)
@@ -158,11 +158,11 @@ def test_cost_to_come_empty_table_shortest():
     for seed in range(10):
         cfg = SearchConfig("cost_to_come", seed)
         path = find_path_cost_to_come(grid, (0, 0), (5, 5), empty_table(),
-                                      field, 10, cfg)
+                                      field, cfg)
         assert_valid_path(grid, path, (0, 0), (5, 5))
         assert len(path) - 1 == 10
         assert find_path_cost_to_come(grid, (0, 0), (5, 5), empty_table(),
-                                      field, 10, cfg) == path
+                                      field, cfg) == path
         paths.add(tuple(path))
     assert len(paths) >= 2
 
@@ -173,7 +173,7 @@ def test_search_counts_every_penalty_evaluation():
     grid = GridMap(3, 3)
     field = distance_field(grid, (2, 2))
     come = SearchStats()
-    find_path_cost_to_come(grid, (0, 0), (2, 2), empty_table(), field, 4,
+    find_path_cost_to_come(grid, (0, 0), (2, 2), empty_table(), field,
                            SearchConfig("cost_to_come", 3), come)
     assert come.evaluations == 12
     assert come.expansions == 9  # every cell of the DAG is reached
@@ -193,7 +193,7 @@ def test_cost_to_come_prefers_lighter_corridor():
     priors = [left, list(left), right]
     table = UsageTable.build(priors, UsageParams(1.0, 0.0, num_robots=4))
     field = distance_field(grid, (1, 4))
-    path = find_path_cost_to_come(grid, (1, 0), (1, 4), table, field, 6,
+    path = find_path_cost_to_come(grid, (1, 0), (1, 4), table, field,
                                   SearchConfig("cost_to_come", 1))
     assert (2, 2) in path  # took the right corridor
     assert metrics.pairwise_overlap(path, priors) == 11
@@ -215,7 +215,7 @@ def test_objectives_disagree_and_each_mode_wins_its_own():
     field = distance_field(grid, goal)
     go_path = find_path_cost_to_go(grid, start, goal, table, field,
                                    SearchConfig(tie_break_seed=9))
-    come_path = find_path_cost_to_come(grid, start, goal, table, field, 4,
+    come_path = find_path_cost_to_come(grid, start, goal, table, field,
                                        SearchConfig("cost_to_come", 9))
     go_total = sum(table.vertex_use.get(v, 0) for v in set(go_path))
     come_peak = metrics.peak_vertex_overlap(come_path, table)
@@ -249,9 +249,8 @@ def check_oracle_case(grid, s, g, priors, window, seed, stats):
         assert len(path) - 1 == field[s]
         assert metrics.peak_vertex_overlap(path, claims) == \
             min_objective(enum, claims, "peak")[0]
-    dmax = max([field[s]] + [len(p) - 1 for p in priors])
     for claims in (table, mixed, timed):
-        path = find_path_cost_to_come(grid, s, g, claims, field, dmax,
+        path = find_path_cost_to_come(grid, s, g, claims, field,
                                       SearchConfig("cost_to_come", seed), stats)
         assert len(path) - 1 == field[s]
         assert path_penalty(path, claims) == pytest.approx(
@@ -292,6 +291,32 @@ def test_randomized_oracle_equivalence_both_modes():
         cases += 1
     assert stats.penalty_bound_violations == 0
     assert stats.evaluations >= stats.generated > 0
+    # tables sized for one or two robots, where a penalty reaches 1 or more:
+    # cost_to_go still finds the least worst interior cell, drawn from a
+    # fourth stream
+    over = random.Random(45)
+    over_stats = SearchStats()
+    for case in range(150):
+        grid = generate_random_grid(over.randint(3, 6), over.randint(3, 6),
+                                    over.choice([0.0, 0.1]), over.randrange(999))
+        s, g = over.sample(list(grid.vertices()), 2)
+        field = distance_field(grid, g)
+        if s not in field:
+            continue
+        priors = build_prior_paths(grid, over, over.randint(1, 8))
+        num_robots = over.randint(1, 2)
+        window = (over.randint(0, 2), over.randint(0, 3))
+        enum = enumerate_shortest_paths(grid, s, g)
+        for params in (UsageParams(1.0, 0.0, num_robots=num_robots),
+                       UsageParams(1.0, 0.0, *window, True, num_robots)):
+            claims = UsageTable.build(priors, params)
+            path = find_path_cost_to_go(grid, s, g, claims, field,
+                                        SearchConfig(tie_break_seed=case),
+                                        over_stats)
+            assert len(path) - 1 == field[s]
+            assert metrics.peak_vertex_overlap(path, claims) == \
+                min_objective(enum, claims, "peak")[0]
+    assert over_stats.penalty_bound_violations > 0
 
 
 @pytest.mark.parametrize("temporal", [False, True])
@@ -307,7 +332,7 @@ def test_over_unit_penalties_buy_no_detour(temporal):
     stats = SearchStats()
     paths = [find_path_cost_to_go(grid, start, goal, table, field,
                                   SearchConfig(tie_break_seed=0), stats),
-             find_path_cost_to_come(grid, start, goal, table, field, 4,
+             find_path_cost_to_come(grid, start, goal, table, field,
                                     SearchConfig("cost_to_come", 0), stats)]
     for path in paths:
         assert_valid_path(grid, path, start, goal)
