@@ -59,13 +59,16 @@ def cmd_gen_map(args) -> int:
     if args.kind == "random":
         grid = generate_random_grid(args.width, args.height, args.obstacle_ratio,
                                     args.seed)
+        unread = ("shelf_width", "shelf_height", "aisle")
     else:
         grid = generate_warehouse(args.width, args.height,
                                   (args.shelf_width, args.shelf_height),
                                   args.aisle)
+        unread = ("obstacle_ratio", "seed")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(grid_to_movingai(grid))
-    _write_manifest(args.out, vars(args) | {"command": "gen-map"})
+    config = {k: v for k, v in vars(args).items() if k not in unread}
+    _write_manifest(args.out, config | {"command": "gen-map"})
     print(f"wrote {args.out}: {grid.width}x{grid.height}, "
           f"{grid.num_vertices} vertices")
     return EXIT_OK

@@ -1,19 +1,20 @@
 """Rolling-horizon planning for streams of goals, and one-shot solving via it.
 
-Each cycle: shorten every robot's goal list to roughly one horizon of travel,
-optionally replace the last kept goal by a vertex just past the horizon on a
-shortest leg (the *horizon cut*, which stops the windowed solver from planning
-steps that would be thrown away), optionally pick that leg with the usage
-penalty so robots' beyond-horizon targets spread out, then call a windowed
-solver for an h-step collision-free segment and execute it.
+Each cycle (`_cycle`): shorten every robot's goal list to roughly one horizon
+of travel; unless the variant is `baseline`, replace the last kept goal by a
+vertex just past the horizon on a shortest leg (the *horizon cut*, which stops
+the windowed solver from planning steps that would be thrown away), picked by
+the usage penalty in the `cut+usage` variants so beyond-horizon targets spread
+out; then call a windowed solver for an h-step collision-free segment and
+execute its first `commit` steps.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from collections import deque
-from dataclasses import dataclass, field, replace
+from collections import Counter, deque
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .grid import BLOCKED, Cell, DistanceField, FieldCache, GridMap, distance_field
@@ -36,43 +37,27 @@ class LivelockError(RuntimeError):
     """One-shot horizon solving stopped making progress."""
 
 
+VARIANTS = ("baseline", "cut", "cut+usage", "cut+usage+temporal")
+
+
 @dataclass
 class HorizonConfig:
     h: int = 5
-    use_horizon_cut: bool = True
-    use_usage_targets: bool = False
-    params: UsageParams = field(default_factory=UsageParams)
+    variant: str = "cut"  # one of VARIANTS
     seed: int = 0
     commit: int | None = None  # steps executed per cycle; defaults to h
 
     def __post_init__(self) -> None:
         if self.h < 1:
             raise ValueError("horizon must be >= 1")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}")
         if self.commit is not None and not (1 <= self.commit <= self.h):
             raise ValueError("commit must be in [1, h]")
 
 
-VARIANTS = ("baseline", "cut", "cut+usage", "cut+usage+temporal")
-
-
 def config_for_variant(variant: str, h: int, seed: int = 0) -> HorizonConfig:
-    """Benchmark presets: no cut, plain cut, usage-picked targets, temporal.
-
-    The temporal windows are a short smear around each leg step, 1 step
-    before and 5 after; target legs are only loosely synchronized with
-    execution, and a batch calibration on warehouse runs showed a small
-    forward window works best there.
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    cut = variant != "baseline"
-    usage_targets = variant.startswith("cut+usage")
-    temporal = variant == "cut+usage+temporal"
-    params = UsageParams(0.5, 0.5, 1 if temporal else 0, 5 if temporal else 0,
-                         temporal, 1)
-    return HorizonConfig(h=h, use_horizon_cut=cut,
-                         use_usage_targets=usage_targets,
-                         params=params, seed=seed)
+    return HorizonConfig(h=h, variant=variant, seed=seed)
 
 
 class GoalStream:
@@ -159,21 +144,18 @@ def horizon_cut_index(leg_len: int, total_dist: int, h: int) -> int:
     return min(leg_len, h - (total_dist - leg_len) + 1)
 
 
-def horizon_cut_target(leg_path: Path, total_dist: int, h: int) -> Cell:
-    """Replacement final goal: the leg vertex just beyond the h-step boundary."""
-    idx = horizon_cut_index(len(leg_path) - 1, total_dist, h)
-    return leg_path[max(0, idx)]
-
-
-def _shortest_leg_path(grid: GridMap, start: Cell, dfield: DistanceField) -> Path:
-    """Deterministic greedy walk down the distance field: at each step the
-    first neighbour in NEIGHBOR_STEPS order one closer to the goal."""
+def _shortest_leg_path(grid: GridMap, start: Cell, dfield: DistanceField,
+                       steps: int) -> Path:
+    """The first `steps` steps of the deterministic greedy walk down the
+    distance field: at each step the first neighbour in NEIGHBOR_STEPS order
+    one closer to the goal.  The walk stops early at the goal."""
     stride, cell_at = grid.stride, grid.cell_at
     label_at = dfield.at
     v = grid.cell_id(start)
     d = dfield[start]
+    stop = max(0, d - steps)
     ids = [v]
-    while d > 0:
+    while d > stop:
         for nxt in (v + 1, v - 1, v + stride, v - stride):
             if label_at(nxt) == d - 1:
                 v = nxt
@@ -190,16 +172,21 @@ def apply_horizon_cut(grid: GridMap, chains: list[tuple[list[Cell], int]],
                       cycle_seed: int = 0) -> list[list[Cell]]:
     """Replace each chain's final goal by a vertex just past the horizon.
 
-    With usage-guided targets the leg path is chosen against a table of the
-    legs already picked this cycle, so beyond-horizon targets spread out.
-    Chains that end inside the horizon are returned unchanged (the index
-    clamps to the leg end).
+    With the `cut+usage` variants the leg path is chosen against a table of
+    the legs already picked this cycle, so beyond-horizon targets spread
+    out; with `cut` it is the greedy walk.  Chains that end inside the
+    horizon are returned unchanged (the index clamps to the leg end).
     """
-    n = len(chains)
-    params = cfg.params
-    if params.num_robots != n and n > 0:
-        params = replace(params, num_robots=n)
-    table = UsageTable(params=params) if cfg.use_usage_targets else None
+    table = None
+    if cfg.variant.startswith("cut+usage"):
+        # the temporal windows are a short smear around each leg step, 1
+        # step before and 5 after; target legs are only loosely synchronized
+        # with execution, and a batch calibration on warehouse runs showed a
+        # small forward window works best there
+        temporal = cfg.variant == "cut+usage+temporal"
+        table = UsageTable(params=UsageParams(
+            0.5, 0.5, 1 if temporal else 0, 5 if temporal else 0, temporal,
+            max(len(chains), 1)))
     targets: list[list[Cell]] = []
     for i, (chain, d) in enumerate(chains):
         if len(chain) < 2:
@@ -215,11 +202,9 @@ def apply_horizon_cut(grid: GridMap, chains: list[tuple[list[Cell], int]],
             leg_path = find_path_cost_to_go(grid, leg_start, leg_end, table,
                                             dfield, scfg, stop_depth=idx)
             table.add_path(leg_path)
-            new_last = leg_path[-1]
         else:
-            leg_path = _shortest_leg_path(grid, leg_start, dfield)
-            new_last = horizon_cut_target(leg_path, d, cfg.h)
-        targets.append(chain[1:-1] + [new_last])
+            leg_path = _shortest_leg_path(grid, leg_start, dfield, idx)
+        targets.append(chain[1:-1] + [leg_path[-1]])
     return targets
 
 
@@ -403,6 +388,24 @@ def _plan_window(grid: GridMap, plan: _WindowPlan, h: int,
     return None, expansions
 
 
+def _cycle(grid: GridMap, positions: list[Cell], goal_lists: list[list[Cell]],
+           cfg: HorizonConfig, fields: FieldCache, cycle: int):
+    """One planning cycle: each robot's goals truncated to about one horizon
+    of travel, the last leg cut unless the variant is the baseline, then the
+    windowed solve.  Returns the targets, the h-step paths, the solver's
+    expansions and the milliseconds the solve took."""
+    chains = [truncate_goal_list(p, goals, cfg.h, fields.dist)
+              for p, goals in zip(positions, goal_lists)]
+    if cfg.variant == "baseline":
+        targets = [chain[1:] for chain, _ in chains]
+    else:
+        targets = apply_horizon_cut(grid, chains, cfg, fields, cycle)
+    t0 = time.perf_counter()
+    paths, expansions = windowed_solver(grid, positions, targets, cfg.h,
+                                        fields, _mix(cfg.seed, cycle))
+    return targets, paths, expansions, (time.perf_counter() - t0) * 1000.0
+
+
 def run_lifelong(grid: GridMap, streams: list[GoalStream], cfg: HorizonConfig,
                  stop_goals: int,
                  positions: list[Cell] | None = None) -> LifelongStats:
@@ -438,26 +441,11 @@ def run_lifelong(grid: GridMap, streams: list[GoalStream], cfg: HorizonConfig,
             raise LivelockError(
                 f"every goal stream is empty after {stats.goals_reached} goals "
                 f"of the {stop_goals} to reach")
-        chains = []
-        for i in range(n):
-            chain, d = truncate_goal_list(positions[i],
-                                          streams[i].upcoming(h + 2), h,
-                                          fields.dist)
-            chains.append((chain, d))
-        if cfg.use_horizon_cut:
-            targets = apply_horizon_cut(grid, chains, cfg, fields, cycle)
-        else:
-            targets = [chain[1:] for chain, _ in chains]
+        targets, paths, expansions, solver_ms = _cycle(
+            grid, positions, [s.upcoming(h + 2) for s in streams], cfg, fields,
+            cycle)
 
-        t0 = time.perf_counter()
-        paths, expansions = windowed_solver(grid, positions, targets, h,
-                                            fields, _mix(cfg.seed, cycle))
-        solver_ms = (time.perf_counter() - t0) * 1000.0
-
-        finals: dict[Cell, int] = {}
-        for ts in targets:
-            if ts:
-                finals[ts[-1]] = finals.get(ts[-1], 0) + 1
+        finals = Counter(ts[-1] for ts in targets if ts)
         target_conflicts = sum(c * (c - 1) // 2 for c in finals.values())
 
         for t in range(1, commit + 1):
@@ -491,9 +479,10 @@ def solve_mpp_via_horizon(grid: GridMap, tasks: list[tuple[Cell, Cell]],
     """One-shot solving as a horizon loop with single-goal target lists.
 
     The tasks are checked as an `MppInstance`, so blocked or repeated starts
-    or goals raise InstanceError.  Cycles until every robot rests on its
-    goal at a cycle boundary; raises LivelockError when `stall_cycles`
-    consecutive cycles pass with no robot newly settled.
+    or goals raise InstanceError, as does a goal its start cannot reach.
+    Cycles until every robot rests on its goal at a cycle boundary; raises
+    LivelockError when `stall_cycles` consecutive cycles pass with no robot
+    newly settled.
     """
     instance = MppInstance(grid, tasks)
     n = len(tasks)
@@ -501,6 +490,7 @@ def solve_mpp_via_horizon(grid: GridMap, tasks: list[tuple[Cell, Cell]],
     goals = [g for _, g in tasks]
     fields = FieldCache(grid, distance_field)
     lb_mk, lb_sc = lower_bounds(instance, fields)
+    commit = cfg.commit or cfg.h
 
     positions = list(starts)
     trajectories: list[Path] = [[s] for s in starts]
@@ -508,21 +498,13 @@ def solve_mpp_via_horizon(grid: GridMap, tasks: list[tuple[Cell, Cell]],
     cycle = 0
     best_settled = -1
     stalled = 0
-    while True:
-        if all(positions[i] == goals[i] for i in range(n)):
-            break
-        chains = [truncate_goal_list(positions[i], [goals[i]], cfg.h, fields.dist)
-                  for i in range(n)]
-        if cfg.use_horizon_cut:
-            targets = apply_horizon_cut(grid, chains, cfg, fields, cycle)
-        else:
-            targets = [chain[1:] for chain, _ in chains]
-        paths, expansions = windowed_solver(grid, positions, targets, cfg.h,
-                                            fields, _mix(cfg.seed, cycle))
+    while positions != goals:
+        _, paths, expansions, _ = _cycle(grid, positions, [[g] for g in goals],
+                                         cfg, fields, cycle)
         expansions_total += expansions
         for i in range(n):
-            trajectories[i].extend(paths[i][1:])
-        positions = [p[-1] for p in paths]
+            trajectories[i].extend(paths[i][1:commit + 1])
+        positions = [p[commit] for p in paths]
         cycle += 1
         settled = sum(1 for i in range(n) if positions[i] == goals[i])
         if settled > best_settled:

@@ -9,6 +9,8 @@ final cell after their path ends).
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .usage import Path, UsageTable
 
 Cell = tuple[int, int]
@@ -49,13 +51,14 @@ def peak_vertex_overlap(path: Path, table: UsageTable) -> int:
     return max((table.vertex_count(v) for v in path[1:-1]), default=0)
 
 
+def _image_counts(paths: list[Path]) -> Counter:
+    """Per cell, the number of path images holding it."""
+    return Counter(v for p in paths for v in set(p))
+
+
 def max_vertex_overlap(paths: list[Path]) -> int:
     """Largest number of path images sharing one cell."""
-    counts: dict[Cell, int] = {}
-    for p in paths:
-        for v in set(p):
-            counts[v] = counts.get(v, 0) + 1
-    return max(counts.values(), default=0)
+    return max(_image_counts(paths).values(), default=0)
 
 
 def max_edge_headon(paths: list[Path]) -> int:
@@ -98,19 +101,16 @@ def max_edge_headon_timed(paths: list[Path]) -> int:
 
 
 def pairwise_overlap(path: Path, others: list[Path]) -> int:
-    """Total image intersection size between one path and every other path."""
-    image = set(path)
-    return sum(len(image & set(o)) for o in others)
+    """Total image intersection size between one path and every other path:
+    the others' image counts summed over the path's image."""
+    counts = _image_counts(others)
+    return sum(counts[v] for v in set(path))
 
 
 def total_pairwise_overlap(paths: list[Path]) -> int:
-    """Sum of pairwise image intersections over all ordered robot pairs (even)."""
-    images = [set(p) for p in paths]
-    total = 0
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            total += len(images[i] & images[j])
-    return 2 * total
+    """Sum of pairwise image intersections over all ordered robot pairs
+    (even): a cell in c images lies in c * (c - 1) of them."""
+    return sum(c * (c - 1) for c in _image_counts(paths).values())
 
 
 def robots_by_step(paths: list[Path]):

@@ -27,7 +27,8 @@ from .grid import BLOCKED, Cell, FieldCache, GridMap, distance_field
 from .metrics import (makespan, max_vertex_overlap, robots_by_step,
                       sum_of_cost, timed_conflicts, total_pairwise_overlap)
 from .search import (InstanceError, SearchConfig, SearchStats, _cell_mix,
-                     _fold, _mix, _Reservations, plan_independent_paths)
+                     _fold, _mix, _Reservations, plan_independent_paths,
+                     task_distances)
 from .usage import Path, UsageParams
 
 
@@ -380,11 +381,12 @@ def solve_mpp(instance: MppInstance, params: UsageParams | None = None,
 
 def lower_bounds(instance: MppInstance,
                  fields: FieldCache | None = None) -> tuple[int, int]:
-    """(makespan, sum-of-cost) lower bounds from single-robot distances.
+    """(makespan, sum-of-cost) lower bounds from single-robot distances;
+    InstanceError when a goal is unreachable from its start.
 
     Reads `fields`, such as the cache `solve_mpp` filled, or a new cache.
     """
     if fields is None:
         fields = FieldCache(instance.grid, distance_field)
-    dists = [fields.dist(s, g) for s, g in instance.tasks]
+    dists = task_distances(fields, instance.tasks)
     return max(dists, default=0), sum(dists)

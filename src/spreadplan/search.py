@@ -450,6 +450,19 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
     return path
 
 
+def task_distances(fields: FieldCache,
+                   tasks: list[tuple[Cell, Cell]]) -> list[int]:
+    """Each robot's start-goal distance; InstanceError names the first robot
+    whose goal its start cannot reach."""
+    dists = []
+    for i, (s, g) in enumerate(tasks):
+        d = fields(g).get(s)
+        if d is None:
+            raise InstanceError(f"robot {i}: goal {g} unreachable from {s}")
+        dists.append(d)
+    return dists
+
+
 def order_robots(distances: list[int]) -> list[int]:
     """Robot indices sorted by start-goal distance, longest first, stable ties."""
     return sorted(range(len(distances)), key=lambda i: (-distances[i], i))
@@ -483,12 +496,7 @@ def plan_independent_paths(grid: GridMap, tasks: list[tuple[Cell, Cell]],
         params = replace(params, num_robots=max(n, 1))
     if fields is None:
         fields = FieldCache(grid, distance_field)
-    dists = []
-    for i, (s, g) in enumerate(tasks):
-        d = fields(g).get(s)
-        if d is None:
-            raise InstanceError(f"robot {i}: goal {g} unreachable from {s}")
-        dists.append(d)
+    dists = task_distances(fields, tasks)
 
     if order == "desc":
         sequence = order_robots(dists)

@@ -39,8 +39,17 @@ def test_gen_map_writes_manifest(tmp_path):
     manifest = json.loads((tmp_path / "w.map.manifest.json").read_text())
     assert manifest["command"] == "gen-map"
     assert manifest["width"] == 37
+    assert manifest["aisle"] == 1
+    # the warehouse layout reads no seed and no obstacle ratio
+    assert "seed" not in manifest and "obstacle_ratio" not in manifest
     lines = out.read_text().splitlines()
     assert lines[1] == "height 20" and lines[2] == "width 37"
+    out = tmp_path / "r.map"
+    assert main(["gen-map", "random", "--width", "12", "--height", "8",
+                 "--seed", "3", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "r.map.manifest.json").read_text())
+    assert manifest["seed"] == 3 and manifest["obstacle_ratio"] == 0.1
+    assert not {"shelf_width", "shelf_height", "aisle"} & manifest.keys()
 
 
 def test_gen_map_infeasible_exit_code(tmp_path):

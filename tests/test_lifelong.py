@@ -219,7 +219,8 @@ def test_usage_guided_targets_spread_crossing_robots():
 
 def _leg(grid, cache, start, goal):
     from spreadplan.lifelong import _shortest_leg_path
-    return _shortest_leg_path(grid, start, cache(goal))
+    field = cache(goal)
+    return _shortest_leg_path(grid, start, field, field[start])
 
 
 def test_run_lifelong_zero_robots():
@@ -234,7 +235,7 @@ def test_run_lifelong_single_robot_adjacent_goals():
     # ping-pong between two adjacent cells: one goal reached per step
     goals = [( (1, 0) if i % 2 == 0 else (0, 0) ) for i in range(40)]
     stream = GoalStream(grid, initial=goals)
-    cfg = HorizonConfig(h=4, use_horizon_cut=True, seed=0)
+    cfg = HorizonConfig(h=4, seed=0)
     stats = run_lifelong(grid, [stream], cfg, stop_goals=20,
                          positions=[(0, 0)])
     assert stats.goals_reached >= 20
@@ -282,12 +283,14 @@ def test_horizon_config_validation():
         HorizonConfig(h=0)
     with pytest.raises(ValueError):
         HorizonConfig(h=4, commit=5)
+    with pytest.raises(ValueError):
+        HorizonConfig(variant="cut+sideways")
 
 
 def test_run_lifelong_partial_commit():
     grid = GridMap(10, 6)
     streams = [GoalStream(grid, seed=30 + i) for i in range(4)]
-    cfg = HorizonConfig(h=6, use_horizon_cut=True, seed=1, commit=2)
+    cfg = HorizonConfig(h=6, seed=1, commit=2)
     stats = run_lifelong(grid, streams, cfg, stop_goals=12)
     assert stats.goals_reached >= 12
     assert stats.elapsed_steps == 2 * len(stats.cycles)
@@ -337,13 +340,26 @@ def test_solve_via_horizon_swap_corridor_with_pocket():
 
 
 def test_solve_via_horizon_checks_its_tasks():
-    # a blocked start and a repeated goal are rejected before any search
+    # a blocked start, a repeated goal and a goal cut off from its start
+    # are rejected before any window is planned
     grid = GridMap(4, 4, frozenset({(1, 1)}))
+    walled = GridMap(3, 3, frozenset({(1, 0), (1, 1), (1, 2)}))
     cfg = config_for_variant("cut", h=3)
-    for tasks in ([((1, 1), (3, 3))],
-                  [((0, 0), (3, 3)), ((3, 0), (3, 3))]):
+    for g, tasks in ((grid, [((1, 1), (3, 3))]),
+                     (grid, [((0, 0), (3, 3)), ((3, 0), (3, 3))]),
+                     (walled, [((0, 0), (2, 2))])):
         with pytest.raises(InstanceError):
-            solve_mpp_via_horizon(grid, tasks, cfg)
+            solve_mpp_via_horizon(g, tasks, cfg)
+
+
+def test_solve_via_horizon_executes_commit_steps_per_cycle():
+    grid = generate_warehouse(21, 12, (3, 2), 2)
+    robots = generate_instance(grid, 8, seed=17)
+    tasks = [(s, gs[0]) for s, gs in robots]
+    res = solve_mpp_via_horizon(grid, tasks,
+                                HorizonConfig(h=4, variant="cut+usage", commit=2))
+    assert validate_solution(res.paths, grid, tasks) == []
+    assert all(len(p) == 1 + 2 * res.cycles for p in res.paths)
 
 
 def test_solve_via_horizon_livelock_detected():

@@ -82,7 +82,13 @@ def test_total_pairwise_overlap_is_even():
     grid = generate_random_grid(8, 8, 0.1, 1)
     for _ in range(10):
         paths = build_prior_paths(grid, rng, rng.randint(2, 6))
-        assert metrics.total_pairwise_overlap(paths) % 2 == 0
+        total = metrics.total_pairwise_overlap(paths)
+        assert total % 2 == 0
+        images = [set(p) for p in paths]
+        assert total == sum(len(a & b) for i, a in enumerate(images)
+                            for j, b in enumerate(images) if i != j)
+        assert metrics.pairwise_overlap(paths[0], paths[1:]) == sum(
+            len(images[0] & b) for b in images[1:])
 
 
 def test_timed_conflicts_counts():
