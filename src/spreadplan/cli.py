@@ -19,11 +19,11 @@ from . import metrics
 from .grid import (FieldCache, GenerationError, MapParseError, generate_instance,
                    generate_random_grid, generate_warehouse, grid_to_movingai,
                    instance_from_json, instance_to_json, parse_movingai_map)
-from .lifelong import (VARIANTS, GoalStream, LivelockError,
-                       WindowedSolverError, config_for_variant, run_lifelong)
-from .oneshot import (MppInstance, ResolverError, lower_bounds, solve_mpp,
+from .lifelong import (VARIANTS, GoalStream, LivelockError, config_for_variant,
+                       run_lifelong)
+from .oneshot import (MppInstance, lower_bounds, solve_mpp,
                       solution_paths_from_json, validate_solution)
-from .search import (InstanceError, NoPathError, SearchConfig,
+from .search import (InstanceError, NoPathError, PlanningError, SearchConfig,
                      plan_independent_paths)
 from .usage import UsageParams
 
@@ -164,18 +164,12 @@ def run_standalone_case(args, seed: int) -> list[int]:
                          args.window_after if preset["temporal"] else 0,
                          preset["temporal"], n)
     cfg = SearchConfig(mode=args.mode, tie_break_seed=seed)
-    values: list[int] = []
     baseline = plan_independent_paths(grid, tasks, params, 0, cfg, order=order)
-    values.append(metric_fn(baseline))
-    if r_max >= 1:
-        per_iteration: dict[int, int] = {}
-
-        def record(it, paths):
-            per_iteration[it] = metric_fn(paths)
-
-        plan_independent_paths(grid, tasks, params, r_max, cfg, order=order,
-                               on_iteration=record)
-        values.extend(per_iteration[r] for r in range(1, r_max + 1))
+    values = [metric_fn(baseline)]
+    if r_max >= 1:  # pass r calls back once, after r - 1
+        plan_independent_paths(
+            grid, tasks, params, r_max, cfg, order=order,
+            on_iteration=lambda _, paths: values.append(metric_fn(paths)))
     return values
 
 
@@ -308,7 +302,7 @@ def main(argv=None) -> int:
     except (GenerationError, InstanceError, NoPathError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ResolverError, WindowedSolverError, LivelockError) as exc:
+    except (PlanningError, LivelockError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (MapParseError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:

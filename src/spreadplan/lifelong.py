@@ -20,17 +20,14 @@ from typing import NamedTuple
 from .grid import BLOCKED, Cell, DistanceField, FieldCache, GridMap, distance_field
 from .metrics import makespan, sum_of_cost, throughput
 from .oneshot import MppInstance, lower_bounds
-from .search import (NoPathError, SearchConfig, _cell_mix, _fold, _mix,
-                     _Reservations, _TieQueue, _unwind, find_path_cost_to_go)
+from .search import (InstanceError, NoPathError, PlanningError, SearchConfig,
+                     _cell_mix, _fold, _mix, _Reservations, _TieQueue, _unwind,
+                     find_path_cost_to_go, plan_prioritized)
 from .usage import Path, UsageParams, UsageTable
 
 
-class WindowedSolverError(RuntimeError):
-    """No collision-free window found for some robot after all retries."""
-
-    def __init__(self, robot: int, message: str):
-        super().__init__(message)
-        self.robot = robot
+class WindowedSolverError(PlanningError):
+    """No collision-free window found for some robot after all restarts."""
 
 
 class LivelockError(RuntimeError):
@@ -211,16 +208,15 @@ def apply_horizon_cut(grid: GridMap, chains: list[tuple[list[Cell], int]],
 def windowed_solver(grid: GridMap, states: list[Cell],
                     target_lists: list[list[Cell]], h: int,
                     fields: FieldCache | None = None, seed: int = 0,
-                    retries: int = 10,
                     max_expansions: int = 200_000) -> tuple[list[Path], int]:
     """Prioritized h-step collision-free planning toward chained targets.
 
     Each robot plans a space-time path through its targets in order;
     reservations are enforced only inside the window, so planning beyond it
     is unconstrained (and the horizon cut exists to avoid it).  Robots plan
-    longest-remaining-distance first; on failure the priority order is
-    reshuffled, up to `retries` times.  Returns paths of exactly h steps and
-    the total number of node expansions.
+    longest-remaining-distance first, restarted by `search.plan_prioritized`
+    when one fails.  Returns paths of exactly h steps and the total number
+    of node expansions over every attempt.
     """
     n = len(states)
     if len(set(states)) != n:
@@ -229,39 +225,28 @@ def windowed_solver(grid: GridMap, states: list[Cell],
         fields = FieldCache(grid, distance_field)
     plans = [_window_plan(grid, states[i], target_lists[i], fields)
              for i in range(n)]
-    base_order = sorted(range(n), key=lambda i: (-plans[i].rem0, i))
-    cell_at = grid.cell_at
     expansions_total = 0
-    last_error: WindowedSolverError | None = None
-    promoted: list[int] = []  # robots that got boxed in plan first next time
-    for attempt in range(retries + 1):
-        rest = [i for i in base_order if i not in promoted]
-        if attempt > len(promoted) + 1:
-            random.Random(_mix(seed, attempt)).shuffle(rest)
-        order = promoted + rest
-        reservations = _Reservations(len(grid.template))
-        paths: list[list[int] | None] = [None] * n
-        failed = False
-        for i in order:
-            path, exp = _plan_window(grid, plans[i], h, reservations,
-                                     _mix(seed, attempt, i), max_expansions)
-            expansions_total += exp
-            if path is None:
-                last_error = WindowedSolverError(
-                    i, f"robot {i}: no safe {h}-step window (attempt {attempt})")
-                promoted = [i] + [r for r in promoted if r != i]
-                failed = True
-                break
-            path = paths[i] = path[:h + 1]
-            # a robot that ends the window standing still is parked up to
-            # step 2h, so "wait, then walk through" never looks cheaper than
-            # an actual detour around it
-            parked = h if path[h] == path[h - 1] else 0
-            reservations.add_path(path + [path[h]] * parked)
-        if not failed:
-            cells = [[cell_at[v] for v in p] for p in paths]  # type: ignore[union-attr]
-            return cells, expansions_total
-    raise last_error  # type: ignore[misc]
+
+    def plan_one(i: int, attempt: int, reservations: _Reservations) -> list[int]:
+        nonlocal expansions_total
+        path, exp = _plan_window(grid, plans[i], h, reservations,
+                                 _mix(seed, attempt, i), max_expansions)
+        expansions_total += exp
+        if path is None:
+            raise WindowedSolverError(
+                i, f"robot {i}: no safe {h}-step window (attempt {attempt})")
+        path = path[:h + 1]
+        # a robot that ends the window standing still is parked up to step
+        # 2h, so "wait, then walk through" never looks cheaper than an
+        # actual detour around it
+        parked = h if path[h] == path[h - 1] else 0
+        reservations.add_path(path + [path[h]] * parked)
+        return path
+
+    order = sorted(range(n), key=lambda i: (-plans[i].rem0, i))
+    paths, _ = plan_prioritized(len(grid.template), order, plan_one, seed)
+    cell_at = grid.cell_at
+    return [[cell_at[v] for v in p] for p in paths], expansions_total
 
 
 class _WindowPlan(NamedTuple):
@@ -280,10 +265,7 @@ def _window_plan(grid: GridMap, start: Cell, targets: list[Cell],
     """The plan of a robot at `start`; KeyError when a leg of its chain is
     unreachable, naming the leg's first cell."""
     tfields = [fields(g) for g in targets]
-    legs, prev = [], start
-    for f, g in zip(tfields, targets):
-        legs.append(f[prev])
-        prev = g
+    legs = [f[a] for f, a in zip(tfields, [start] + targets)]
     K = len(targets)
     suffix = [0] * (K + 1)
     for k in range(K - 2, -1, -1):
@@ -414,14 +396,14 @@ def run_lifelong(grid: GridMap, streams: list[GoalStream], cfg: HorizonConfig,
     Deterministic for a given configuration, seed, and stream seeds.  Raises
     LivelockError when every stream has run out of goals before stop_goals
     were reached, as fixed goal lists can: no later cycle could reach one.
+    InstanceError names a robot sent to a goal its cell cannot reach.
     """
     n = len(streams)
     stats = LifelongStats()
     if n == 0 or stop_goals <= 0:
         return stats
     if positions is None:
-        cells = list(grid.vertices())
-        positions = random.Random(cfg.seed).sample(cells, n)
+        positions = random.Random(cfg.seed).sample(list(grid.vertices()), n)
     fields = FieldCache(grid, distance_field)
     h = cfg.h
     commit = cfg.commit or h
@@ -441,9 +423,17 @@ def run_lifelong(grid: GridMap, streams: list[GoalStream], cfg: HorizonConfig,
             raise LivelockError(
                 f"every goal stream is empty after {stats.goals_reached} goals "
                 f"of the {stop_goals} to reach")
-        targets, paths, expansions, solver_ms = _cycle(
-            grid, positions, [s.upcoming(h + 2) for s in streams], cfg, fields,
-            cycle)
+        goal_lists = [s.upcoming(h + 2) for s in streams]
+        try:
+            targets, paths, expansions, solver_ms = _cycle(
+                grid, positions, goal_lists, cfg, fields, cycle)
+        except KeyError:  # a distance read across two components
+            for i, goals in enumerate(goal_lists):
+                for a, g in zip([positions[i]] + goals, goals):
+                    if fields(g).get(a) is None:
+                        raise InstanceError(
+                            f"robot {i}: goal {g} unreachable from {a}") from None
+            raise
 
         finals = Counter(ts[-1] for ts in targets if ts)
         target_conflicts = sum(c * (c - 1) // 2 for c in finals.values())

@@ -1,13 +1,13 @@
 """One-shot multi-robot pipeline: guided independent paths, then resolution.
 
 Phase 1 plans individually-shortest paths that spread usage; phase 2 turns
-them into a collision-free set.  The resolver is prioritized
-space-time planning: robots are processed longest-path-first, each keeping
-its phase-1 path when it is already clean against the reservations and
-re-planning around them otherwise.  Prioritized resolution is incomplete by
-design: it can fail on a solvable instance.  Phase 2 reads only phase 1's
-paths, so a stronger resolver would replace `default_resolver_prioritized`
-without touching phase 1.
+them into a collision-free set.  The resolver is prioritized space-time
+planning in `search.plan_prioritized`: robots go longest-path-first, each
+keeping its phase-1 path when it is clean against the reservations and
+re-planning around them otherwise; a robot that cannot be scheduled goes
+first on a restart.  It is still incomplete: every order can fail on a
+solvable instance.  Phase 2 reads only phase 1's paths, so a stronger
+resolver would replace `default_resolver_prioritized` alone.
 
 A re-plan is a layered search over bit masks, a bit-parallel BFS in the
 manner of Akiba et al. (SIGMOD 2013): one Python int per time step holds
@@ -26,18 +26,17 @@ from dataclasses import dataclass, field
 from .grid import BLOCKED, Cell, FieldCache, GridMap, distance_field
 from .metrics import (makespan, max_vertex_overlap, robots_by_step,
                       sum_of_cost, timed_conflicts, total_pairwise_overlap)
-from .search import (InstanceError, SearchConfig, SearchStats, _cell_mix,
-                     _fold, _mix, _Reservations, plan_independent_paths,
-                     task_distances)
+from .search import (InstanceError, PlanningError, SearchConfig, SearchStats,
+                     _cell_mix, _fold, _mix, _Reservations,
+                     plan_independent_paths, plan_prioritized, task_distances)
 from .usage import Path, UsageParams
 
 
-class ResolverError(RuntimeError):
+class ResolverError(PlanningError):
     """Raised when the resolution phase cannot schedule a robot."""
 
     def __init__(self, robot: int, message: str, stats=None):
-        super().__init__(message)
-        self.robot = robot
+        super().__init__(robot, message)
         self.stats = stats
 
 
@@ -67,6 +66,7 @@ class SolveStats:
     resolver_expansions: int = 0
     robots_replanned: int = 0
     wait_steps_added: int = 0
+    resolver_restarts: int = 0  # attempts after the first; not in to_json
     plan_seconds: float = 0.0
     resolve_seconds: float = 0.0
     search: SearchStats = field(default_factory=SearchStats)
@@ -84,15 +84,10 @@ class Solution:
             "paths": [[list(v) for v in p] for p in self.paths],
             "makespan": self.makespan,
             "sum_of_cost": self.sum_of_cost,
-            "stats": {
-                "initial_vertex_conflicts": self.stats.initial_vertex_conflicts,
-                "initial_swap_conflicts": self.stats.initial_swap_conflicts,
-                "initial_max_vertex_overlap": self.stats.initial_max_vertex_overlap,
-                "initial_total_overlap": self.stats.initial_total_overlap,
-                "resolver_expansions": self.stats.resolver_expansions,
-                "robots_replanned": self.stats.robots_replanned,
-                "wait_steps_added": self.stats.wait_steps_added,
-            },
+            "stats": {name: getattr(self.stats, name) for name in (
+                "initial_vertex_conflicts", "initial_swap_conflicts",
+                "initial_max_vertex_overlap", "initial_total_overlap",
+                "resolver_expansions", "robots_replanned", "wait_steps_added")},
         }, indent=2, sort_keys=True)
 
 
@@ -158,53 +153,53 @@ def default_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
                                  seed: int = 0,
                                  stats: SolveStats | None = None
                                  ) -> list[Path]:
-    """Sequential space-time scheduling around earlier robots' reservations.
+    """Prioritized space-time scheduling around earlier robots' reservations.
 
-    Robots go longest initial path first, ties by index.  Robots whose
-    initial path is already clean keep it unchanged; the rest re-plan with
-    waits allowed, by the layered search of `_layered_plan`.  Each robot's
-    final cell is reserved for all later steps.  Raises
-    ResolverError naming the first robot that cannot be scheduled within
-    the time bound.
+    Robots go longest initial path first, ties by index, restarted by
+    `search.plan_prioritized` when one fails.  Robots whose initial path is
+    already clean keep it unchanged; the rest re-plan with waits allowed,
+    by the layered search of `_layered_plan`.  Each robot's final cell is
+    reserved for all later steps.  Raises ResolverError naming the robot
+    that could not be scheduled within the time bound on the last attempt.
 
     A re-planned path is the one a space-time A* over (cell, step) states
     returns (Silver, "Cooperative Pathfinding", AIIDE 2005): states keyed
     by (f, t) with the goal distance as h, a seeded hash of (cell, t)
     breaking ties and push order breaking equal hashes, terminal once the
     robot can rest on its goal.  `resolver_expansions` counts the states
-    that A* pops.
+    that A* pops on every attempt; `robots_replanned` and `wait_steps_added`
+    describe the returned paths.
     """
-    n = len(initial_paths)
-    priority = sorted(range(n), key=lambda i: (-(len(initial_paths[i]) - 1), i))
     if stats is None:
         stats = SolveStats()
-    reservations = _Reservations(len(grid.template))
-    result: list[Path | None] = [None] * n
     cell_id, cell_at = grid.cell_id, grid.cell_at
+    initial = [[cell_id(c) for c in path] for path in initial_paths]
     # bit v set for every passable id v
     passable = int("".join("0" if x == BLOCKED else "1"
                            for x in reversed(grid.template)), 2)
-    for i in priority:
-        path = initial_paths[i]
-        ids = [cell_id(c) for c in path]
-        if reservations.path_is_clean(ids):
-            result[i] = path
-            reservations.add_path(ids)
-            continue
-        stats.robots_replanned += 1
-        bound = 2 * (grid.width + grid.height) + reservations.max_time
-        goal_free_from = reservations.free_from(ids[-1])
-        if goal_free_from == -2:
-            raise ResolverError(i, f"robot {i}: goal permanently reserved", stats)
-        new_ids = _layered_plan(grid, passable, ids[0], ids[-1], reservations,
-                                bound, goal_free_from, _mix(seed, i), stats)
-        if new_ids is None:
-            raise ResolverError(
-                i, f"robot {i}: no conflict-free path within {bound} steps", stats)
-        result[i] = [cell_at[v] for v in new_ids]
-        reservations.add_path(new_ids)
-        stats.wait_steps_added += (len(new_ids) - 1) - (len(path) - 1)
-    return result  # type: ignore[return-value]
+
+    def plan_one(i: int, attempt: int, reservations: _Reservations) -> list[int]:
+        ids = initial[i]
+        if not reservations.path_is_clean(ids):
+            bound = 2 * (grid.width + grid.height) + reservations.max_time
+            goal_free_from = reservations.free_from(ids[-1])
+            ids = None if goal_free_from == -2 else _layered_plan(
+                grid, passable, ids[0], ids[-1], reservations, bound,
+                goal_free_from, _mix(seed, i), stats)
+            if ids is None:
+                stats.resolver_restarts = attempt
+                why = ("goal permanently reserved" if goal_free_from == -2
+                       else f"no conflict-free path within {bound} steps")
+                raise ResolverError(i, f"robot {i}: {why}", stats)
+        reservations.add_path(ids)
+        return ids
+
+    order = sorted(range(len(initial)), key=lambda i: (-len(initial[i]), i))
+    paths, attempts = plan_prioritized(len(grid.template), order, plan_one, seed)
+    stats.resolver_restarts = attempts - 1
+    stats.robots_replanned = sum(p != q for p, q in zip(paths, initial))
+    stats.wait_steps_added = sum(len(p) - len(q) for p, q in zip(paths, initial))
+    return [[cell_at[v] for v in p] for p in paths]
 
 
 def _layered_plan(grid: GridMap, passable: int, start: int, goal: int,
@@ -366,9 +361,8 @@ def solve_mpp(instance: MppInstance, params: UsageParams | None = None,
                                      iterations, cfg, fields=fields,
                                      stats=stats.search)
     stats.plan_seconds = time.perf_counter() - t0
-    vc, sc = timed_conflicts(initial)
-    stats.initial_vertex_conflicts = vc
-    stats.initial_swap_conflicts = sc
+    stats.initial_vertex_conflicts, stats.initial_swap_conflicts = (
+        timed_conflicts(initial))
     stats.initial_max_vertex_overlap = max_vertex_overlap(initial)
     stats.initial_total_overlap = total_pairwise_overlap(initial)
 

@@ -19,8 +19,10 @@ counts:
   equal sum goes to the predecessor with the smaller `_mix(seed, x, y)`.
 
 `plan_independent_paths` runs these searches for every robot over several
-passes, keeping one usage table updated incrementally.  Prioritized
-planners search around one space-time table, `_Reservations`.
+passes, keeping one usage table updated incrementally.  `plan_prioritized`
+runs both prioritized planners, the one-shot resolver and the windowed
+solver: robots plan in turn around one space-time table, `_Reservations`,
+and a robot that fails moves to the front of a restart.
 
 Both A* loops (`find_path_cost_to_go` here, over ids, and
 `lifelong._plan_window`, over space-time states) pop their states through
@@ -44,6 +46,7 @@ from .grid import Cell, DistanceField, FieldCache, GridMap, distance_field
 from .usage import Path, UsageParams, UsageTable
 
 MASK64 = (1 << 64) - 1
+RESTARTS = 10  # attempts after the first in `plan_prioritized`
 
 
 class NoPathError(RuntimeError):
@@ -52,6 +55,14 @@ class NoPathError(RuntimeError):
 
 class InstanceError(ValueError):
     pass
+
+
+class PlanningError(RuntimeError):
+    """A prioritized planner could not plan robot `robot`."""
+
+    def __init__(self, robot: int, message: str):
+        super().__init__(message)
+        self.robot = robot
 
 
 class _Ranked(list):
@@ -294,6 +305,36 @@ class _Reservations:
         if v in self.rest_from:
             return -2  # rested on forever; never free
         return self._last.get(v, -1) + 1
+
+
+def plan_prioritized(size: int, base_order: list[int], plan_one,
+                     seed: int) -> tuple[list[list[int]], int]:
+    """Prioritized planning (Silver, AIIDE 2005) with restarts.
+
+    Each attempt plans robots one at a time around a fresh `_Reservations`
+    of ids below `size`: `plan_one(i, attempt, reservations)` reserves and
+    returns robot i's padded-id path, or raises PlanningError.  Robots that
+    failed go first, latest first, then the rest in `base_order`, shuffled
+    by `_mix(seed, attempt)` when `attempt` exceeds their count plus one.
+    Returns the paths by robot and the attempts made; after RESTARTS
+    restarts, raises the last failure.
+    """
+    promoted: list[int] = []
+    for attempt in range(RESTARTS + 1):
+        rest = [i for i in base_order if i not in promoted]
+        if attempt > len(promoted) + 1:
+            random.Random(_mix(seed, attempt)).shuffle(rest)
+        reservations = _Reservations(size)
+        paths: list = [None] * len(base_order)
+        try:
+            for i in promoted + rest:
+                paths[i] = plan_one(i, attempt, reservations)
+        except PlanningError as err:
+            failure = err.with_traceback(None)  # keeps no frames alive
+            promoted = [err.robot] + [r for r in promoted if r != err.robot]
+            continue
+        return paths, attempt + 1
+    raise failure
 
 
 _UNSEEN = float("inf")  # above every f

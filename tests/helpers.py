@@ -11,8 +11,8 @@ from operator import add
 
 from spreadplan.grid import FieldCache, GridMap, distance_field
 from spreadplan.oneshot import Conflict, ResolverError, SolveStats
-from spreadplan.search import (SearchConfig, _fold, _mix, _TieQueue, _unwind,
-                               find_path_cost_to_go)
+from spreadplan.search import (RESTARTS, SearchConfig, _fold, _mix, _TieQueue,
+                               _unwind, find_path_cost_to_go)
 from spreadplan.usage import (Cell, Path, UsageParams, UsageTable,
                               UsageUnderflowError)
 
@@ -224,33 +224,60 @@ def reference_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
                                    fields: FieldCache | None = None
                                    ) -> list[Path]:
     """Reference for `oneshot.default_resolver_prioritized`, which re-planned
-    each robot with the space-time A* below.
+    each robot with the space-time A* below, with its own copy of the
+    restart loop of `search.plan_prioritized`.
 
     Sequential space-time scheduling around earlier robots' reservations.
 
     Robots whose initial path is already clean keep it unchanged; the rest
     re-plan with waits allowed.  Each robot's final cell is reserved for all
-    later steps.  Raises ResolverError naming the first robot that cannot be
-    scheduled within the time bound.  `fields` is the map's field cache,
+    later steps.  A robot that cannot be scheduled within the time bound
+    plans first on the next attempt; after RESTARTS restarts, the last such
+    robot is named by a ResolverError.  `fields` is the map's field cache,
     such as the one phase 1 filled.
     """
     n = len(initial_paths)
     priority = sorted(range(n), key=lambda i: (-(len(initial_paths[i]) - 1), i))
     if stats is None:
         stats = SolveStats()
-    reservations = ReferenceReservations(len(grid.template))
-    result: list[Path | None] = [None] * n
     if fields is None:
         fields = FieldCache(grid, distance_field)
+    promoted: list[int] = []
+    for attempt in range(RESTARTS + 1):
+        rest = [i for i in priority if i not in promoted]
+        if attempt > len(promoted) + 1:
+            random.Random(_mix(seed, attempt)).shuffle(rest)
+        try:
+            result = _reference_attempt(grid, initial_paths, promoted + rest,
+                                        seed, stats, fields)
+        except ResolverError as err:
+            stats.resolver_restarts = attempt
+            failure = err
+            promoted = [err.robot] + [r for r in promoted if r != err.robot]
+            continue
+        stats.resolver_restarts = attempt
+        stats.robots_replanned = sum(
+            p != q for p, q in zip(result, initial_paths))
+        stats.wait_steps_added = sum(
+            len(p) - len(q) for p, q in zip(result, initial_paths))
+        return result
+    raise failure
+
+
+def _reference_attempt(grid: GridMap, initial_paths: list[Path],
+                       order: list[int], seed: int, stats: SolveStats,
+                       fields: FieldCache) -> list[Path]:
+    """One attempt of the reference resolver, planning robots in `order`."""
+    reservations = ReferenceReservations(len(grid.template))
+    result: list[Path | None] = [None] * len(initial_paths)
     cell_id, cell_at = grid.cell_id, grid.cell_at
-    for order_idx, i in enumerate(priority):
+    for i in order:
         path = initial_paths[i]
         ids = [cell_id(c) for c in path]
         if reservations.path_is_clean(ids):
             result[i] = path
             reservations.add_path(ids)
             continue
-        stats.robots_replanned += 1
         goal = path[-1]
         bound = 2 * (grid.width + grid.height) + reservations.max_time
         goal_free_from = reservations.free_from(ids[-1])
@@ -264,7 +291,6 @@ def reference_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
                 i, f"robot {i}: no conflict-free path within {bound} steps", stats)
         result[i] = [cell_at[v] for v in new_ids]
         reservations.add_path(new_ids)
-        stats.wait_steps_added += (len(new_ids) - 1) - (len(path) - 1)
     return result  # type: ignore[return-value]
 
 

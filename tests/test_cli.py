@@ -118,6 +118,18 @@ def test_lifelong_csv_structure(tmp_path):
     assert cumulative[-1] >= 30
 
 
+def test_lifelong_unreachable_goal_exit_code(tmp_path, capsys):
+    """A goal stream draws from every passable cell, so on a map in two
+    components some goal lies in the other one from its robot."""
+    map_path = tmp_path / "split.map"
+    map_path.write_text("type octile\nheight 3\nwidth 5\nmap\n"
+                        + "..@..\n" * 3)
+    assert main(["lifelong", "--map", str(map_path), "--n", "2", "--h", "3",
+                 "--out", str(tmp_path / "ll.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: robot ") and "unreachable from" in err
+
+
 def test_lifelong_rerun_is_deterministic(tmp_path):
     map_path = tmp_path / "w.map"
     main(["gen-map", "warehouse", "--width", "21", "--height", "12",

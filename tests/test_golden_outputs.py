@@ -1,4 +1,4 @@
-"""Golden outputs: sha256 digests of ten small fixed runs.
+"""Golden outputs: sha256 digests of eleven small fixed runs.
 
 The digests pin every path (and the search and resolver counts that come
 with them), so a change meant to be a pure speed-up shows here if it moves a
@@ -7,11 +7,11 @@ update these digests and say so in CHANGES.md.  The guided search's
 `generated` count is pinned apart from the digests, as a readable integer
 in `GENERATED`: a change that only prunes pushes which are never popped
 moves those integers and no digest.  Two runs reach the windowed
-solver's rarer paths, a failed attempt and a fallback prefix; two reach the
-resolver's, a robot that waits for its goal to be free and a robot it
-cannot schedule; all four assert that they do.  The last test counts the
-tie hashes of one run, so that eager hashing at every push cannot return
-unnoticed.
+solver's rarer paths, a failed attempt and a fallback prefix; three reach
+the resolver's, a robot that waits for its goal to be free, a restart that
+solves and a robot it cannot schedule on any attempt; all five assert that
+they do.  The last test counts the tie hashes of one run, so that eager
+hashing at every push cannot return unnoticed.
 
 Print the current digests and counts, ready to paste, with
 `PYTHONPATH=src python tests/test_golden_outputs.py`.
@@ -30,8 +30,10 @@ from spreadplan.grid import (distance_field, generate_instance, generate_random_
                             generate_warehouse)
 from spreadplan.lifelong import (GoalStream, config_for_variant, run_lifelong,
                                  solve_mpp_via_horizon, windowed_solver)
-from spreadplan.oneshot import MppInstance, ResolverError, solve_mpp
-from spreadplan.search import SearchConfig, SearchStats, plan_independent_paths
+from spreadplan.oneshot import (MppInstance, ResolverError, solve_mpp,
+                                validate_solution)
+from spreadplan.search import (RESTARTS, SearchConfig, SearchStats,
+                               plan_independent_paths)
 from spreadplan.usage import UsageParams
 
 
@@ -103,19 +105,37 @@ def run_solve_mpp_goal_wait():
     return {"solution": json.loads(sol.to_json())}
 
 
+def _crowded_10x10(seed: int):
+    """24 robots on a 10x10 map with 15% obstacles, solved with r = 1."""
+    grid = generate_random_grid(10, 10, 0.15, seed=seed)
+    robots = generate_instance(grid, 24, seed=seed)
+    tasks = [(s, gs[0]) for s, gs in robots]
+    return grid, tasks, lambda: solve_mpp(
+        MppInstance(grid, tasks), UsageParams(num_robots=24), 1,
+        SearchConfig(tie_break_seed=seed))
+
+
 def run_resolver_error():
     """A run whose resolver meets a robot it cannot schedule within the
-    time bound."""
-    grid = generate_random_grid(10, 10, 0.15, seed=2)
-    robots = generate_instance(grid, 24, seed=2)
-    tasks = [(s, gs[0]) for s, gs in robots]
+    time bound on every attempt."""
+    _, _, solve = _crowded_10x10(26)
     with pytest.raises(ResolverError) as err:
-        solve_mpp(MppInstance(grid, tasks), UsageParams(num_robots=24), 1,
-                  SearchConfig(tie_break_seed=2))
+        solve()
     message = str(err.value)
     assert "no conflict-free path within" in message
+    assert err.value.stats.resolver_restarts == RESTARTS
     return {"robot": err.value.robot, "message": message,
             "expansions": err.value.stats.resolver_expansions}
+
+
+def run_resolver_restarts():
+    """A run whose first resolver attempt fails and a restart solves."""
+    grid, tasks, solve = _crowded_10x10(2)
+    sol = solve()
+    assert sol.stats.resolver_restarts >= 1
+    assert validate_solution(sol.paths, grid, tasks) == []
+    return {"solution": json.loads(sol.to_json()),
+            "expansions": sol.stats.resolver_expansions}
 
 
 def _recording(mp, name: str) -> list:
@@ -200,7 +220,9 @@ GOLDEN = {
     "passes_cost_to_come_temporal":
         "53f00651ceb8eb6293c32cf927b29adeb55f51dc380cc6ce473324f7a5231fba",
     "resolver_error":
-        "ae9b276492ce2659db7e0844ee172c6e94b0cafeee88772efd19fce48d6971be",
+        "a259d4760f2f3fb06845815c351cc0535e988e5d1e73d3840332ced88bb10c4e",
+    "resolver_restarts":
+        "aba49f2b38fba2c3f93692a037874e1311eba6cedc14d87d878518539b08f1a2",
     "solve_mpp_goal_wait":
         "91c1401b576ec4ab829036b77e001cb08fdf696699798a50b0e831e1db5d878f",
     "solve_mpp_temporal":

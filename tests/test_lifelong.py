@@ -161,8 +161,7 @@ def test_windowed_solver_sweep_returns_valid_windows_or_raises():
         states = [s for s, _ in robots]
         try:
             paths, _ = windowed_solver(grid, states, [gs for _, gs in robots],
-                                       h, seed=rng.randrange(1 << 20),
-                                       retries=3)
+                                       h, seed=rng.randrange(1 << 20))
         except WindowedSolverError:
             continue
         solved += 1

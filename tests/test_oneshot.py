@@ -187,6 +187,33 @@ def test_solution_validates_and_bounds_hold():
             assert path[0] == s and path[-1] == g
 
 
+def test_seeded_sweep_raises_no_resolver_error():
+    """On 200 seeded 12x12 instances of 14 robots one resolver pass failed
+    once (seed 32, robot 4); with restarts every instance solves."""
+    restarted = 0
+    for seed in range(200):
+        grid = generate_random_grid(12, 12, 0.1, seed)
+        robots = generate_instance(grid, 14, seed * 3 + 1)
+        tasks = [(s, gs[0]) for s, gs in robots]
+        sol = solve_mpp(MppInstance(grid, tasks), UsageParams(num_robots=14), 1,
+                        SearchConfig(tie_break_seed=seed))
+        assert validate_solution(sol.paths, grid, tasks) == [], seed
+        restarted += sol.stats.resolver_restarts > 0
+    assert restarted >= 1
+
+
+def test_resolver_restart_solves_the_former_error_instance():
+    """24 robots on a 10x10 map that one resolver pass cannot schedule."""
+    grid = generate_random_grid(10, 10, 0.15, seed=2)
+    robots = generate_instance(grid, 24, seed=2)
+    tasks = [(s, gs[0]) for s, gs in robots]
+    sol = solve_mpp(MppInstance(grid, tasks), UsageParams(num_robots=24), 1,
+                    SearchConfig(tie_break_seed=2))
+    assert sol.stats.resolver_restarts >= 1
+    assert validate_solution(sol.paths, grid, tasks) == []
+    assert (sol.makespan, sol.sum_of_cost) == (15, 223)
+
+
 def test_guided_phase_one_reduces_initial_conflicts():
     base = guided = 0
     for seed in range(4):
@@ -300,7 +327,8 @@ def random_resolver_case(rng: random.Random, max_side: int = 16):
 
 def resolve_both(grid, initial, seed):
     """The outcome of the resolver and of the reference A* resolver: the
-    paths, or the failing robot and message, then the three counters."""
+    paths, or the failing robot and message, then the four counters.  The
+    expansions sum over every attempt, so an attempt that differs shows."""
     outcomes = []
     for resolver in (default_resolver_prioritized, reference_resolver_prioritized):
         stats = SolveStats()
@@ -309,7 +337,8 @@ def resolve_both(grid, initial, seed):
         except ResolverError as err:
             result = (err.robot, str(err))
         outcomes.append((result, stats.resolver_expansions,
-                         stats.robots_replanned, stats.wait_steps_added))
+                         stats.robots_replanned, stats.wait_steps_added,
+                         stats.resolver_restarts))
     return outcomes
 
 
@@ -317,19 +346,21 @@ def test_layered_resolver_matches_reference_astar():
     """The layered search returns the A*'s paths, counters and errors, and
     every solution it returns validates against the map and the tasks."""
     rng = random.Random(2013)
-    solved = failed = waited = 0
+    solved = failed = waited = restarted = 0
     for _ in range(60):
         grid, tasks, initial, seed = random_resolver_case(rng)
         ours, reference = resolve_both(grid, initial, seed)
         assert ours == reference
-        result, _, _, waits = ours
+        result, _, _, waits, restarts = ours
         if isinstance(result, tuple):
             failed += 1
             continue
         solved += 1
         waited += waits > 0
+        restarted += restarts > 0
         assert validate_solution(result, grid, tasks) == []
-    assert solved >= 30 and failed >= 1 and waited >= 10, (solved, failed, waited)
+    assert solved >= 30 and failed >= 1 and waited >= 10 and restarted >= 1, (
+        solved, failed, waited, restarted)
 
 
 def test_layered_resolver_matches_reference_on_equal_ties(monkeypatch):
