@@ -10,7 +10,17 @@ has id (y + 1) * W' + (x + 1), and the 4-neighbours of id v are v + 1, v - 1,
 v + W' and v - W' in `NEIGHBOR_STEPS` order.  A neighbour id is never out of
 range, and the border stops a step off one edge from wrapping to another row.
 `GridMap.template` holds FREE at every passable id and BLOCKED at blocked and
-border ids; it is built on a map's first search, not when the map is parsed.
+border ids; `GridMap.passable_mask` is the same as one int, bit v set for
+each passable id v; `GridMap.passable_cells` lists the passable cells in
+row-major order.  All three are built on first use, not when a map is parsed.
+
+Components are flooded bit-parallel (the bit-mask BFS of Akiba, Iwata and
+Yoshida, SIGMOD 2013): a mask of ids grows by one step per round,
+`(m | m << 1 | m >> 1 | m << W' | m >> W') & passable`, until it stops.
+`largest_component_grid` floods components in the row-major order of their
+first cell, and keeps the largest; among equal largest components it keeps
+the one whose first cell comes first.  It stops once the largest found holds
+at least as many cells as are left unflooded.
 
 Distance fields grow on demand: `distance_field` labels only the goal, and
 each lookup of an unlabelled cell resumes the breadth-first search from the
@@ -43,8 +53,13 @@ BLOCKED = -2   # blocked, or the border around the map
 # 0.27 MB each
 FIELD_CACHE_BYTES = 128 << 20
 
-PASSABLE_CHARS = frozenset(".G")
-BLOCKED_CHARS = frozenset("@OT")
+# map characters: `.` and `G` passable, `@`, `O` and `T` blocked.  With every
+# known character deleted, what is left of a row is its unknown characters;
+# with the blocked ones made `@`, str.find walks a row's blocked cells.
+_UNKNOWN_ONLY = str.maketrans("", "", ".G@OT")
+_BLOCKED_AS_AT = str.maketrans("OT", "@@")
+# FREE's lowest byte to the digit 1, BLOCKED's to 0 (see GridMap.passable_mask)
+_MASK_DIGITS = bytes.maketrans(bytes([FREE & 0xff, BLOCKED & 0xff]), b"10")
 
 
 class MapParseError(ValueError):
@@ -121,32 +136,53 @@ class GridMap:
             labels[(y + 1) * stride + x + 1] = BLOCKED
         return labels
 
+    @cached_property
+    def passable_mask(self) -> int:
+        """Bit v set for every passable padded id v: the template as one int.
+
+        Each label's lowest byte (0xff for FREE, 0xfe for BLOCKED) becomes
+        one binary digit, highest id first, all in C.
+        """
+        template = self.template
+        low = 0 if sys.byteorder == "little" else template.itemsize - 1
+        digits = template.tobytes()[low::template.itemsize].translate(_MASK_DIGITS)
+        return int(digits[::-1], 2)
+
+    @cached_property
+    def passable_cells(self) -> tuple[Cell, ...]:
+        """Every passable cell, in row-major order; one tuple per map."""
+        return _cells_of(self.passable_mask, self.stride)
+
     def vertices(self):
-        for y in range(self.height):
-            for x in range(self.width):
-                if (x, y) not in self.blocked:
-                    yield (x, y)
+        return iter(self.passable_cells)
 
     def is_connected(self) -> bool:
         """True when all passable cells form a single 4-connected component."""
-        start = next(self.vertices(), None)
-        if start is None:
-            return True
-        component = self._flood(self.template[:], self.cell_id(start))
-        return len(component) == self.num_vertices
+        passable = self.passable_mask
+        return _flood(passable & -passable, passable, self.stride) == passable
 
-    def _flood(self, labels: array, v: int) -> list[int]:
-        """The ids of v's component; each is marked in `labels`, a copy of
-        the template, so that a later flood from another id skips them."""
-        stride = self.width + 2
-        labels[v] = 0
-        component = [v]
-        for v in component:  # the list grows while it is walked
-            for u in (v + 1, v - 1, v + stride, v - stride):
-                if labels[u] == FREE:
-                    labels[u] = 0
-                    component.append(u)
-        return component
+
+def _flood(mask: int, passable: int, stride: int) -> int:
+    """The ids of the components that hold the ids in `mask`, as a mask."""
+    while True:
+        wider = (mask | mask << 1 | mask >> 1 | mask << stride
+                 | mask >> stride) & passable
+        if wider == mask:
+            return mask
+        mask = wider
+
+
+def _cells_of(mask: int, stride: int) -> tuple[Cell, ...]:
+    """The (x, y) cells of the padded ids in `mask`, in row-major order."""
+    digits = bin(mask)[:1:-1]  # digit v is bit v
+    cells = []
+    add = cells.append
+    v = digits.find("1")
+    while v >= 0:
+        y, x = divmod(v, stride)
+        add((x - 1, y - 1))
+        v = digits.find("1", v + 1)
+    return tuple(cells)
 
 
 class DistanceField:
@@ -301,35 +337,51 @@ def parse_movingai_map(text: str) -> GridMap:
     """Parse the standard grid map format: type/height/width header then rows.
 
     `.` and `G` are passable; `@`, `O`, `T` are blocked; anything else is an
-    error naming the offending line.
+    error naming the offending line.  Rows are checked and scanned by C
+    string calls, so Python touches only the blocked cells.
     """
     lines = text.splitlines()
     if len(lines) < 4:
         raise MapParseError("line 1: truncated header")
     if not lines[0].startswith("type"):
         raise MapParseError("line 1: expected 'type' header")
-    try:
-        height = int(lines[1].split()[1])
-        width = int(lines[2].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise MapParseError("line 2-3: malformed height/width header") from exc
+    height = _header_size(lines, 2, "height")
+    width = _header_size(lines, 3, "width")
     if lines[3].strip() != "map":
         raise MapParseError("line 4: expected 'map' separator")
     rows = lines[4:4 + height]
     if len(rows) < height:
         raise MapParseError(f"line {4 + len(rows) + 1}: expected {height} map rows")
-    blocked = set()
+    if (set(map(len, rows)) != {width}
+            or "".join(rows).translate(_UNKNOWN_ONLY)):
+        for y, row in enumerate(rows):  # the first bad row names the error
+            if len(row) != width:
+                raise MapParseError(
+                    f"line {5 + y}: row length {len(row)} does not match width {width}")
+            unknown = row.translate(_UNKNOWN_ONLY)
+            if unknown:
+                raise MapParseError(
+                    f"line {5 + y}: unknown cell character {unknown[0]!r}")
+    blocked = []
+    add = blocked.append
     for y, row in enumerate(rows):
-        row = row.rstrip("\r\n")
-        if len(row) != width:
-            raise MapParseError(
-                f"line {5 + y}: row length {len(row)} does not match width {width}")
-        for x, ch in enumerate(row):
-            if ch in BLOCKED_CHARS:
-                blocked.add((x, y))
-            elif ch not in PASSABLE_CHARS:
-                raise MapParseError(f"line {5 + y}: unknown cell character {ch!r}")
+        if "O" in row or "T" in row:
+            row = row.translate(_BLOCKED_AS_AT)
+        x = row.find("@")
+        while x >= 0:
+            add((x, y))
+            x = row.find("@", x + 1)
     return GridMap(width, height, frozenset(blocked))
+
+
+def _header_size(lines: list[str], number: int, keyword: str) -> int:
+    """The size on header line `number`, which must read `<keyword> <N>`."""
+    words = lines[number - 1].split()
+    if (len(words) != 2 or words[0] != keyword or not words[1].isdecimal()
+            or int(words[1]) < 1):
+        raise MapParseError(
+            f"line {number}: expected '{keyword} <N>' with N a positive integer")
+    return int(words[1])
 
 
 def grid_to_movingai(grid: GridMap) -> str:
@@ -423,22 +475,23 @@ def largest_component_grid(grid: GridMap) -> GridMap:
     """Copy of the map with everything outside the largest component blocked.
 
     Large sparse random maps almost always contain small isolated pockets;
-    this turns them into a usable connected planning domain.
+    this turns them into a usable connected planning domain.  Among equal
+    largest components, the one whose first cell in row-major order comes
+    first is kept.
     """
-    remaining = set(grid.vertices())
-    labels = grid.template[:]
-    cell_at = grid.cell_at
-    best: set[Cell] = set()
-    while remaining:
-        seed_cell = next(iter(remaining))
-        component = {cell_at[v]
-                     for v in grid._flood(labels, grid.cell_id(seed_cell))}
-        remaining -= component
-        if len(component) > len(best):
-            best = component
-    blocked = {(x, y) for y in range(grid.height) for x in range(grid.width)
-               if (x, y) not in best}
-    return GridMap(grid.width, grid.height, frozenset(blocked))
+    passable, stride = grid.passable_mask, grid.stride
+    best, best_size = 0, 0
+    rest, rest_size = passable, passable.bit_count()
+    # the lowest id left is the first cell of a component not flooded yet
+    while rest_size > best_size:
+        component = _flood(rest & -rest, passable, stride)
+        size = component.bit_count()
+        rest ^= component
+        rest_size -= size
+        if size > best_size:
+            best, best_size = component, size
+    return GridMap(grid.width, grid.height,
+                   grid.blocked.union(_cells_of(passable ^ best, stride)))
 
 
 def distance_field(grid: GridMap, goal: Cell) -> DistanceField:
@@ -456,7 +509,7 @@ def generate_instance(grid: GridMap, n: int, seed: int,
     (one-shot instances need that); longer chains draw goals independently
     per robot, only avoiding zero-length legs.  Deterministic per seed.
     """
-    cells = list(grid.vertices())
+    cells = grid.passable_cells
     if n > len(cells):
         raise ValueError(f"cannot place {n} robots on {len(cells)} vertices")
     rng = random.Random(seed)

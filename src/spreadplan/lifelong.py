@@ -69,7 +69,7 @@ class GoalStream:
         self._pending: deque[Cell] = deque(initial or [])
         self._last: Cell | None = self._pending[-1] if self._pending else None
         self._rng = random.Random(seed) if seed is not None else None
-        self._cells = list(grid.vertices()) if self._rng is not None else []
+        self._cells = grid.passable_cells if self._rng is not None else ()
 
     def ensure(self, count: int) -> None:
         if self._rng is None:
@@ -403,7 +403,7 @@ def run_lifelong(grid: GridMap, streams: list[GoalStream], cfg: HorizonConfig,
     if n == 0 or stop_goals <= 0:
         return stats
     if positions is None:
-        positions = random.Random(cfg.seed).sample(list(grid.vertices()), n)
+        positions = random.Random(cfg.seed).sample(grid.passable_cells, n)
     fields = FieldCache(grid, distance_field)
     h = cfg.h
     commit = cfg.commit or h

@@ -23,7 +23,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .grid import BLOCKED, Cell, FieldCache, GridMap, distance_field
+from .grid import Cell, FieldCache, GridMap, distance_field
 from .metrics import (makespan, max_vertex_overlap, robots_by_step,
                       sum_of_cost, timed_conflicts, total_pairwise_overlap)
 from .search import (InstanceError, PlanningError, SearchConfig, SearchStats,
@@ -174,9 +174,7 @@ def default_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
         stats = SolveStats()
     cell_id, cell_at = grid.cell_id, grid.cell_at
     initial = [[cell_id(c) for c in path] for path in initial_paths]
-    # bit v set for every passable id v
-    passable = int("".join("0" if x == BLOCKED else "1"
-                           for x in reversed(grid.template)), 2)
+    passable = grid.passable_mask
 
     def plan_one(i: int, attempt: int, reservations: _Reservations) -> list[int]:
         ids = initial[i]

@@ -9,7 +9,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from operator import add
 
-from spreadplan.grid import FieldCache, GridMap, distance_field
+from spreadplan.grid import FieldCache, GridMap, MapParseError, distance_field
 from spreadplan.oneshot import Conflict, ResolverError, SolveStats
 from spreadplan.search import (RESTARTS, SearchConfig, _fold, _mix, _TieQueue,
                                _unwind, find_path_cost_to_go)
@@ -46,6 +46,45 @@ class EagerTieHeap:
     def pop(self):
         key, _, _, state = heapq.heappop(self.heap)
         return key, state
+
+
+def reference_components(grid: GridMap) -> list[set]:
+    """Reference: the 4-connected components, each by a per-cell BFS, in the
+    row-major order of their first cell."""
+    components = []
+    seen: set = set()
+    for y in range(grid.height):
+        for x in range(grid.width):
+            if (x, y) in seen or (x, y) in grid.blocked:
+                continue
+            component = {(x, y)}
+            queue = deque([(x, y)])
+            while queue:
+                for n in grid.neighbors(queue.popleft()):
+                    if n not in component:
+                        component.add(n)
+                        queue.append(n)
+            seen |= component
+            components.append(component)
+    return components
+
+
+def reference_parse_rows(text: str) -> GridMap:
+    """Reference for the map rows of `parse_movingai_map`, one character at a
+    time; the header must be well formed."""
+    lines = text.splitlines()
+    height, width = int(lines[1].split()[1]), int(lines[2].split()[1])
+    blocked = set()
+    for y, row in enumerate(lines[4:4 + height]):
+        if len(row) != width:
+            raise MapParseError(
+                f"line {5 + y}: row length {len(row)} does not match width {width}")
+        for x, ch in enumerate(row):
+            if ch in "@OT":
+                blocked.add((x, y))
+            elif ch not in ".G":
+                raise MapParseError(f"line {5 + y}: unknown cell character {ch!r}")
+    return GridMap(width, height, frozenset(blocked))
 
 
 def labelled(field):

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from helpers import build_prior_paths
+from helpers import build_prior_paths, pairwise_conflicts
 from spreadplan import metrics
 from spreadplan.bruteforce import enumerate_shortest_paths, min_objective
 from spreadplan.grid import (GridMap, distance_field, generate_instance,
@@ -21,7 +21,7 @@ from spreadplan.grid import (GridMap, distance_field, generate_instance,
                              largest_component_grid, parse_movingai_map)
 from spreadplan.lifelong import (GoalStream, config_for_variant, run_lifelong,
                                  solve_mpp_via_horizon)
-from spreadplan.oneshot import validate_solution
+from spreadplan.oneshot import Conflict, validate_solution
 from spreadplan.search import (SearchConfig, SearchStats,
                                find_path_cost_to_come, find_path_cost_to_go,
                                plan_independent_paths)
@@ -353,3 +353,71 @@ def test_11_validator_finds_exactly_the_planted_conflicts():
         total += 1
     report(11, "validator reports exactly the planted conflicts",
            exact == total, f"{exact}/{total} exact matches")
+
+
+def _illegal_move_case(rng, planted):
+    """Random walks on a random map with planted faults: teleports, steps
+    onto a blocked or off-map cell and back, and wrong starts and goals.
+    Returns the paths, the map, the tasks and the exact fault list the validator must
+    give: every move fault, then the endpoint faults, then the collisions."""
+    width, height = rng.randint(2, 9), rng.randint(2, 9)
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    grid = GridMap(width, height,
+                   frozenset(rng.sample(cells, rng.randint(1, len(cells) // 3))))
+    free = [c for c in cells if c not in grid.blocked]
+    paths, tasks, moves, endpoints = [], [], [], []
+    for i in range(rng.randint(1, 4)):
+        path = [rng.choice(free)]
+        for _ in range(rng.randint(0, 10)):
+            here, t = path[-1], len(path)
+            x, y = here
+            kind = rng.choice(("step", "step", "teleport", "blocked", "off-map"))
+            if kind == "teleport":
+                far = [c for c in free
+                       if abs(c[0] - x) + abs(c[1] - y) >= 2]
+                if far:
+                    there = rng.choice(far)
+                    path.append(there)
+                    moves.append(Conflict("move", (i,), t, (here, there)))
+                    planted[kind] += 1
+                    continue
+            elif kind in ("blocked", "off-map"):
+                near = [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
+                if kind == "blocked":
+                    bad = [c for c in near if c in grid.blocked] or sorted(grid.blocked)
+                else:
+                    bad = [c for c in near if not grid.in_bounds(c)] or [
+                        (rng.choice((-2, width + 1)), rng.randrange(height))]
+                there = rng.choice(bad)
+                path += [there, here]
+                moves.append(Conflict("move", (i,), t, (here, there)))
+                moves.append(Conflict("move", (i,), t + 1, (there, here)))
+                planted[kind] += 1
+                continue
+            path.append(rng.choice(grid.neighbors(here) + [here]))
+        start, goal = path[0], path[-1]
+        if rng.random() < 0.2:
+            start = rng.choice([c for c in cells if c != path[0]])
+            endpoints.append(Conflict("start", (i,), 0, path[0]))
+            planted["start"] += 1
+        if rng.random() < 0.2:
+            goal = rng.choice([c for c in cells if c != path[-1]])
+            endpoints.append(Conflict("goal", (i,), len(path) - 1, path[-1]))
+            planted["goal"] += 1
+        paths.append(path)
+        tasks.append((start, goal))
+    return paths, grid, tasks, moves + endpoints + pairwise_conflicts(paths)
+
+
+def test_11_validator_finds_exactly_the_planted_illegal_moves():
+    rng = random.Random(4011)
+    planted = dict.fromkeys(("teleport", "blocked", "off-map", "start",
+                             "goal"), 0)
+    exact = total = 0
+    for _ in range(1000):
+        paths, grid, tasks, expected = _illegal_move_case(rng, planted)
+        exact += validate_solution(paths, grid, tasks) == expected
+        total += 1
+    report(11, "validator reports exactly the planted illegal moves",
+           exact == total and min(planted.values()) >= 100,
+           f"{exact}/{total} exact matches; planted {planted}")

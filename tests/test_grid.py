@@ -11,7 +11,8 @@ from spreadplan.grid import (BLOCKED, FREE, NEIGHBOR_STEPS, DistanceField,
                              instance_to_json, largest_component_grid,
                              parse_movingai_map, parse_movingai_scen)
 
-from helpers import eager_bfs, labelled, reference_one_goal_instance
+from helpers import (eager_bfs, labelled, reference_components,
+                     reference_one_goal_instance, reference_parse_rows)
 
 DEN520D_PATH = os.environ.get(
     "SPREADPLAN_DEN520D",
@@ -51,6 +52,51 @@ def test_parse_errors_name_the_line():
         parse_movingai_map(make_map_text(["..", ".x"]))
     with pytest.raises(MapParseError):
         parse_movingai_map("type octile\nheight x\nwidth 2\nmap\n..\n..")
+
+
+def test_parse_header_reads_its_keywords():
+    rows = "\nmap\n...\n...\n"
+    assert parse_movingai_map("type octile\nheight 2\nwidth 3" + rows) == GridMap(3, 2)
+    for header, line in [("width 3\nheight 2", 2),    # swapped: not read as 3x2
+                         ("height 0\nwidth 3", 2),
+                         ("height 2\nwidth -3", 3),
+                         ("height 2\nwidth 3.0", 3),
+                         ("height 2\nwdth 3", 3),
+                         ("height 2\nwidth", 3),
+                         ("height 2 3\nwidth 3", 2)]:
+        with pytest.raises(MapParseError, match=f"^line {line}: "):
+            parse_movingai_map("type octile\n" + header + rows)
+
+
+def test_parse_matches_per_character_reference():
+    rng = random.Random(18)
+    failures = 0
+    for case in range(300):
+        width, height = rng.randint(1, 12), rng.randint(1, 12)
+        rows = ["".join(rng.choice(".G@OT") for _ in range(width))
+                for _ in range(height)]
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            # a stray character, or a row of the wrong length
+            y = rng.randrange(height)
+            row = list(rows[y])
+            if rng.random() < 0.7:
+                row[rng.randrange(len(row))] = rng.choice("xg# \t*")
+            else:
+                row.append(rng.choice(".@"))
+            rows[y] = "".join(row)
+        end = rng.choice(("\n", "\r\n"))
+        text = end.join(["type octile", f"height {height}", f"width {width}",
+                         "map"] + rows) + rng.choice(("", end))
+        try:
+            want = reference_parse_rows(text)
+        except MapParseError as exc:
+            failures += 1
+            with pytest.raises(MapParseError) as got:
+                parse_movingai_map(text)
+            assert str(got.value) == str(exc)
+        else:
+            assert parse_movingai_map(text) == want
+    assert 60 <= failures < 200
 
 
 @pytest.mark.skipif(not os.path.exists(DEN520D_PATH),
@@ -276,6 +322,9 @@ def test_cell_ids_round_trip_and_template_marks_passable_cells():
         for v in border:
             assert grid.template[v] == BLOCKED
             assert not grid.in_bounds(grid.cell_at[v])
+        free = sorted(set(ids) - {grid.cell_id(c) for c in grid.blocked})
+        assert grid.passable_mask == sum(1 << v for v in free)
+        assert grid.passable_cells == tuple(grid.cell_at[v] for v in free)
 
 
 def test_id_steps_match_neighbors_in_step_order():
@@ -295,6 +344,50 @@ def test_largest_component_grid():
     lcc = largest_component_grid(grid)
     assert lcc.num_vertices == 2
     assert lcc.is_connected()
+
+    # of equal largest components, the first in row-major order is kept
+    def kept(width, height, blocked):
+        lcc = largest_component_grid(GridMap(width, height, frozenset(blocked)))
+        return set(lcc.passable_cells)
+
+    assert kept(5, 1, {(2, 0)}) == {(0, 0), (1, 0)}
+    assert kept(3, 3, {(1, 0), (1, 1), (1, 2)}) == {(0, 0), (0, 1), (0, 2)}
+    assert kept(3, 3, {(0, 1), (1, 1), (2, 1)}) == {(0, 0), (1, 0), (2, 0)}
+    # three equal pairs: the first by its first cell, not by its last
+    assert kept(4, 3, {(1, 0), (1, 1), (2, 1), (3, 1), (0, 2), (1, 2)}) == {
+        (0, 0), (0, 1)}
+    # a later, larger component wins over an earlier one
+    assert kept(4, 2, {(1, 0), (1, 1)}) == {(2, 0), (3, 0), (2, 1), (3, 1)}
+
+
+def test_components_match_reference_flood():
+    rng = random.Random(180)
+    ties = several = 0
+    for case in range(200):
+        if case % 5 == 0:
+            width, height = 1, rng.randint(1, 30)
+        elif case % 5 == 1:
+            width, height = rng.randint(1, 30), 1
+        else:
+            width, height = rng.randint(2, 20), rng.randint(2, 20)
+        ratio = rng.uniform(0.20, 0.45)
+        cells = [(x, y) for y in range(height) for x in range(width)]
+        grid = GridMap(width, height,
+                       frozenset(c for c in cells if rng.random() < ratio))
+        components = reference_components(grid)
+        sizes = [len(c) for c in components]
+        keep = components[sizes.index(max(sizes))] if sizes else set()
+        ties += sizes.count(max(sizes, default=0)) > 1
+        several += len(components) > 3
+        lcc = largest_component_grid(grid)
+        assert lcc.blocked == frozenset(cells) - keep
+        assert grid.is_connected() == (len(components) <= 1)
+        assert lcc.is_connected()
+    assert ties >= 10 and several >= 80
+    walled = GridMap(3, 2, frozenset((x, y) for x in range(3) for y in range(2)))
+    assert walled.passable_mask == 0 and walled.passable_cells == ()
+    assert largest_component_grid(walled) == walled
+    assert walled.is_connected()
 
 
 def test_generate_instance_basic():

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -302,6 +303,29 @@ def test_goal_stream_replenishes_without_repeats():
     assert len(goals) == 50
     assert all(a != b for a, b in zip(goals, goals[1:]))
     assert all(grid.passable(g) for g in goals)
+
+
+def test_seeded_goal_streams_share_one_tuple_of_cells():
+    grid = generate_warehouse(257, 256, (5, 2), 1)
+    tracemalloc.start()
+    try:
+        streams = [GoalStream(grid, seed=i) for i in range(50)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the map's cells, built once with the first stream: 97 MB when each
+    # stream listed them for itself (tracemalloc peak, 257x256)
+    assert peak < 16 << 20
+    cells = [(x, y) for y in range(grid.height) for x in range(grid.width)
+             if (x, y) not in grid.blocked]
+    for seed in (0, 1, 49):
+        rng, want = random.Random(seed), []
+        while len(want) < 100:
+            g = rng.choice(cells)
+            while want and g == want[-1]:
+                g = rng.choice(cells)
+            want.append(g)
+        assert streams[seed].upcoming(100) == want
 
 
 def test_cut_preserves_goal_reaches_within_horizon():
