@@ -162,11 +162,17 @@ class GridMap:
         return _flood(passable & -passable, passable, self.stride) == passable
 
 
+def _bit_step(mask: int, allowed: int, stride: int) -> int:
+    """One round of the bit-parallel BFS: the ids in `mask` and their
+    4-neighbours, kept where `allowed` has a bit."""
+    return (mask | mask << 1 | mask >> 1 | mask << stride
+            | mask >> stride) & allowed
+
+
 def _flood(mask: int, passable: int, stride: int) -> int:
     """The ids of the components that hold the ids in `mask`, as a mask."""
     while True:
-        wider = (mask | mask << 1 | mask >> 1 | mask << stride
-                 | mask >> stride) & passable
+        wider = _bit_step(mask, passable, stride)
         if wider == mask:
             return mask
         mask = wider
@@ -340,7 +346,7 @@ def parse_movingai_map(text: str) -> GridMap:
     error naming the offending line.  Rows are checked and scanned by C
     string calls, so Python touches only the blocked cells.
     """
-    lines = text.splitlines()
+    lines = _lines(text)
     if len(lines) < 4:
         raise MapParseError("line 1: truncated header")
     if not lines[0].startswith("type"):
@@ -374,6 +380,17 @@ def parse_movingai_map(text: str) -> GridMap:
     return GridMap(width, height, frozenset(blocked))
 
 
+def _lines(text: str) -> list[str]:
+    r"""The lines of `text`, ended only by `\n`, `\r\n`, `\r` or the end of
+    the text (`str.splitlines` also ends them at `\x0c`, `\x85` and more)."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text ended with a line end, or was empty
+    return lines
+
+
 def _header_size(lines: list[str], number: int, keyword: str) -> int:
     """The size on header line `number`, which must read `<keyword> <N>`."""
     words = lines[number - 1].split()
@@ -396,7 +413,7 @@ def grid_to_movingai(grid: GridMap) -> str:
 def parse_movingai_scen(text: str) -> list[ScenEntry]:
     """Parse a .scen instance file (bucket, map, dims, start, goal, length)."""
     entries = []
-    lines = text.splitlines()
+    lines = _lines(text)
     start_idx = 1 if lines and lines[0].startswith("version") else 0
     for i, line in enumerate(lines[start_idx:], start=start_idx + 1):
         if not line.strip():

@@ -330,9 +330,9 @@ def _plan_window(grid: GridMap, plan: _WindowPlan, h: int,
             path.extend([v] * (h - t))
             return path, expansions
         if t == h:
-            rem, rank = f - t, tie(state)
-            if best_fallback is None or (rem, rank) < best_fallback[:2]:
-                best_fallback = (rem, rank, state)
+            fallback = (f - t, tie(state), state)
+            if best_fallback is None or fallback < best_fallback:
+                best_fallback = fallback
         if t >= max_t:
             continue
         nt = t + 1

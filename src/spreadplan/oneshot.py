@@ -23,7 +23,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .grid import Cell, FieldCache, GridMap, distance_field
+from .grid import Cell, FieldCache, GridMap, _bit_step, distance_field
 from .metrics import (makespan, max_vertex_overlap, robots_by_step,
                       sum_of_cost, timed_conflicts, total_pairwise_overlap)
 from .search import (InstanceError, PlanningError, SearchConfig, SearchStats,
@@ -165,8 +165,8 @@ def default_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
     A re-planned path is the one a space-time A* over (cell, step) states
     returns (Silver, "Cooperative Pathfinding", AIIDE 2005): states keyed
     by (f, t) with the goal distance as h, a seeded hash of (cell, t)
-    breaking ties and push order breaking equal hashes, terminal once the
-    robot can rest on its goal.  `resolver_expansions` counts the states
+    breaking ties and the state's id breaking equal hashes, terminal once
+    the robot can rest on its goal.  `resolver_expansions` counts the states
     that A* pops on every attempt; `robots_replanned` and `wait_steps_added`
     describe the returned paths.
     """
@@ -219,9 +219,8 @@ def _layered_plan(grid: GridMap, passable: int, start: int, goal: int,
     popcount(layer t & ids within f* - t of the goal) states at each t <
     f*, and every state of every layer when it fails.  It gives a state
     its first-popped predecessor as parent.  Those predecessors all have
-    f <= f* and the same t, so the one with the least (h, tie) is the
-    parent; equal ties, which need a 64-bit `_mix` collision, fall back to
-    the queue's push order.
+    f <= f* and the same t, and the queue pops by (key, tie, state), so the
+    parent is the predecessor with the least (h, tie, id).
     """
     stride = grid.stride
     # balls[k]: the ids within k steps of the goal, by a bit-parallel BFS
@@ -229,8 +228,7 @@ def _layered_plan(grid: GridMap, passable: int, start: int, goal: int,
     balls = [ball]
     start_bit = 1 << start
     while not ball & start_bit:
-        wider = (ball | ball << 1 | ball >> 1 | ball << stride
-                 | ball >> stride) & passable
+        wider = _bit_step(ball, passable, stride)
         if wider == ball:
             return None  # the start is not in the goal's component
         ball = wider
@@ -260,8 +258,7 @@ def _layered_plan(grid: GridMap, passable: int, start: int, goal: int,
         else:
             if t == horizon:
                 unreserved = passable & ~rested
-            layer = (layer | layer << 1 | layer >> 1 | layer << stride
-                     | layer >> stride) & unreserved
+            layer = _bit_step(layer, unreserved, stride)
         if not layer:
             break
         layers.append(layer)
@@ -271,72 +268,26 @@ def _layered_plan(grid: GridMap, passable: int, start: int, goal: int,
 
     f_star = t
     while len(balls) <= f_star:
-        ball = (ball | ball << 1 | ball >> 1 | ball << stride
-                | ball >> stride) & passable
+        ball = _bit_step(ball, passable, stride)
         balls.append(ball)
     stats.resolver_expansions += 1 + sum(
         (layers[k] & balls[f_star - k]).bit_count() for k in range(f_star))
 
     mix = _cell_mix(grid, seed)
-
-    def tie(v: int, t: int) -> int:
-        return _fold(mix(v), t)
-
-    order = (1, -1, stride, -stride, 0)  # the A*'s push order of moves
-    parents: dict[int, tuple[int, int]] = {}  # t * size + id -> (id, h)
-    size = reservations.size
-
-    def parent(v: int, h: int, t: int) -> tuple[int, int]:
-        """The predecessor of (v, t) that the A* popped first, and its h."""
-        key = t * size + v
-        if key in parents:
-            return parents[key]
-        prev = layers[t - 1]
-        nearer = balls[h - 1] if h else 0
-        level = balls[h]
-        best, group = h + 2, []
-        for s, swap in zip(steps, swaps):
-            u = v - s
-            if not prev >> u & 1 or t < horizon and swap[t] >> u & 1:
-                continue
-            hu = h - 1 if nearer >> u & 1 else h if level >> u & 1 else h + 1
-            if hu < best:
-                best, group = hu, [u]
-            elif hu == best:
-                group.append(u)
-        if prev >> v & 1:  # a wait
-            if h < best:
-                best, group = h, [v]
-            elif h == best:
-                group.append(v)
-        u = group[0]
-        if len(group) > 1:
-            ranked = sorted((tie(w, t - 1), w) for w in group)
-            u = ranked[0][1]
-            for rank, w in ranked[1:]:
-                if rank != ranked[0][0]:
-                    break
-                u = popped_first(u, w, best, t - 1)
-        parents[key] = u, best
-        return u, best
-
-    def popped_first(a: int, b: int, h: int, t: int) -> int:
-        """Which of (a, t) and (b, t), both with this h and one tie, the
-        A* popped first: the one it pushed first."""
-        pa, ha = parent(a, h, t)
-        pb, hb = parent(b, h, t)
-        if pa == pb:  # pushed by one expansion, in the order of its moves
-            return a if order.index(a - pa) < order.index(b - pa) else b
-        # pushed in the order their parents were popped
-        rank_a, rank_b = (ha, tie(pa, t - 1)), (hb, tie(pb, t - 1))
-        if rank_a != rank_b:
-            return a if rank_a < rank_b else b
-        return a if popped_first(pa, pb, ha, t - 1) == pa else b
-
     path = [goal]
     v, h = goal, 0
     for t in range(f_star, 0, -1):
-        v, h = parent(v, h, t)
+        # the predecessors of (v, t), each ranked by (h, tie, id)
+        prev = layers[t - 1]
+        nearer = balls[h - 1] if h else 0
+        level = balls[h]
+        ranked = [(h, _fold(mix(v), t - 1), v)] if prev >> v & 1 else []
+        for s, swap in zip(steps, swaps):
+            u = v - s
+            if prev >> u & 1 and not (t < horizon and swap[t] >> u & 1):
+                hu = h - 1 if nearer >> u & 1 else h if level >> u & 1 else h + 1
+                ranked.append((hu, _fold(mix(u), t - 1), u))
+        h, _, v = min(ranked)
         path.append(v)
     path.reverse()
     return path

@@ -9,8 +9,9 @@ counts:
 
 * cost_to_go (`find_path_cost_to_go`): an A* whose f adds the penalty to
   the distance, so the penalty breaks ties between the equal-length paths;
-  the returned path is a shortest path whose worst interior cell is as
-  lightly claimed as possible.
+  the returned path is a shortest path whose largest move penalty is as
+  small as possible, which on a vertex-only table means its worst interior
+  cell is as lightly claimed as possible.
 
 * cost_to_come (`find_path_cost_to_come`): a min-sum sweep over the DAG's
   distance levels from the start, with no queue; the returned path is a
@@ -26,13 +27,13 @@ and a robot that fails moves to the front of a restart.
 
 Both A* loops (`find_path_cost_to_go` here, over ids, and
 `lifelong._plan_window`, over space-time states) pop their states through
-`_TieQueue`.  It pops in exactly the order of a heap of (key, tie, push
-counter, state) tuples, where the tie is a seeded splitmix hash of the
-state, yet it hashes a state only when another state holds the same key at
-pop time: keys compare the same way in a dict as in a heap, and push order
-within one key is the counter's order.  The one-shot resolver needs no
-queue: its layered search (`oneshot._layered_plan`) recovers the path and
-the pop count of an A* with this order from bit-mask layers.
+`_TieQueue`.  It pops in exactly the order of a heap of (key, tie, state)
+tuples, where the tie is a seeded splitmix hash of the state and the int
+state itself breaks an exactly equal tie, yet it hashes a state only when
+another state holds the same key at pop time: keys compare the same way in
+a dict as in a heap.  The one-shot resolver needs no queue: its layered
+search (`oneshot._layered_plan`) recovers the path and the pop count of an
+A* with this order from bit-mask layers.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class PlanningError(RuntimeError):
 
 
 class _Ranked(list):
-    """A `_TieQueue` bucket that has been ranked: a heap of (tie, n, state)."""
+    """A `_TieQueue` bucket that has been ranked: a heap of (tie, state)."""
 
     __slots__ = ()
 
@@ -74,29 +75,27 @@ class _Ranked(list):
 class _TieQueue:
     """Priority queue of int states that hashes a tie only when it must.
 
-    Pops come in the order of a heap of (key, tie(state), counter, state)
-    entries, the counter rising with every push.  States wait in buckets by
-    key, and the heap `keys` holds each live key once, so it is empty
-    exactly when the queue is.  A bucket popped while it holds one state
-    returns that state unhashed, since no other entry shares its key.  A
-    bucket popped while it holds more is ranked once by (tie, place in push
-    order); a later push into a ranked bucket is ranked after every state
-    pushed before it at the same tie.  Keys may be ints or tuples of
-    numbers: a dict groups exactly the keys that a heap finds equal
-    (`-0.0 == 0.0`, and both hash alike), so the two orders agree.
+    Pops come in the order of a heap of (key, tie(state), state) entries.
+    States wait in buckets by key, and the heap `keys` holds each live key
+    once, so it is empty exactly when the queue is.  A bucket popped while
+    it holds one state returns that state unhashed, since no other entry
+    shares its key.  A bucket popped while it holds more is ranked once by
+    (tie, state), and a later push into it is hashed on arrival.  Keys may
+    be ints or tuples of numbers: a dict groups exactly the keys that a
+    heap finds equal (`-0.0 == 0.0`, and both hash alike), so the two
+    orders agree.
 
     `pop` returns (key, state).  Search loops bind `push` and `pop` to
     locals.
     """
 
-    __slots__ = ("_tie", "keys", "_buckets", "_late")
+    __slots__ = ("_tie", "keys", "_buckets")
 
     def __init__(self, tie) -> None:
         self._tie = tie
         self.keys: list = []  # heap of the keys with a live bucket
-        # key -> one state, or a list of states in push order, or a _Ranked
+        # key -> one state, or a list of states not yet ranked, or a _Ranked
         self._buckets: dict = {}
-        self._late = 0  # places of pushes into ranked buckets, all positive
 
     def push(self, key, state: int) -> None:
         buckets = self._buckets
@@ -109,8 +108,7 @@ class _TieQueue:
         elif type(bucket) is list:
             bucket.append(state)
         else:
-            self._late += 1
-            heappush(bucket, (self._tie(state), self._late, state))
+            heappush(bucket, (self._tie(state), state))
 
     def pop(self) -> tuple:
         keys, buckets = self.keys, self._buckets
@@ -121,12 +119,10 @@ class _TieQueue:
             del buckets[key]
             return key, bucket
         if type(bucket) is list:
-            tie, n = self._tie, len(bucket)
-            # places below zero rank these before any later push
-            bucket = buckets[key] = _Ranked(
-                (tie(s), i - n, s) for i, s in enumerate(bucket))
+            tie = self._tie
+            bucket = buckets[key] = _Ranked((tie(s), s) for s in bucket)
             bucket.sort()
-        state = heappop(bucket)[2]
+        state = heappop(bucket)[1]
         if not bucket:
             heappop(keys)
             del buckets[key]
@@ -204,6 +200,11 @@ class _Reservations:
     paths rest, how late each id is reserved and bit masks by step; these
     are derived from the stored paths when first read after an add, so the
     windowed solver never pays for them.
+
+    Both indexes stay: a mask steps a whole layer in a few shifts, but one
+    bit test `m >> v & 1` copies the bits above v (up to 4 us on a 257x256
+    map, against 40 ns for a set probe), so per-cell checks read the sets;
+    `_plan_window` on masks ran 2-9% slower on the warehouse benchmark.
     """
 
     def __init__(self, size: int) -> None:
@@ -354,7 +355,8 @@ def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
     it; the queue key is (f, h), deepest first among equal f.  An expanded
     state is closed and refuses later pushes.  With every penalty in [0, 1),
     a move off the DAG, or a wait, would give f >= d* + 1 and never be
-    popped before the goal, so leaving them out changes no result.  With
+    popped before the goal, so leaving them out changes no result.  The
+    path has the least largest move penalty of all shortest paths.  With
     stop_depth set, the search instead returns the best shortest-path prefix
     of that many steps, which keeps the cost bounded when only the first
     stretch of a long route matters.

@@ -31,20 +31,18 @@ def eager_bfs(grid: GridMap, goal):
 
 
 class EagerTieHeap:
-    """Reference for `search._TieQueue`: one heap of (key, tie, counter,
-    state) tuples, the tie hashed at every push."""
+    """Reference for `search._TieQueue`: one heap of (key, tie, state)
+    tuples, the tie hashed at every push."""
 
     def __init__(self, tie):
         self.tie = tie
         self.heap = []
-        self.counter = 0
 
     def push(self, key, state):
-        self.counter += 1
-        heapq.heappush(self.heap, (key, self.tie(state), self.counter, state))
+        heapq.heappush(self.heap, (key, self.tie(state), state))
 
     def pop(self):
-        key, _, _, state = heapq.heappop(self.heap)
+        key, _, state = heapq.heappop(self.heap)
         return key, state
 
 
@@ -69,10 +67,30 @@ def reference_components(grid: GridMap) -> list[set]:
     return components
 
 
+def reference_lines(text: str) -> list[str]:
+    r"""Reference: the lines of `text`, one character at a time; only `\n`,
+    `\r\n` and `\r` end a line."""
+    lines, line = [], ""
+    after_cr = False
+    for ch in text:
+        if ch == "\n" and after_cr:
+            after_cr = False  # the second half of a \r\n
+            continue
+        after_cr = ch == "\r"
+        if ch in "\r\n":
+            lines.append(line)
+            line = ""
+        else:
+            line += ch
+    if line:
+        lines.append(line)
+    return lines
+
+
 def reference_parse_rows(text: str) -> GridMap:
     """Reference for the map rows of `parse_movingai_map`, one character at a
     time; the header must be well formed."""
-    lines = text.splitlines()
+    lines = reference_lines(text)
     height, width = int(lines[1].split()[1]), int(lines[2].split()[1])
     blocked = set()
     for y, row in enumerate(lines[4:4 + height]):

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 
 import pytest
 
@@ -12,7 +13,8 @@ from spreadplan.grid import (BLOCKED, FREE, NEIGHBOR_STEPS, DistanceField,
                              parse_movingai_map, parse_movingai_scen)
 
 from helpers import (eager_bfs, labelled, reference_components,
-                     reference_one_goal_instance, reference_parse_rows)
+                     reference_lines, reference_one_goal_instance,
+                     reference_parse_rows)
 
 DEN520D_PATH = os.environ.get(
     "SPREADPLAN_DEN520D",
@@ -97,6 +99,63 @@ def test_parse_matches_per_character_reference():
         else:
             assert parse_movingai_map(text) == want
     assert 60 <= failures < 200
+
+
+def test_parse_breaks_lines_only_at_line_ends():
+    # str.splitlines would end the row at the file separator: a valid 1x2 map
+    with pytest.raises(MapParseError, match="^line 6: expected 2 map rows$"):
+        parse_movingai_map("type octile\nheight 2\nwidth 1\nmap\n.\x1c.\n")
+    for ch in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        for end in ("\n", "\r\n", "\r"):
+            text = end.join(["type octile", "height 1", "width 3", "map",
+                             f".{ch}."]) + end
+            with pytest.raises(MapParseError) as got:
+                parse_movingai_map(text)
+            assert str(got.value) == f"line 5: unknown cell character {ch!r}"
+    # lines may end with \r alone, as in old Mac files
+    assert parse_movingai_map("type octile\rheight 2\rwidth 2\rmap\r.@\r..") \
+        == GridMap(2, 2, frozenset({(1, 0)}))
+    # an empty last line is no line: the header is still the short one
+    for text in ("", "\n", "type octile\n", "type octile\nheight 2\nwidth 1\n"):
+        with pytest.raises(MapParseError, match="^line 1: truncated header$"):
+            parse_movingai_map(text)
+    with pytest.raises(MapParseError, match="^line 6: expected 2 map rows$"):
+        parse_movingai_map("type octile\nheight 2\nwidth 1\nmap\n.\n")
+    # scenario lines split the same way: the form feed stays in its column
+    (entry,) = parse_movingai_scen("0\tx.map\t64\t64\t1\t2\x0c\t3\t4\t4.5\r\n")
+    assert (entry.start, entry.goal) == ((1, 2), (3, 4))
+
+
+def test_parse_line_ends_match_per_character_reference():
+    rng = random.Random(20)
+    failures = 0
+    for case in range(300):
+        width, height = rng.randint(1, 8), rng.randint(1, 8)
+        rows = ["".join(rng.choice(".@") for _ in range(width))
+                for _ in range(height)]
+        if rng.random() < 0.5:
+            # a character where str.splitlines, not the parser, ends a line
+            y, x = rng.randrange(height), rng.randrange(width)
+            stray = rng.choice("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+            rows[y] = rows[y][:x] + stray + rows[y][x + 1:]
+        ends = [rng.choice(("\n", "\r\n", "\r")) for _ in range(height + 4)]
+        lines = ["type octile", f"height {height}", f"width {width}",
+                 "map"] + rows
+        text = "".join(line + end for line, end in zip(lines, ends))
+        if rng.random() < 0.5:
+            text = text[:-len(ends[-1])]
+        assert reference_lines(text) == lines
+        try:
+            want = reference_parse_rows(text)
+        except MapParseError as exc:
+            failures += 1
+            with pytest.raises(MapParseError) as got:
+                parse_movingai_map(text)
+            assert str(got.value) == str(exc)
+            assert re.match(r"line \d+: unknown cell character", str(exc))
+        else:
+            assert parse_movingai_map(text) == want
+    assert 100 <= failures < 200
 
 
 @pytest.mark.skipif(not os.path.exists(DEN520D_PATH),

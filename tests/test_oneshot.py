@@ -365,7 +365,7 @@ def test_layered_resolver_matches_reference_astar():
 
 def test_layered_resolver_matches_reference_on_equal_ties(monkeypatch):
     """With `_mix` constant, every tie at one step is equal, so only the
-    queue's push order decides between states of one key."""
+    state's id decides between states of one key."""
     rng = random.Random(2005)
     cases = [random_resolver_case(rng, max_side=10) for _ in range(15)]
     monkeypatch.setattr(oneshot, "_mix", lambda *parts: 12345)

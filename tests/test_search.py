@@ -7,7 +7,7 @@ from spreadplan import metrics
 from spreadplan.bruteforce import enumerate_shortest_paths, min_objective
 from spreadplan.grid import GridMap, distance_field, generate_instance, generate_random_grid
 from spreadplan.search import (InstanceError, NoPathError, SearchConfig,
-                               SearchStats, _fold, _mix, _TieQueue,
+                               SearchStats, _fold, _mix, _Ranked, _TieQueue,
                                find_path_cost_to_come,
                                find_path_cost_to_go, order_robots,
                                plan_independent_paths)
@@ -231,17 +231,26 @@ def path_penalty(path, table):
                for t in range(1, len(path)))
 
 
+def worst_move(path, table):
+    """The largest penalty of a move of `path`, read at its arrival step."""
+    return max(table.penalty(path[t - 1], path[t], t)
+               for t in range(1, len(path)))
+
+
 def check_oracle_case(grid, s, g, priors, window, seed, stats):
     """Both modes on one case against the exhaustive minima over every
     shortest path: cost_to_go's worst interior cell on an aggregate and a
-    temporal vertex-only table, and cost_to_come's summed overlap on that
-    aggregate table and its summed penalty on every kind of table."""
+    temporal vertex-only table and its largest move penalty on tables that
+    also weigh edges, and cost_to_come's summed overlap on that aggregate
+    table and its summed penalty on every kind of table."""
     field = distance_field(grid, g)
     n = len(priors) + 1
     table = UsageTable.build(priors, UsageParams(1.0, 0.0, num_robots=n))
     mixed = UsageTable.build(priors, UsageParams(0.5, 0.5, num_robots=n))
-    # the same claims as a temporal vertex-only table, read at each step
+    # the same claims as temporal tables, read at each step
     timed = UsageTable.build(priors, UsageParams(1.0, 0.0, *window, True, n))
+    timed_mixed = UsageTable.build(priors,
+                                   UsageParams(0.5, 0.5, *window, True, n))
     enum = enumerate_shortest_paths(grid, s, g)
     for claims in (table, timed):
         path = find_path_cost_to_go(grid, s, g, claims, field,
@@ -249,7 +258,13 @@ def check_oracle_case(grid, s, g, priors, window, seed, stats):
         assert len(path) - 1 == field[s]
         assert metrics.peak_vertex_overlap(path, claims) == \
             min_objective(enum, claims, "peak")[0]
-    for claims in (table, mixed, timed):
+    for claims in (mixed, timed_mixed):
+        path = find_path_cost_to_go(grid, s, g, claims, field,
+                                    SearchConfig(tie_break_seed=seed), stats)
+        assert len(path) - 1 == field[s]
+        assert worst_move(path, claims) == pytest.approx(
+            min(worst_move(p, claims) for p in enum.paths), abs=1e-9)
+    for claims in (table, mixed, timed, timed_mixed):
         path = find_path_cost_to_come(grid, s, g, claims, field,
                                       SearchConfig("cost_to_come", seed), stats)
         assert len(path) - 1 == field[s]
@@ -476,7 +491,7 @@ def test_tie_queue_pops_in_eager_heap_order(kind):
         collide = trial % 2 == 0
 
         def tie(state, trial=trial, collide=collide):
-            # forced collisions leave the order to push order alone
+            # forced collisions leave the order to the state alone
             return state % 3 if collide else _mix(trial, state)
 
         queue, eager = _TieQueue(tie), EagerTieHeap(tie)
@@ -487,6 +502,7 @@ def test_tie_queue_pops_in_eager_heap_order(kind):
             else:
                 # few states, so some are pushed twice, even under one key
                 key, state = _random_key(rng, kind), rng.randrange(10)
+                late += type(queue._buckets.get(key)) is _Ranked
                 queue.push(key, state)
                 eager.push(key, state)
             ranked += any(type(b) not in (int, list)
@@ -494,7 +510,6 @@ def test_tie_queue_pops_in_eager_heap_order(kind):
         while eager.heap:
             assert queue.pop() == eager.pop()
         assert not queue.keys
-        late += queue._late
     # the interleavings did reach ranked buckets and pushes into them
     assert ranked and late
 
