@@ -23,12 +23,13 @@ the one whose first cell comes first.  It stops once the largest found holds
 at least as many cells as are left unflooded.
 
 Distance fields grow on demand: `distance_field` labels only the goal, and
-each lookup of an unlabelled cell resumes the breadth-first search from the
-goal until that cell is labelled.  A cell's label is exact from the moment it
-is first reached, so a field answers every lookup as a whole-map BFS would,
-while a search near the goal pays only for the cells it reads.  A field's
-labels are a copy of the template, one entry per id.  `FieldCache` keeps the
-fields of one map by goal, bounded by bytes with least-recently-used eviction.
+a lookup resumes a reverse A* from the goal, aimed at the first cell asked
+about, until the asked cell and its shortest paths are labelled; a robot far
+from its goal pays for the cone between them, not a whole BFS disc.  Labels
+are exact from the moment a cell is first reached, so a field answers every
+lookup as a whole-map BFS would.  A field's labels are a copy of the template,
+one entry per id.  `FieldCache` keeps the fields of one map by goal, bounded
+by bytes with least-recently-used eviction.
 """
 
 from __future__ import annotations
@@ -195,15 +196,28 @@ class DistanceField:
     """Exact shortest grid distances to a fixed goal; unreachable cells miss.
 
     `labels` has one entry per padded id of the map: the distance of a
-    labelled cell, else the template's FREE or BLOCKED.  The field starts
-    from the goal alone, and a lookup of a FREE id resumes the breadth-first
-    search, one whole distance level at a time, until that id is labelled
-    or the goal's component is used up; a blocked or off-map cell misses at
-    once.  `len(field)` is the number of labelled cells.  Searches read
-    `labels` directly and call `at` only for an id still FREE.
+    labelled cell, else the template's FREE or BLOCKED.  The field grows by
+    Silver's resumable reverse A* (RRA*, "Cooperative Pathfinding", AIIDE
+    2005) from the goal, aimed with the Manhattan heuristic at the first
+    cell it is asked about: it expands cells in order of (f, g), g the
+    distance and f = g + the Manhattan distance to the aim, and labels a
+    cell when first reached, which in that order is its distance.  A move
+    keeps f or adds 2, so the cells of one f (a contour) are those the
+    contour before pushed away from the aim, and those it pushes toward the
+    aim itself, each list in order of g.
+
+    A lookup of id v returns once v is labelled and every cell before
+    (f(v), g(v) - 1) is expanded: then every cell on a shortest path from v
+    to the goal is labelled, and searches read their `labels` directly.
+    Asked about a cell nearer the goal than the aim, or farther from the
+    aim than the goal (in Manhattan distance), the field goes on
+    breadth-first for good: the same loop, with every move counted toward
+    the aim.  A blocked or off-map cell misses at once.  `len(field)` is
+    the number of labelled cells.
     """
 
-    __slots__ = ("grid", "goal", "labels", "_frontier", "_expanded")
+    __slots__ = ("grid", "goal", "labels", "_aim", "_f", "_g", "_cur",
+                 "_near", "_far", "_expanded")
 
     def __init__(self, grid: GridMap, goal: Cell):
         self.grid = grid
@@ -211,8 +225,12 @@ class DistanceField:
         v = grid.cell_id(goal)
         self.labels = grid.template[:]
         self.labels[v] = 0
-        # the deepest level labelled: ids at one distance, not yet expanded
-        self._frontier = [v]
+        # every cell before level (_f, _g) is expanded: _near holds cells of
+        # level _g, _cur the contour's others from _g on, in order of g, and
+        # _far those pushed away from the aim, into contour _f + 2.  _aim is
+        # the aim's padded (x, y); None before any growth, or breadth-first.
+        self._aim, self._f, self._g = None, 0, 0
+        self._cur, self._near, self._far = [v], [], []
         self._expanded = 0
 
     @classmethod
@@ -222,52 +240,113 @@ class DistanceField:
         f = cls(grid, goal)
         for cell, d in dist.items():
             f.labels[grid.cell_id(cell)] = d
-        f._frontier = []
-        f._expanded = len(dist)
+        f._cur, f._g, f._expanded = [], len(f.labels), len(dist)
         return f
 
     def __len__(self) -> int:
-        return self._expanded + len(self._frontier)
+        return (self._expanded + len(self._cur) + len(self._near)
+                + len(self._far))
 
     def at(self, v: int) -> int | None:
         """Distance of padded id v, growing the search if needed, or None."""
         d = self.labels[v]
-        if d >= 0:
-            return d
-        if d == BLOCKED or not self._frontier:
+        if d >= 0:  # ready once every cell before (f(v), d - 1) is expanded
+            f, aim = self._f, self._aim  # breadth-first, every f is _f
+            if aim is not None:
+                y, x = divmod(v, self.grid.width + 2)
+                f = d + abs(x - aim[0]) + abs(y - aim[1])
+            if f < self._f or f == self._f and d <= self._g + 1:
+                return d
+        elif d == BLOCKED:
             return None
         return self._grow(v)
 
     def _grow(self, target: int) -> int | None:
-        """Label whole BFS levels until id `target` is; its distance, or None."""
-        labels, level = self.labels, self._frontier
-        stride = self.grid.width + 2
-        expanded = self._expanded
-        while level and labels[target] < 0:
-            d = labels[level[0]] + 1
-            expanded += len(level)
-            deeper: list[int] = []
-            push = deeper.append
-            for v in level:  # the NEIGHBOR_STEPS, unrolled; -1 is FREE
-                u = v + 1
+        """Expand cells until id `target` is ready; its distance, or None."""
+        labels, stride = self.labels, self.grid.width + 2
+        ty, tx = divmod(target, stride)
+        gx, gy = self.goal[0] + 1, self.goal[1] + 1
+        aim = self._aim
+        if not self._expanded:  # the first growth aims at its target
+            aim = self._aim = (tx, ty)
+            self._f = abs(tx - gx) + abs(ty - gy)
+        elif aim is not None and not (abs(tx - gx) + abs(ty - gy)
+                                      >= abs(aim[0] - gx) + abs(aim[1] - gy)
+                                      >= abs(tx - aim[0]) + abs(ty - aim[1])):
+            self._cur = sorted(self._near + self._cur + self._far,
+                               key=labels.__getitem__)
+            self._near, self._far = [], []
+            aim = self._aim = None
+        # a move from id v in column x is toward the aim: east if x < east,
+        # west if x > west, south if v < south, north if v >= north
+        if aim is None:
+            east, west, south, north = stride, -1, len(labels), 0
+        else:
+            east = west = aim[0]
+            south, north = aim[1] * stride, (aim[1] + 1) * stride
+            to_aim = abs(tx - aim[0]) + abs(ty - aim[1])
+        F, G, expanded = self._f, self._g, self._expanded
+        cur, near, far = self._cur, self._near, self._far
+        i, n = 0, len(cur)
+        while True:
+            gc = labels[cur[i]] if i < n else -1
+            if not near:
+                if gc < 0:
+                    if not far:  # the goal's component is labelled
+                        aim = self._aim = None
+                        G = len(labels)
+                        break
+                    F += 2
+                    cur, far, i, n = far, [], 0, len(far)
+                    continue
+                G = gc
+            while gc == G:
+                near.append(cur[i])
+                i += 1
+                gc = labels[cur[i]] if i < n else -1
+            # expand levels G, G + 1, ... while near grows, labelling the
+            # cells they reach d.  A cell labelled d opens the next level,
+            # from index `end`; the cells of cur join near a level early.
+            d, end = G, 0
+            push, away = near.append, far.append
+            for v in near:
+                if labels[v] == d:
+                    G, d, start, end = d, d + 1, end, len(near)
+                    dt = labels[target]
+                    if dt >= 0:  # `target` is ready, as in `at`
+                        ft = F if aim is None else dt + to_aim
+                        if ft < F or ft == F and dt <= d:
+                            break
+                    while gc == d:
+                        push(cur[i])
+                        i += 1
+                        gc = labels[cur[i]] if i < n else -1
+                u = v + 1  # the NEIGHBOR_STEPS, unrolled; -1 is FREE
                 if labels[u] == -1:
                     labels[u] = d
-                    push(u)
+                    push(u) if v % stride < east else away(u)
                 u = v - 1
                 if labels[u] == -1:
                     labels[u] = d
-                    push(u)
+                    push(u) if v % stride > west else away(u)
                 u = v + stride
                 if labels[u] == -1:
                     labels[u] = d
-                    push(u)
+                    push(u) if v < south else away(u)
                 u = v - stride
                 if labels[u] == -1:
                     labels[u] = d
-                    push(u)
-            level = deeper
-        self._frontier = level
-        self._expanded = expanded
+                    push(u) if v >= north else away(u)
+            else:
+                expanded += len(near)
+                near, G = [], d
+                continue
+            expanded += start
+            near = near[start:]
+            break
+        del cur[:i]
+        self._f, self._g, self._expanded = F, G, expanded
+        self._cur, self._near, self._far = cur, near, far
         d = labels[target]
         return d if d >= 0 else None
 

@@ -397,7 +397,7 @@ def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
         stats.expansions += 1
         if v == goal_id or h <= depth_end:
             return [cell_at[u] for u in _unwind(parents, v, size)]
-        # _grow labels whole BFS levels: every cell nearer the goal is labelled
+        # dfield.get(start) labelled every shortest path from the start
         h_next = h - 1
         t_next = base - h_next if temporal else 0
         cv = cell_at[v]
@@ -451,7 +451,7 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
     parents = {start_id: None}
     level = [start_id]
     evaluations = generated = violations = 0
-    # _grow labels whole BFS levels: every cell nearer the goal is labelled
+    # dfield.get(start) labelled every shortest path from the start
     for h in range(base - 1, -1, -1):
         t = base - h if temporal else 0
         reached = []

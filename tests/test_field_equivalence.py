@@ -101,3 +101,31 @@ def test_plan_independent_paths_cost_to_come(monkeypatch):
 
         lazy, whole = twice(monkeypatch, run)
         assert lazy == whole
+
+
+def test_solve_via_horizon_cut_usage_64x64(monkeypatch):
+    # long legs: aimed fields grow cones, and later lookups from elsewhere
+    # send them breadth-first
+    grid = generate_random_grid(64, 64, 0.1, 5)
+    robots = generate_instance(grid, 16, 9)
+    tasks = [(s, gs[0]) for s, gs in robots]
+    cfg = lifelong.config_for_variant("cut+usage", h=12, seed=5)
+    lazy, whole = twice(
+        monkeypatch, lambda: lifelong.solve_mpp_via_horizon(grid, tasks, cfg))
+    assert lazy == whole
+
+
+def test_solve_mpp_64x64(monkeypatch):
+    grid = generate_random_grid(64, 64, 0.1, 6)
+    robots = generate_instance(grid, 40, 6)
+    inst = oneshot.MppInstance(grid, [(s, gs[0]) for s, gs in robots])
+    cfg = search.SearchConfig("cost_to_go", 6)
+
+    def run():
+        sol = oneshot.solve_mpp(inst, UsageParams(0.5, 0.5), 2, cfg)
+        stats = dataclasses.replace(sol.stats, plan_seconds=0.0,
+                                    resolve_seconds=0.0)
+        return sol.paths, sol.makespan, sol.sum_of_cost, stats
+
+    lazy, whole = twice(monkeypatch, run)
+    assert lazy == whole

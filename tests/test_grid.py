@@ -313,6 +313,100 @@ def test_lazy_field_labels_only_what_a_lookup_needs():
     assert len(field) == len(cells)
 
 
+def shortest_path_cells(expected, cell):
+    """Every cell on a shortest path from `cell` to the goal of `expected`."""
+    seen, todo = {cell}, [cell]
+    while todo:
+        x, y = todo.pop()
+        for dx, dy in NEIGHBOR_STEPS:
+            n = (x + dx, y + dy)
+            if n not in seen and expected.get(n) == expected[(x, y)] - 1:
+                seen.add(n)
+                todo.append(n)
+    return seen
+
+
+def random_field_map(rng):
+    """A random map: a row, a column or a rectangle, 0-45% blocked, some
+    split by a wall with at most one gap."""
+    shape = rng.randrange(4)
+    width = 1 if shape == 0 else rng.randint(1, 24)
+    height = 1 if shape == 1 else rng.randint(1, 24)
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    ratio = rng.uniform(0.0, 0.45)
+    blocked = {c for c in cells if rng.random() < ratio}
+    if shape == 3 and width > 2:
+        wall = rng.randrange(1, width - 1)
+        gaps = rng.sample(range(height), min(height, rng.randrange(2)))
+        blocked |= {(wall, y) for y in range(height) if y not in gaps}
+    blocked.discard(cells[0])
+    return GridMap(width, height, frozenset(blocked))
+
+
+def test_lazy_field_labels_exact_and_shortest_paths_complete():
+    rng = random.Random(2021)
+    for _ in range(300):
+        grid = random_field_map(rng)
+        goal = rng.choice(list(grid.vertices()))
+        expected = eager_bfs(grid, goal)
+        field = distance_field(grid, goal)
+        probes = [(x, y) for y in range(-1, grid.height + 1)
+                  for x in range(-1, grid.width + 1)]
+        rng.shuffle(probes)
+        for cell in probes[:rng.randint(1, len(probes))]:
+            want = expected.get(cell)
+            read = rng.randrange(4)
+            if read == 0:
+                got = field.at(grid.cell_id(cell))
+            elif read == 1:
+                got = field.get(cell)
+            elif read == 2:
+                assert (cell in field) == (want is not None)
+                got = want
+            elif want is None:
+                with pytest.raises(KeyError):
+                    field[cell]
+                got = None
+            else:
+                got = field[cell]
+            assert got == want
+            for c, d in labelled(field).items():
+                assert expected[c] == d
+            if want is not None:
+                for c in shortest_path_cells(expected, cell):
+                    assert field.labels[grid.cell_id(c)] == expected[c]
+        assert len(field) == len(labelled(field))
+
+
+@pytest.mark.parametrize("asked, want", [((34, 22), 8),    # nearer the goal
+                                          ((24, 20), 16)])  # behind the goal
+def test_lazy_field_goes_breadth_first_off_the_cone(asked, want):
+    grid = GridMap(80, 40, frozenset((x, 30) for x in range(10, 80)))
+    goal = (40, 20)
+    expected = eager_bfs(grid, goal)
+    field = distance_field(grid, goal)
+    assert field[(52, 20)] == 12                   # the aim
+    cone = len(field)
+    assert field[asked] == want
+    # breadth-first from there: every cell nearer than want - 1 is
+    # labelled, and little more; aimed at (52, 20), (24, 20) has f = 44
+    # and would label 808 cells
+    assert all(field.labels[grid.cell_id(c)] == d
+               for c, d in expected.items() if d < want - 1)
+    assert len(field) <= cone + sum(d <= want + 1 for d in expected.values())
+    assert labelled(field) == {c: expected[c] for c in labelled(field)}
+    assert field[(79, 39)] == expected[(79, 39)]   # round the wall
+    assert all(field[c] == d for c, d in expected.items())
+    assert len(field) == len(expected)
+
+
+def test_lazy_field_labels_the_cone_toward_the_cell_asked_about():
+    grid = GridMap(200, 200)
+    field = distance_field(grid, (20, 100))
+    assert field[(170, 100)] == 150
+    assert len(field) <= 1000   # a whole BFS disc to level 150 holds 24,200
+
+
 def test_distance_field_from_complete_dict():
     field = DistanceField.from_distances(GridMap(3, 1), (0, 0),
                                          {(0, 0): 0, (1, 0): 1})
