@@ -660,13 +660,26 @@ def instance_to_json(grid: GridMap, robots: list[tuple[Cell, list[Cell]]],
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def cells_from_json(value, robot: int, what: str) -> list[Cell]:
+    """`value` as a non-empty list of [x, y] cells, else ValueError."""
+    if isinstance(value, list) and value and all(
+            isinstance(c, list) and len(c) == 2
+            and all(type(k) is int for k in c) for c in value):
+        return [tuple(c) for c in value]
+    raise ValueError(f"robot {robot}: {what} is empty or not [x, y] cells")
+
+
 def instance_from_json(text: str, map_loader=None) -> tuple[GridMap, list[tuple[Cell, list[Cell]]], int | None]:
     """Parse the native instance format.
 
     `map_loader` resolves a map path string to file text; defaults to reading
-    from the filesystem.
+    from the filesystem.  A robot without a start cell or a non-empty list
+    of goal cells raises ValueError.
     """
     payload = json.loads(text)
+    if not isinstance(payload, dict) or "map" not in payload \
+            or not isinstance(payload.get("robots"), list):
+        raise ValueError('an instance needs a "map" and a "robots" list')
     map_obj = payload["map"]
     if isinstance(map_obj, str):
         if map_loader is None:
@@ -678,6 +691,9 @@ def instance_from_json(text: str, map_loader=None) -> tuple[GridMap, list[tuple[
     else:
         grid = GridMap(map_obj["width"], map_obj["height"],
                        frozenset(tuple(c) for c in map_obj["blocked"]))
-    robots = [(tuple(r["start"]), [tuple(g) for g in r["goals"]])
-              for r in payload["robots"]]
+    robots = []
+    for i, r in enumerate(payload["robots"]):
+        r = r if isinstance(r, dict) else {}
+        robots.append((cells_from_json([r.get("start")], i, "start")[0],
+                       cells_from_json(r.get("goals"), i, "goals")))
     return grid, robots, payload.get("seed")

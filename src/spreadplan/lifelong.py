@@ -145,16 +145,18 @@ def _shortest_leg_path(grid: GridMap, start: Cell, dfield: DistanceField,
                        steps: int) -> Path:
     """The first `steps` steps of the deterministic greedy walk down the
     distance field: at each step the first neighbour in NEIGHBOR_STEPS order
-    one closer to the goal.  The walk stops early at the goal."""
+    one closer to the goal.  The walk stops early at the goal.  Looking up
+    `start` labels every shortest path from it, so the walk reads labels
+    and never grows the field."""
     stride, cell_at = grid.stride, grid.cell_at
-    label_at = dfield.at
+    labels = dfield.labels
     v = grid.cell_id(start)
     d = dfield[start]
     stop = max(0, d - steps)
     ids = [v]
     while d > stop:
         for nxt in (v + 1, v - 1, v + stride, v - stride):
-            if label_at(nxt) == d - 1:
+            if labels[nxt] == d - 1:
                 v = nxt
                 d -= 1
                 ids.append(v)

@@ -1,17 +1,19 @@
 """Conflict, cost, and throughput metrics shared by solvers, tests, and CLI.
 
 A path's *image* is the set of distinct cells it visits, so waiting in place
-never double-counts.  Peak metrics look at how crowded the worst cell is;
-pairwise metrics sum image intersections; timed metrics require simultaneous
-occupancy and mirror the solution validator's semantics (robots rest at their
-final cell after their path ends).
+never double-counts.  Max metrics look at how crowded the worst cell or edge
+is; the pairwise metric sums image intersections.  Timed metrics count
+simultaneous occupancy from one per-step scan, `robots_by_step`, which pads
+a finished robot to rest at its final cell as the validator does:
+`timed_conflicts` counts resting robots, `max_vertex_overlap_timed` does not,
+and `max_edge_headon_timed` never sees them, as a resting robot never moves.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .usage import Path, UsageTable
+from .usage import Path
 
 Cell = tuple[int, int]
 
@@ -39,18 +41,6 @@ def throughput(goals_reached: int, elapsed_steps: int) -> float:
     return goals_reached / elapsed_steps if elapsed_steps > 0 else 0.0
 
 
-def peak_vertex_overlap(path: Path, table: UsageTable) -> int:
-    """Worst usage count over the path's interior cells (endpoints excluded).
-
-    The table should be built from the *other* robots' paths; temporal tables
-    are read at the step each cell is visited.
-    """
-    if table.params.temporal:
-        return max((table.vertex_count(path[t], t)
-                    for t in range(1, len(path) - 1)), default=0)
-    return max((table.vertex_count(v) for v in path[1:-1]), default=0)
-
-
 def _image_counts(paths: list[Path]) -> Counter:
     """Per cell, the number of path images holding it."""
     return Counter(v for p in paths for v in set(p))
@@ -73,38 +63,6 @@ def max_edge_headon(paths: list[Path]) -> int:
         opposite = directed.get((b, a), 0)
         worst = max(worst, cnt * opposite)
     return worst
-
-
-def max_vertex_overlap_timed(paths: list[Path]) -> int:
-    """Largest number of robots on one cell at the same step (no rest padding)."""
-    counts: dict[tuple[Cell, int], int] = {}
-    for p in paths:
-        for t, v in enumerate(p):
-            counts[(v, t)] = counts.get((v, t), 0) + 1
-    return max(counts.values(), default=0)
-
-
-def max_edge_headon_timed(paths: list[Path]) -> int:
-    """Largest number of simultaneous opposing traversals of one edge."""
-    directed: dict[tuple[Cell, Cell, int], int] = {}
-    for p in paths:
-        for t in range(1, len(p)):
-            a, b = p[t - 1], p[t]
-            if a != b:
-                key = (a, b, t)
-                directed[key] = directed.get(key, 0) + 1
-    worst = 0
-    for (a, b, t), cnt in directed.items():
-        opposite = directed.get((b, a, t), 0)
-        worst = max(worst, cnt * opposite)
-    return worst
-
-
-def pairwise_overlap(path: Path, others: list[Path]) -> int:
-    """Total image intersection size between one path and every other path:
-    the others' image counts summed over the path's image."""
-    counts = _image_counts(others)
-    return sum(counts[v] for v in set(path))
 
 
 def total_pairwise_overlap(paths: list[Path]) -> int:
@@ -133,6 +91,20 @@ def robots_by_step(paths: list[Path]):
                 v = p[-1]
             cells.setdefault(v, []).append(i)
         yield t, cells, moves
+
+
+def max_vertex_overlap_timed(paths: list[Path]) -> int:
+    """Largest number of robots on one cell at the same step (no rest padding)."""
+    return max((sum(t < len(paths[i]) for i in robots)
+                for t, cells, _ in robots_by_step(paths)
+                for robots in cells.values()), default=0)
+
+
+def max_edge_headon_timed(paths: list[Path]) -> int:
+    """Largest number of simultaneous opposing traversals of one edge."""
+    return max((len(robots) * len(moves.get((b, a), ()))
+                for _, _, moves in robots_by_step(paths)
+                for (a, b), robots in moves.items()), default=0)
 
 
 def timed_conflicts(paths: list[Path]) -> tuple[int, int]:

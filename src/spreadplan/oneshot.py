@@ -23,7 +23,8 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .grid import Cell, FieldCache, GridMap, _bit_step, distance_field
+from .grid import (Cell, FieldCache, GridMap, _bit_step, cells_from_json,
+                   distance_field)
 from .metrics import (makespan, max_vertex_overlap, robots_by_step,
                       sum_of_cost, timed_conflicts, total_pairwise_overlap)
 from .search import (InstanceError, PlanningError, SearchConfig, SearchStats,
@@ -92,8 +93,13 @@ class Solution:
 
 
 def solution_paths_from_json(text: str) -> list[Path]:
+    """The paths of a solution; a path that is not a non-empty list of
+    [x, y] cells raises ValueError naming its robot."""
     payload = json.loads(text)
-    return [[tuple(v) for v in p] for p in payload["paths"]]
+    if not isinstance(payload, dict) or not isinstance(payload.get("paths"), list):
+        raise ValueError('a solution needs a "paths" list')
+    return [cells_from_json(p, i, "path")
+            for i, p in enumerate(payload["paths"])]
 
 
 @dataclass(frozen=True)

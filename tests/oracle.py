@@ -3,15 +3,16 @@
 Enumerates every shortest path between two cells by walking the BFS-distance
 DAG, then minimizes conflict objectives over the enumeration.  Used by tests
 to check that the guided searches return exactly the paths they promise.
+Also the per-path overlap measures that only this oracle and the tests read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import Cell, GridMap, distance_field
-from .metrics import peak_vertex_overlap
-from .usage import Path, UsageTable
+from spreadplan.grid import Cell, GridMap, distance_field
+from spreadplan.metrics import _image_counts
+from spreadplan.usage import Path, UsageTable
 
 
 class TooManyPathsError(RuntimeError):
@@ -79,3 +80,21 @@ def min_objective(enumeration: PathEnumeration, table: UsageTable,
         raise ValueError("empty enumeration")
     return best_value, best_path
 
+
+def peak_vertex_overlap(path: Path, table: UsageTable) -> int:
+    """Worst usage count over the path's interior cells (endpoints excluded).
+
+    The table should be built from the *other* robots' paths; temporal tables
+    are read at the step each cell is visited.
+    """
+    if table.params.temporal:
+        return max((table.vertex_count(path[t], t)
+                    for t in range(1, len(path) - 1)), default=0)
+    return max((table.vertex_count(v) for v in path[1:-1]), default=0)
+
+
+def pairwise_overlap(path: Path, others: list[Path]) -> int:
+    """Total image intersection size between one path and every other path:
+    the others' image counts summed over the path's image."""
+    counts = _image_counts(others)
+    return sum(counts[v] for v in set(path))

@@ -14,8 +14,8 @@ import time
 import pytest
 
 from helpers import build_prior_paths, pairwise_conflicts
+from oracle import enumerate_shortest_paths, min_objective, peak_vertex_overlap
 from spreadplan import metrics
-from spreadplan.bruteforce import enumerate_shortest_paths, min_objective
 from spreadplan.grid import (GridMap, distance_field, generate_instance,
                              generate_random_grid, generate_warehouse,
                              largest_component_grid, parse_movingai_map)
@@ -104,7 +104,7 @@ def _oracle_cases(mode, objective, count=500):
             path = find_path_cost_to_go(grid, s, g, table, field,
                                         SearchConfig(tie_break_seed=case_seed),
                                         SHARED_SEARCH_STATS)
-            value = metrics.peak_vertex_overlap(path, table)
+            value = peak_vertex_overlap(path, table)
         else:
             path = find_path_cost_to_come(grid, s, g, table, field,
                                           SearchConfig("cost_to_come", case_seed),

