@@ -123,6 +123,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_lifelong(args) -> int:
+    if args.n < 1:
+        raise ValueError("--n must be >= 1")
     grid = _load_grid(args.map)
     cfg = config_for_variant(args.variant, args.h, args.seed)
     streams = [GoalStream(grid, seed=args.seed * 7919 + i)
@@ -174,6 +176,10 @@ def run_standalone_case(args, seed: int) -> list[int]:
 
 
 def cmd_bench_standalone(args) -> int:
+    if args.seeds < 1:
+        raise ValueError("--seeds must be >= 1")
+    if args.r_max < 0:
+        raise ValueError("--r-max must be >= 0")
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
     results = {seed: run_standalone_case(args, seed) for seed in seeds}
 

@@ -154,9 +154,6 @@ class GridMap:
         """Every passable cell, in row-major order; one tuple per map."""
         return _cells_of(self.passable_mask, self.stride)
 
-    def vertices(self):
-        return iter(self.passable_cells)
-
     def is_connected(self) -> bool:
         """True when all passable cells form a single 4-connected component."""
         passable = self.passable_mask
@@ -605,6 +602,8 @@ def generate_instance(grid: GridMap, n: int, seed: int,
     (one-shot instances need that); longer chains draw goals independently
     per robot, only avoiding zero-length legs.  Deterministic per seed.
     """
+    if goals_per_robot < 1:
+        raise ValueError(f"goals_per_robot must be >= 1, got {goals_per_robot}")
     cells = grid.passable_cells
     if n > len(cells):
         raise ValueError(f"cannot place {n} robots on {len(cells)} vertices")
@@ -660,21 +659,23 @@ def instance_to_json(grid: GridMap, robots: list[tuple[Cell, list[Cell]]],
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _is_cell(value) -> bool:
+    return (isinstance(value, list) and len(value) == 2
+            and all(type(k) is int for k in value))
+
+
 def cells_from_json(value, robot: int, what: str) -> list[Cell]:
     """`value` as a non-empty list of [x, y] cells, else ValueError."""
-    if isinstance(value, list) and value and all(
-            isinstance(c, list) and len(c) == 2
-            and all(type(k) is int for k in c) for c in value):
+    if isinstance(value, list) and value and all(map(_is_cell, value)):
         return [tuple(c) for c in value]
     raise ValueError(f"robot {robot}: {what} is empty or not [x, y] cells")
 
 
-def instance_from_json(text: str, map_loader=None) -> tuple[GridMap, list[tuple[Cell, list[Cell]]], int | None]:
-    """Parse the native instance format.
-
-    `map_loader` resolves a map path string to file text; defaults to reading
-    from the filesystem.  A robot without a start cell or a non-empty list
-    of goal cells raises ValueError.
+def instance_from_json(text: str) -> tuple[GridMap, list[tuple[Cell, list[Cell]]], int | None]:
+    """Parse the native instance format; a map given as a path string is read
+    from the filesystem.  An inline map without integer "width" and "height"
+    and a "blocked" list of [x, y] cells, or a robot without a start cell or
+    a non-empty list of goal cells, raises ValueError naming the field.
     """
     payload = json.loads(text)
     if not isinstance(payload, dict) or "map" not in payload \
@@ -682,15 +683,19 @@ def instance_from_json(text: str, map_loader=None) -> tuple[GridMap, list[tuple[
         raise ValueError('an instance needs a "map" and a "robots" list')
     map_obj = payload["map"]
     if isinstance(map_obj, str):
-        if map_loader is None:
-            with open(map_obj, encoding="utf-8") as fh:
-                map_text = fh.read()
-        else:
-            map_text = map_loader(map_obj)
-        grid = parse_movingai_map(map_text)
+        with open(map_obj, encoding="utf-8") as fh:
+            grid = parse_movingai_map(fh.read())
     else:
+        if not isinstance(map_obj, dict):
+            raise ValueError('"map" is neither a path nor an object')
+        for key in ("width", "height"):
+            if type(map_obj.get(key)) is not int:
+                raise ValueError(f'map: "{key}" is not an integer')
+        blocked = map_obj.get("blocked")
+        if not (isinstance(blocked, list) and all(map(_is_cell, blocked))):
+            raise ValueError('map: "blocked" is not a list of [x, y] cells')
         grid = GridMap(map_obj["width"], map_obj["height"],
-                       frozenset(tuple(c) for c in map_obj["blocked"]))
+                       frozenset(map(tuple, blocked)))
     robots = []
     for i, r in enumerate(payload["robots"]):
         r = r if isinstance(r, dict) else {}

@@ -6,7 +6,7 @@ vertex just past the horizon on a shortest leg (the *horizon cut*, which stops
 the windowed solver from planning steps that would be thrown away), picked by
 the usage penalty in the `cut+usage` variants so beyond-horizon targets spread
 out; then call a windowed solver for an h-step collision-free segment and
-execute its first `commit` steps.
+execute all h steps.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ class LivelockError(RuntimeError):
 
 
 VARIANTS = ("baseline", "cut", "cut+usage", "cut+usage+temporal")
+STALL_CYCLES = 20  # cycles without a newly settled robot before a livelock
+MAX_EXPANSIONS = 200_000  # per robot window, before `_plan_window` falls back
 
 
 @dataclass
@@ -42,15 +44,12 @@ class HorizonConfig:
     h: int = 5
     variant: str = "cut"  # one of VARIANTS
     seed: int = 0
-    commit: int | None = None  # steps executed per cycle; defaults to h
 
     def __post_init__(self) -> None:
         if self.h < 1:
             raise ValueError("horizon must be >= 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.commit is not None and not (1 <= self.commit <= self.h):
-            raise ValueError("commit must be in [1, h]")
 
 
 def config_for_variant(variant: str, h: int, seed: int = 0) -> HorizonConfig:
@@ -209,8 +208,8 @@ def apply_horizon_cut(grid: GridMap, chains: list[tuple[list[Cell], int]],
 
 def windowed_solver(grid: GridMap, states: list[Cell],
                     target_lists: list[list[Cell]], h: int,
-                    fields: FieldCache | None = None, seed: int = 0,
-                    max_expansions: int = 200_000) -> tuple[list[Path], int]:
+                    fields: FieldCache | None = None,
+                    seed: int = 0) -> tuple[list[Path], int]:
     """Prioritized h-step collision-free planning toward chained targets.
 
     Each robot plans a space-time path through its targets in order;
@@ -232,7 +231,7 @@ def windowed_solver(grid: GridMap, states: list[Cell],
     def plan_one(i: int, attempt: int, reservations: _Reservations) -> list[int]:
         nonlocal expansions_total
         path, exp = _plan_window(grid, plans[i], h, reservations,
-                                 _mix(seed, attempt, i), max_expansions)
+                                 _mix(seed, attempt, i))
         expansions_total += exp
         if path is None:
             raise WindowedSolverError(
@@ -277,8 +276,8 @@ def _window_plan(grid: GridMap, start: Cell, targets: list[Cell],
 
 
 def _plan_window(grid: GridMap, plan: _WindowPlan, h: int,
-                 reservations: _Reservations, seed: int,
-                 max_expansions: int) -> tuple[list[int] | None, int]:
+                 reservations: _Reservations,
+                 seed: int) -> tuple[list[int] | None, int]:
     """Space-time A* through the target chain around earlier robots' windows.
 
     Works on padded ids: the plan's start, the reservations and the returned
@@ -318,9 +317,9 @@ def _plan_window(grid: GridMap, plan: _WindowPlan, h: int,
     push, pop, live = queue.push, queue.pop, queue.keys
     parents: dict[int, int | None] = {start: None}  # the start state is t = k = 0
     push(rem0 * span + span - 1, start)
-    best_fallback = None  # (remaining, tie, state) among t == h pops
+    nearest, least = [], None  # the t == h pops of least remaining distance
     expansions = 0
-    while live and expansions < max_expansions:
+    while live and expansions < MAX_EXPANSIONS:
         key, state = pop()
         expansions += 1
         f, r = divmod(key, span)
@@ -332,9 +331,10 @@ def _plan_window(grid: GridMap, plan: _WindowPlan, h: int,
             path.extend([v] * (h - t))
             return path, expansions
         if t == h:
-            fallback = (f - t, tie(state), state)
-            if best_fallback is None or fallback < best_fallback:
-                best_fallback = fallback
+            if least is None or f - h < least:
+                nearest, least = [state], f - h
+            elif f - h == least:
+                nearest.append(state)
         if t >= max_t:
             continue
         nt = t + 1
@@ -367,8 +367,9 @@ def _plan_window(grid: GridMap, plan: _WindowPlan, h: int,
                 rem = 0
             parents[nstate] = state
             push((nt + rem) * span + span - 1 - nt, nstate)
-    if best_fallback is not None:
-        return _unwind(parents, best_fallback[2], size), expansions
+    if nearest:  # ranked only now, since a finished chain never needs it
+        best = min(nearest, key=lambda state: (tie(state), state))
+        return _unwind(parents, best, size), expansions
     return None, expansions
 
 
@@ -408,7 +409,6 @@ def run_lifelong(grid: GridMap, streams: list[GoalStream], cfg: HorizonConfig,
         positions = random.Random(cfg.seed).sample(grid.passable_cells, n)
     fields = FieldCache(grid, distance_field)
     h = cfg.h
-    commit = cfg.commit or h
 
     # a goal reached where a robot already stands counts immediately
     for i in range(n):
@@ -440,14 +440,14 @@ def run_lifelong(grid: GridMap, streams: list[GoalStream], cfg: HorizonConfig,
         finals = Counter(ts[-1] for ts in targets if ts)
         target_conflicts = sum(c * (c - 1) // 2 for c in finals.values())
 
-        for t in range(1, commit + 1):
+        for t in range(1, h + 1):
             for i in range(n):
                 pos = paths[i][t]
                 if streams[i].peek() == pos:
                     streams[i].pop()
                     stats.goals_reached += 1
-        positions = [paths[i][commit] for i in range(n)]
-        stats.elapsed_steps += commit
+        positions = [paths[i][h] for i in range(n)]
+        stats.elapsed_steps += h
         cycle += 1
         stats.cycles.append(CycleRecord(cycle, stats.goals_reached, solver_ms,
                                         expansions, target_conflicts))
@@ -466,14 +466,13 @@ class HorizonSolveResult:
 
 
 def solve_mpp_via_horizon(grid: GridMap, tasks: list[tuple[Cell, Cell]],
-                          cfg: HorizonConfig,
-                          stall_cycles: int = 20) -> HorizonSolveResult:
+                          cfg: HorizonConfig) -> HorizonSolveResult:
     """One-shot solving as a horizon loop with single-goal target lists.
 
     The tasks are checked as an `MppInstance`, so blocked or repeated starts
     or goals raise InstanceError, as does a goal its start cannot reach.
     Cycles until every robot rests on its goal at a cycle boundary; raises
-    LivelockError when `stall_cycles` consecutive cycles pass with no robot
+    LivelockError when STALL_CYCLES consecutive cycles pass with no robot
     newly settled.
     """
     instance = MppInstance(grid, tasks)
@@ -482,7 +481,6 @@ def solve_mpp_via_horizon(grid: GridMap, tasks: list[tuple[Cell, Cell]],
     goals = [g for _, g in tasks]
     fields = FieldCache(grid, distance_field)
     lb_mk, lb_sc = lower_bounds(instance, fields)
-    commit = cfg.commit or cfg.h
 
     positions = list(starts)
     trajectories: list[Path] = [[s] for s in starts]
@@ -495,8 +493,8 @@ def solve_mpp_via_horizon(grid: GridMap, tasks: list[tuple[Cell, Cell]],
                                          cfg, fields, cycle)
         expansions_total += expansions
         for i in range(n):
-            trajectories[i].extend(paths[i][1:commit + 1])
-        positions = [p[commit] for p in paths]
+            trajectories[i].extend(paths[i][1:])
+        positions = [p[-1] for p in paths]
         cycle += 1
         settled = sum(1 for i in range(n) if positions[i] == goals[i])
         if settled > best_settled:
@@ -504,9 +502,9 @@ def solve_mpp_via_horizon(grid: GridMap, tasks: list[tuple[Cell, Cell]],
             stalled = 0
         else:
             stalled += 1
-            if stalled >= stall_cycles:
+            if stalled >= STALL_CYCLES:
                 raise LivelockError(
-                    f"no progress for {stall_cycles} cycles ({settled}/{n} settled)")
+                    f"no progress for {STALL_CYCLES} cycles ({settled}/{n} settled)")
 
     mk, sc = makespan(trajectories), sum_of_cost(trajectories)
     return HorizonSolveResult(

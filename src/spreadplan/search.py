@@ -533,6 +533,8 @@ def plan_independent_paths(grid: GridMap, tasks: list[tuple[Cell, Cell]],
     tie-breaking and no table.  Paths return in input order.  `fields` is
     the map's field cache, such as one a caller shares with later phases.
     """
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     cfg = cfg or SearchConfig()
     n = len(tasks)
     if params.num_robots != n:

@@ -14,7 +14,6 @@ inserts, however wide the window.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
@@ -63,10 +62,10 @@ class UsageUnderflowError(ValueError):
 class UsageTable:
     """Occupancy counts over vertices and directed edges.
 
-    An aggregate table keeps a counter per (x, y) cell and per directed edge
-    (x1, y1, x2, y2).  A temporal table keeps, under the same keys, the
-    sorted steps at which a path occupies the cell or arrives over the edge;
-    an occupancy at step s counts at every t >= 0 with
+    An aggregate table keeps a counter per (x, y) cell and per directed edge,
+    keyed by its (from, to) cell pair.  A temporal table keeps, under the
+    same keys, the sorted steps at which a path occupies the cell or arrives
+    over the edge; an occupancy at step s counts at every t >= 0 with
     s - window_before <= t <= s + window_after.  Mutated in place by
     add/remove so a planning loop can swap one robot's path without
     rebuilding; remove is the exact inverse of add.
@@ -75,14 +74,6 @@ class UsageTable:
     params: UsageParams = field(default_factory=UsageParams)
     _vertex: dict = field(default_factory=dict, init=False, repr=False)
     _edge: dict = field(default_factory=dict, init=False, repr=False)
-
-    @classmethod
-    def build(cls, paths: list[Path | None], params: UsageParams) -> "UsageTable":
-        table = cls(params=params)
-        for path in paths:
-            if path is not None:
-                table.add_path(path)
-        return table
 
     def add_path(self, path: Path) -> None:
         self._update(path, 1)
@@ -96,8 +87,8 @@ class UsageTable:
         raises; in a temporal table the error names the key with the first
         step of the claim's window."""
         if self.params.temporal:
-            edges = [(t, (u[0], u[1], v[0], v[1]))
-                     for t, (u, v) in enumerate(zip(path, path[1:]), 1) if u != v]
+            edges = [(t, uv) for t, uv in enumerate(zip(path, path[1:]), 1)
+                     if uv[0] != uv[1]]
             for steps, claims in ((self._vertex, enumerate(path)),
                                   (self._edge, edges)):
                 if delta > 0:
@@ -120,8 +111,7 @@ class UsageTable:
                         else:
                             del held[i]
             return
-        edge_keys = [(u[0], u[1], v[0], v[1])
-                     for u, v in zip(path, path[1:]) if u != v]
+        edge_keys = [uv for uv in zip(path, path[1:]) if uv[0] != uv[1]]
         for counts, keys in ((self._vertex, path), (self._edge, edge_keys)):
             for key in keys:
                 c = counts.get(key, 0) + delta
@@ -147,14 +137,12 @@ class UsageTable:
             held = self._vertex.get(to)
             vcount = 0 if held is None else (bisect_right(held, hi)
                                              - bisect_left(held, lo))
-            held = None if to == frm else self._edge.get(
-                (to[0], to[1], frm[0], frm[1]))
+            held = None if to == frm else self._edge.get((to, frm))
             ecount = 0 if held is None else (bisect_right(held, hi)
                                              - bisect_left(held, lo))
         else:
             vcount = self._vertex.get(to, 0)
-            ecount = 0 if to == frm else self._edge.get(
-                (to[0], to[1], frm[0], frm[1]), 0)
+            ecount = 0 if to == frm else self._edge.get((to, frm), 0)
         return (params.vertex_weight * vcount
                 + params.edge_weight * ecount) / params.num_robots
 
@@ -169,42 +157,3 @@ class UsageTable:
             return 0
         return (bisect_right(held, t + self.params.window_before)
                 - bisect_left(held, t - self.params.window_after))
-
-    @property
-    def vertex_use(self) -> dict:
-        """Vertex counts by (x, y), or by (x, y, t) in a temporal table, where
-        the temporal view is built on each read."""
-        return self._windowed(self._vertex) if self.params.temporal else self._vertex
-
-    @property
-    def edge_use(self) -> dict:
-        """Edge counts by (x1, y1, x2, y2), gaining a trailing t in a temporal
-        table, where the view is built on each read."""
-        return self._windowed(self._edge) if self.params.temporal else self._edge
-
-    def _windowed(self, steps: dict) -> dict:
-        """Each key's count at every step its window covers, from step 0."""
-        wb, wa = self.params.window_before, self.params.window_after
-        counts: dict = {}
-        for key, held in steps.items():
-            for s in held:
-                for t in range(max(0, s - wb), s + wa + 1):
-                    timed = (*key, t)
-                    counts[timed] = counts.get(timed, 0) + 1
-        return counts
-
-    def to_json(self) -> str:
-        """Stable debug dump: sorted comma-joined keys to counts."""
-        payload = {
-            "params": {
-                "vertex_weight": self.params.vertex_weight,
-                "edge_weight": self.params.edge_weight,
-                "window_before": self.params.window_before,
-                "window_after": self.params.window_after,
-                "temporal": self.params.temporal,
-                "num_robots": self.params.num_robots,
-            },
-            "vertex_use": {",".join(map(str, k)): v for k, v in self.vertex_use.items()},
-            "edge_use": {",".join(map(str, k)): v for k, v in self.edge_use.items()},
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)

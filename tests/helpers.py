@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import heapq
-import json
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -113,7 +112,7 @@ def labelled(field):
 
 def random_shortest_path(grid: GridMap, rng: random.Random):
     """A seeded random shortest path between two random reachable cells."""
-    cells = list(grid.vertices())
+    cells = list(grid.passable_cells)
     for _ in range(50):
         a, b = rng.sample(cells, 2)
         dfield = distance_field(grid, b)
@@ -127,7 +126,7 @@ def random_shortest_path(grid: GridMap, rng: random.Random):
 def reference_one_goal_instance(grid: GridMap, n: int, seed: int):
     """Reference for `generate_instance` with one goal per robot: it rebuilds
     the pool of free cells other than the start for every robot."""
-    cells = list(grid.vertices())
+    cells = list(grid.passable_cells)
     rng = random.Random(seed)
     starts = rng.sample(cells, n)
     robots = []
@@ -144,6 +143,14 @@ def reference_one_goal_instance(grid: GridMap, n: int, seed: int):
 
 def build_prior_paths(grid: GridMap, rng: random.Random, count: int):
     return [random_shortest_path(grid, rng) for _ in range(count)]
+
+
+def usage_table(paths: list[Path], params: UsageParams) -> UsageTable:
+    """A usage table holding every path, added in order."""
+    table = UsageTable(params=params)
+    for path in paths:
+        table.add_path(path)
+    return table
 
 
 def pairwise_conflicts(paths):
@@ -439,14 +446,6 @@ class ReferenceUsageTable:
     vertex_use: dict = field(default_factory=dict)
     edge_use: dict = field(default_factory=dict)
 
-    @classmethod
-    def build(cls, paths: list[Path | None], params: UsageParams) -> "ReferenceUsageTable":
-        table = cls(params=params)
-        for path in paths:
-            if path is not None:
-                table.add_path(path)
-        return table
-
     def add_path(self, path: Path) -> None:
         self._update(path, 1)
 
@@ -502,19 +501,3 @@ class ReferenceUsageTable:
         if self.params.temporal:
             return self.vertex_use.get((cell[0], cell[1], 0 if t is None else t), 0)
         return self.vertex_use.get(cell, 0)
-
-    def to_json(self) -> str:
-        """Stable debug dump: sorted comma-joined keys to counts."""
-        payload = {
-            "params": {
-                "vertex_weight": self.params.vertex_weight,
-                "edge_weight": self.params.edge_weight,
-                "window_before": self.params.window_before,
-                "window_after": self.params.window_after,
-                "temporal": self.params.temporal,
-                "num_robots": self.params.num_robots,
-            },
-            "vertex_use": {",".join(map(str, k)): v for k, v in self.vertex_use.items()},
-            "edge_use": {",".join(map(str, k)): v for k, v in self.edge_use.items()},
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from helpers import build_prior_paths, pairwise_conflicts
+from helpers import build_prior_paths, pairwise_conflicts, usage_table
 from oracle import enumerate_shortest_paths, min_objective, peak_vertex_overlap
 from spreadplan import metrics
 from spreadplan.grid import (GridMap, distance_field, generate_instance,
@@ -25,7 +25,7 @@ from spreadplan.oneshot import Conflict, validate_solution
 from spreadplan.search import (SearchConfig, SearchStats,
                                find_path_cost_to_come, find_path_cost_to_go,
                                plan_independent_paths)
-from spreadplan.usage import UsageParams, UsageTable
+from spreadplan.usage import UsageParams
 
 SHARED_SEARCH_STATS = SearchStats()
 _batch_cache = {}
@@ -39,7 +39,7 @@ def report(num, name, ok, detail):
 def random_case(rng, case_seed):
     grid = generate_random_grid(rng.randint(4, 10), rng.randint(4, 10),
                                 rng.choice([0.0, 0.1, 0.15]), case_seed)
-    cells = list(grid.vertices())
+    cells = list(grid.passable_cells)
     s, g = rng.sample(cells, 2)
     field = distance_field(grid, g)
     if s not in field:
@@ -66,7 +66,7 @@ def test_01_shortest_length_preserved_in_both_modes():
                              rng.randint(0, 2) if temporal else 0,
                              rng.randint(0, 4) if temporal else 0,
                              temporal, n)
-        table = UsageTable.build(priors, params)
+        table = usage_table(priors, params)
         p1 = find_path_cost_to_go(grid, s, g, table, field,
                                   SearchConfig(tie_break_seed=case_seed),
                                   SHARED_SEARCH_STATS)
@@ -90,14 +90,14 @@ def _oracle_cases(mode, objective, count=500):
         case_seed += 1
         grid = generate_random_grid(rng.randint(3, 5), rng.randint(3, 5),
                                     rng.choice([0.0, 0.1]), case_seed)
-        cells = list(grid.vertices())
+        cells = list(grid.passable_cells)
         s, g = rng.sample(cells, 2)
         field = distance_field(grid, g)
         if s not in field:
             continue
         priors = build_prior_paths(grid, rng, rng.randint(0, 6))
-        table = UsageTable.build(priors,
-                                 UsageParams(1.0, 0.0, num_robots=len(priors) + 1))
+        table = usage_table(priors,
+                            UsageParams(1.0, 0.0, num_robots=len(priors) + 1))
         enum = enumerate_shortest_paths(grid, s, g)
         best, _ = min_objective(enum, table, objective)
         if mode == "cost_to_go":
@@ -109,7 +109,7 @@ def _oracle_cases(mode, objective, count=500):
             path = find_path_cost_to_come(grid, s, g, table, field,
                                           SearchConfig("cost_to_come", case_seed),
                                           SHARED_SEARCH_STATS)
-            value = sum(table.vertex_use.get(v, 0) for v in set(path))
+            value = sum(table.vertex_count(v) for v in set(path))
         matched += (value == best)
         total += 1
     return matched, total

@@ -271,3 +271,45 @@ def test_solve_rejects_a_robot_without_goals(tmp_path, capsys):
         assert main(["solve", "--instance", str(inst_path),
                      "--out", str(tmp_path / "s.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: robot 1: ")
+
+
+@pytest.mark.parametrize("map_obj, field", [
+    ({"width": 4}, '"height"'),
+    ({"width": 4, "height": 2}, '"blocked"'),
+    ({"width": 4, "height": 2, "blocked": [[1]]}, '"blocked"'),
+    (5, '"map"'),
+])
+def test_solve_rejects_a_malformed_inline_map(tmp_path, capsys, map_obj, field):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({"map": map_obj, "robots": []}))
+    assert main(["solve", "--instance", str(inst_path),
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
+def test_gen_instance_rejects_zero_goals_per_robot(small_world, tmp_path,
+                                                   capsys):
+    map_path, _ = small_world
+    out = tmp_path / "g.json"
+    assert main(["gen-instance", "--map", str(map_path), "--n", "3",
+                 "--goals-per-robot", "0", "--out", str(out)]) == 2
+    assert "goals_per_robot" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["bench-standalone", "--seeds", "0"], "--seeds"),
+    (["bench-standalone", "--r-max", "-1"], "--r-max"),
+    (["solve", "--iterations", "-1"], "iterations"),
+    (["lifelong", "--n", "-1"], "--n"),
+])
+def test_a_bad_count_flag_exits_2_naming_it(small_world, tmp_path, capsys,
+                                            argv, flag):
+    map_path, inst_path = small_world
+    where = {"bench-standalone": [], "solve": ["--instance", str(inst_path)],
+             "lifelong": ["--map", str(map_path)]}[argv[0]]
+    out = tmp_path / "x.csv"
+    assert main(argv + where + ["--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()

@@ -193,9 +193,9 @@ def run_window_fallback():
     states = [s for s, _ in robots]
     targets = [gs for _, gs in robots]
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lifelong, "MAX_EXPANSIONS", 40)
         attempts = _recording(mp, "_plan_window")
-        paths, expansions = windowed_solver(grid, states, targets, 5, seed=3,
-                                            max_expansions=40)
+        paths, expansions = windowed_solver(grid, states, targets, 5, seed=3)
     fallbacks = 0
     for path, _ in attempts:
         robot = states.index(grid.cell_at[path[0]])

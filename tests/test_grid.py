@@ -259,9 +259,9 @@ def test_distance_field_blocked_goal():
 def test_distance_field_bellman_property():
     for seed in range(5):
         grid = generate_random_grid(10, 8, 0.15, seed)
-        goal = next(grid.vertices())
+        goal = grid.passable_cells[0]
         field = distance_field(grid, goal)
-        for v in grid.vertices():
+        for v in grid.passable_cells:
             if v == goal:
                 continue
             if v in field:
@@ -276,7 +276,7 @@ def test_lazy_field_matches_eager_bfs_in_any_read_order():
         cells = [(x, y) for y in range(height) for x in range(width)]
         blocked = frozenset(c for c in cells[1:] if rng.random() < 0.3)
         grid = GridMap(width, height, blocked)  # often several components
-        goal = rng.choice(list(grid.vertices()))
+        goal = rng.choice(list(grid.passable_cells))
         expected = eager_bfs(grid, goal)
         field = distance_field(grid, goal)
         probes = [(x, y) for y in range(-1, height + 1)
@@ -347,7 +347,7 @@ def test_lazy_field_labels_exact_and_shortest_paths_complete():
     rng = random.Random(2021)
     for _ in range(300):
         grid = random_field_map(rng)
-        goal = rng.choice(list(grid.vertices()))
+        goal = rng.choice(list(grid.passable_cells))
         expected = eager_bfs(grid, goal)
         field = distance_field(grid, goal)
         probes = [(x, y) for y in range(-1, grid.height + 1)
@@ -485,7 +485,7 @@ def test_id_steps_match_neighbors_in_step_order():
         stride = grid.stride
         steps = [dx + dy * stride for dx, dy in NEIGHBOR_STEPS]
         assert steps == [1, -1, stride, -stride]
-        for cell in grid.vertices():  # cells on the map's edge included
+        for cell in grid.passable_cells:  # cells on the map's edge included
             v = grid.cell_id(cell)
             by_id = [grid.cell_at[u] for u in (v + 1, v - 1, v + stride, v - stride)
                      if grid.template[u] != BLOCKED]
@@ -553,7 +553,7 @@ def test_generate_instance_basic():
 def test_generate_instance_all_vertices_as_starts():
     grid = GridMap(3, 3)
     robots = generate_instance(grid, 9, seed=1)
-    assert sorted(s for s, _ in robots) == sorted(grid.vertices())
+    assert sorted(s for s, _ in robots) == sorted(grid.passable_cells)
 
 
 def test_generate_instance_hundred_robots():

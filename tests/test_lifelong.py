@@ -19,7 +19,7 @@ from spreadplan.lifelong import (GoalStream, HorizonConfig, LivelockError,
                                  windowed_solver)
 from spreadplan.metrics import path_length, timed_conflicts
 from spreadplan.oneshot import validate_solution
-from spreadplan.search import InstanceError
+from spreadplan.search import InstanceError, _cell_mix, _fold, _Reservations
 from spreadplan.usage import UsageParams
 
 
@@ -147,6 +147,27 @@ def test_windowed_two_crossing_robots_vs_exhaustive():
     assert reaching
     for i in range(2):
         assert targets[i][0] in paths[i]
+
+
+def test_window_fallback_ends_on_the_least_tie_of_the_nearest_cells():
+    # a target held at every step is never reached, so the search runs dry
+    # and keeps the h-step prefix ending nearest it: (3, 2), (2, 3) and
+    # (4, 3) are one step away, and the seeded tie of the state picks one
+    grid, h = GridMap(7, 7), 4
+    plan = lifelong._window_plan(grid, (3, 0), [(3, 3)], FieldCache(grid))
+    reservations = _Reservations(len(grid.template))
+    reservations.add_path([grid.cell_id((3, 3))] * 40)
+    nearest = [grid.cell_id(c) for c in ((3, 2), (2, 3), (4, 3))]
+    ends = set()
+    for seed in range(20):
+        path, _ = lifelong._plan_window(grid, plan, h, reservations, seed)
+        mix = _cell_mix(grid, seed)
+        # with t = h and no target reached, states order as their ids
+        assert path[-1] == min(nearest,
+                               key=lambda v: (_fold(_fold(mix(v), h), 0), v))
+        assert len(path) == h + 1
+        ends.add(path[-1])
+    assert len(ends) > 1
 
 
 def test_windowed_solver_sweep_returns_valid_windows_or_raises():
@@ -293,7 +314,7 @@ def test_run_lifelong_all_variants_work():
 def test_run_lifelong_raises_once_every_stream_is_empty():
     # six fixed goals in all can never make ten; the loop must not cycle on
     grid = generate_warehouse(25, 14, (3, 2), 2)
-    cells = list(grid.vertices())
+    cells = list(grid.passable_cells)
     rng = random.Random(3)
     positions = rng.sample(cells, 3)
     streams = [GoalStream(grid, initial=rng.sample(cells, 2)) for _ in range(3)]
@@ -307,18 +328,17 @@ def test_horizon_config_validation():
     with pytest.raises(ValueError):
         HorizonConfig(h=0)
     with pytest.raises(ValueError):
-        HorizonConfig(h=4, commit=5)
-    with pytest.raises(ValueError):
         HorizonConfig(variant="cut+sideways")
 
 
 def test_run_lifelong_partial_commit():
+    # every cycle executes its whole h-step window
     grid = GridMap(10, 6)
     streams = [GoalStream(grid, seed=30 + i) for i in range(4)]
-    cfg = HorizonConfig(h=6, seed=1, commit=2)
+    cfg = HorizonConfig(h=6, seed=1)
     stats = run_lifelong(grid, streams, cfg, stop_goals=12)
     assert stats.goals_reached >= 12
-    assert stats.elapsed_steps == 2 * len(stats.cycles)
+    assert stats.elapsed_steps == 6 * len(stats.cycles)
 
 
 def test_goal_stream_replenishes_without_repeats():
@@ -405,18 +425,18 @@ def test_solve_via_horizon_executes_commit_steps_per_cycle():
     robots = generate_instance(grid, 8, seed=17)
     tasks = [(s, gs[0]) for s, gs in robots]
     res = solve_mpp_via_horizon(grid, tasks,
-                                HorizonConfig(h=4, variant="cut+usage", commit=2))
+                                HorizonConfig(h=4, variant="cut+usage"))
     assert validate_solution(res.paths, grid, tasks) == []
-    assert all(len(p) == 1 + 2 * res.cycles for p in res.paths)
+    assert all(len(p) == 1 + 4 * res.cycles for p in res.paths)
 
 
-def test_solve_via_horizon_livelock_detected():
+def test_solve_via_horizon_livelock_detected(monkeypatch):
     # two robots that must swap with no room anywhere
     grid = GridMap(2, 1)
     tasks = [((0, 0), (1, 0)), ((1, 0), (0, 0))]
+    monkeypatch.setattr(lifelong, "STALL_CYCLES", 5)
     with pytest.raises((LivelockError, WindowedSolverError)):
-        solve_mpp_via_horizon(grid, tasks, config_for_variant("cut", h=2),
-                              stall_cycles=5)
+        solve_mpp_via_horizon(grid, tasks, config_for_variant("cut", h=2))
 
 
 def test_solve_via_horizon_row_reversal():

@@ -1,8 +1,9 @@
 """Every top-level function and class in `spreadplan` is named somewhere
 other than its own definition: in the program (what `__init__` exports
-counts), the benchmark or `pyproject.toml`.  Tests do not count: code that
-only tests name belongs in the tests, and code that nothing names is
-deleted, not kept."""
+counts), the benchmark or `pyproject.toml`.  Every defaulted parameter of a
+top-level function is passed by some call in the program or the benchmark.
+Tests do not count: code that only tests name belongs in the tests, and
+code that nothing names is deleted, not kept."""
 
 import ast
 import re
@@ -41,3 +42,52 @@ def unnamed_definitions() -> list[str]:
 
 def test_every_definition_is_named_elsewhere():
     assert unnamed_definitions() == []
+
+
+# the console entry point, whose argv only tests pass
+ENTRY_POINTS = {"cli.main"}
+
+
+def _calls() -> dict[str, list[ast.Call]]:
+    """Every call in the program and the benchmark, by the name called."""
+    calls: dict[str, list[ast.Call]] = {}
+    for f, text in _corpus().items():
+        if f.suffix == ".py":
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passed(call: ast.Call, positional: list[str], keyword: list[str]) -> set[str]:
+    """The parameters a call passes; a *args or **kwargs passes them all."""
+    if any(isinstance(a, ast.Starred) for a in call.args) \
+            or any(k.arg is None for k in call.keywords):
+        return set(positional + keyword)
+    return set(positional[:len(call.args)]) | {k.arg for k in call.keywords}
+
+
+def unpassed_parameters() -> list[str]:
+    """Defaulted parameters of top-level functions that no call passes."""
+    calls = _calls()
+    unpassed = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(module.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or f"{module.stem}.{node.name}" in ENTRY_POINTS:
+                continue
+            a = node.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            keyword = [p.arg for p in a.kwonlyargs]
+            defaulted = positional[len(positional) - len(a.defaults):] + [
+                p for p, d in zip(keyword, a.kw_defaults) if d is not None]
+            passed = set().union(*(_passed(c, positional, keyword)
+                                   for c in calls.get(node.name, ())))
+            unpassed += [f"{module.stem}.{node.name}({p})"
+                         for p in defaulted if p not in passed]
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert unpassed_parameters() == []

@@ -89,7 +89,7 @@ def test_validate_reports_illegal_paths_given_map_and_tasks():
 
 def test_single_robot_solution():
     grid = generate_random_grid(8, 8, 0.1, 1)
-    cells = list(grid.vertices())
+    cells = list(grid.passable_cells)
     inst = MppInstance(grid, [(cells[0], cells[-1])])
     sol = solve_mpp(inst, UsageParams(num_robots=1), 1)
     lb_mk, lb_sc = lower_bounds(inst)
@@ -310,7 +310,7 @@ def random_resolver_case(rng: random.Random, max_side: int = 16):
                                         seed=rng.randrange(1 << 30))
         except GenerationError:
             continue
-        cells = sum(1 for _ in grid.vertices())
+        cells = len(grid.passable_cells)
         if cells >= 4:
             break
     n = rng.randint(2, max(2, min(cells // 3, 40)))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import EagerTieHeap, build_prior_paths
+from helpers import EagerTieHeap, build_prior_paths, usage_table
 from oracle import (enumerate_shortest_paths, min_objective,
                     pairwise_overlap, peak_vertex_overlap)
 from spreadplan import metrics
@@ -46,7 +46,7 @@ def test_no_path_raises():
 def test_loaded_middle_row_keeps_length_and_matches_oracle():
     grid = GridMap(5, 5)
     prior = [[(x, 2) for x in range(5)]]
-    table = UsageTable.build(prior, UsageParams(1.0, 0.0, num_robots=2))
+    table = usage_table(prior, UsageParams(1.0, 0.0, num_robots=2))
     field = distance_field(grid, (4, 4))
     path = find_path_cost_to_go(grid, (0, 0), (4, 4), table, field,
                                 SearchConfig(tie_break_seed=1))
@@ -60,8 +60,8 @@ def test_loaded_middle_row_keeps_length_and_matches_oracle():
 def test_concentrated_load_is_avoided():
     grid = GridMap(5, 5)
     # three robots parked around the center; a clean shortest path exists
-    table = UsageTable.build([[(2, 2)], [(2, 2)], [(2, 1)]],
-                             UsageParams(1.0, 0.0, num_robots=4))
+    table = usage_table([[(2, 2)], [(2, 2)], [(2, 1)]],
+                        UsageParams(1.0, 0.0, num_robots=4))
     field = distance_field(grid, (4, 4))
     path = find_path_cost_to_go(grid, (0, 0), (4, 4), table, field,
                                 SearchConfig(tie_break_seed=5))
@@ -77,12 +77,12 @@ def test_vertex_information_scenario():
     blue = [(1, 0), (1, 1)]
     enum = enumerate_shortest_paths(grid, (0, 0), (2, 2))
 
-    vertex_table = UsageTable.build([blue], UsageParams(1.0, 0.0, num_robots=2))
+    vertex_table = usage_table([blue], UsageParams(1.0, 0.0, num_robots=2))
     peaks = sorted(peak_vertex_overlap(p, vertex_table)
                    for p in enum.paths)
     assert peaks[0] == 0 and peaks[-1] == 1  # vertex info discriminates
 
-    edge_table = UsageTable.build([blue], UsageParams(0.0, 1.0, num_robots=2))
+    edge_table = usage_table([blue], UsageParams(0.0, 1.0, num_robots=2))
     exposures = {max((edge_table.penalty(p[i], p[i + 1])
                       for i in range(len(p) - 1)), default=0.0)
                  for p in enum.paths}
@@ -102,11 +102,11 @@ def test_edge_information_scenario():
     blue = [(2, 1), (1, 1), (0, 1)]
     enum = enumerate_shortest_paths(grid, (0, 0), (2, 2))
 
-    vertex_table = UsageTable.build([blue], UsageParams(1.0, 0.0, num_robots=2))
+    vertex_table = usage_table([blue], UsageParams(1.0, 0.0, num_robots=2))
     peaks = {peak_vertex_overlap(p, vertex_table) for p in enum.paths}
     assert peaks == {1}  # vertex info alone ties
 
-    edge_table = UsageTable.build([blue], UsageParams(0.0, 1.0, num_robots=2))
+    edge_table = usage_table([blue], UsageParams(0.0, 1.0, num_robots=2))
 
     def headon(p):
         return max((edge_table.penalty(p[i], p[i + 1])
@@ -131,15 +131,14 @@ def test_temporal_information_scenario():
     enum = enumerate_shortest_paths(grid, start, goal)
     assert len(enum.paths) == 3
 
-    aggregate = UsageTable.build([orange], UsageParams(1.0, 0.0, num_robots=2))
+    aggregate = usage_table([orange], UsageParams(1.0, 0.0, num_robots=2))
     peaks = {peak_vertex_overlap(p, aggregate) for p in enum.paths}
     assert peaks == {1}  # without time stamps every candidate looks alike
 
     conflicts = {metrics.timed_conflicts([p, orange]) for p in enum.paths}
     assert (0, 0) in conflicts and len(conflicts) > 1  # but they differ live
 
-    temporal = UsageTable.build([orange],
-                                UsageParams(1.0, 0.0, 0, 0, True, 2))
+    temporal = usage_table([orange], UsageParams(1.0, 0.0, 0, 0, True, 2))
     field = distance_field(grid, goal)
     path = find_path_cost_to_go(grid, start, goal, temporal, field,
                                 SearchConfig(tie_break_seed=4))
@@ -192,7 +191,7 @@ def test_cost_to_come_prefers_lighter_corridor():
     left = [(1, 0), (0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 4)]
     right = [(1, 0), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (1, 4)]
     priors = [left, list(left), right]
-    table = UsageTable.build(priors, UsageParams(1.0, 0.0, num_robots=4))
+    table = usage_table(priors, UsageParams(1.0, 0.0, num_robots=4))
     field = distance_field(grid, (1, 4))
     path = find_path_cost_to_come(grid, (1, 0), (1, 4), table, field,
                                   SearchConfig("cost_to_come", 1))
@@ -206,7 +205,7 @@ def test_objectives_disagree_and_each_mode_wins_its_own():
     grid = GridMap(5, 5)
     rests = ([[(1, 2)]] + [[(1, 3)]] + [[(2, 3)]] + [[(2, 2)]] * 2
              + [[(3, 1)]] * 5)
-    table = UsageTable.build(rests, UsageParams(1.0, 0.0, num_robots=11))
+    table = usage_table(rests, UsageParams(1.0, 0.0, num_robots=11))
     start, goal = (1, 1), (3, 3)
     enum = enumerate_shortest_paths(grid, start, goal)
     best_peak, _ = min_objective(enum, table, "peak")
@@ -218,11 +217,11 @@ def test_objectives_disagree_and_each_mode_wins_its_own():
                                    SearchConfig(tie_break_seed=9))
     come_path = find_path_cost_to_come(grid, start, goal, table, field,
                                        SearchConfig("cost_to_come", 9))
-    go_total = sum(table.vertex_use.get(v, 0) for v in set(go_path))
+    go_total = sum(table.vertex_count(v) for v in set(go_path))
     come_peak = peak_vertex_overlap(come_path, table)
     assert peak_vertex_overlap(go_path, table) == 1
     assert go_total == 3  # pays more overlap to keep the worst cell light
-    assert sum(table.vertex_use.get(v, 0) for v in set(come_path)) == 2
+    assert sum(table.vertex_count(v) for v in set(come_path)) == 2
     assert come_peak == 2  # concentrates to keep the sum down
 
 
@@ -246,12 +245,11 @@ def check_oracle_case(grid, s, g, priors, window, seed, stats):
     table and its summed penalty on every kind of table."""
     field = distance_field(grid, g)
     n = len(priors) + 1
-    table = UsageTable.build(priors, UsageParams(1.0, 0.0, num_robots=n))
-    mixed = UsageTable.build(priors, UsageParams(0.5, 0.5, num_robots=n))
+    table = usage_table(priors, UsageParams(1.0, 0.0, num_robots=n))
+    mixed = usage_table(priors, UsageParams(0.5, 0.5, num_robots=n))
     # the same claims as temporal tables, read at each step
-    timed = UsageTable.build(priors, UsageParams(1.0, 0.0, *window, True, n))
-    timed_mixed = UsageTable.build(priors,
-                                   UsageParams(0.5, 0.5, *window, True, n))
+    timed = usage_table(priors, UsageParams(1.0, 0.0, *window, True, n))
+    timed_mixed = usage_table(priors, UsageParams(0.5, 0.5, *window, True, n))
     enum = enumerate_shortest_paths(grid, s, g)
     for claims in (table, timed):
         path = find_path_cost_to_go(grid, s, g, claims, field,
@@ -272,7 +270,7 @@ def check_oracle_case(grid, s, g, priors, window, seed, stats):
         assert path_penalty(path, claims) == pytest.approx(
             min(path_penalty(p, claims) for p in enum.paths), abs=1e-9)
         if claims is table:
-            assert sum(table.vertex_use.get(v, 0) for v in set(path)) == \
+            assert sum(table.vertex_count(v) for v in set(path)) == \
                 min_objective(enum, table, "total")[0]
 
 
@@ -284,7 +282,7 @@ def test_randomized_oracle_equivalence_both_modes():
     while cases < 120:
         grid = generate_random_grid(rng.randint(3, 5), rng.randint(3, 5),
                                     rng.choice([0.0, 0.1]), rng.randrange(999))
-        cells = list(grid.vertices())
+        cells = list(grid.passable_cells)
         s, g = rng.sample(cells, 2)
         if s not in distance_field(grid, g):
             continue
@@ -298,7 +296,7 @@ def test_randomized_oracle_equivalence_both_modes():
         grid = generate_random_grid(larger.randint(6, 8), larger.randint(6, 8),
                                     larger.choice([0.0, 0.1]),
                                     larger.randrange(999))
-        s, g = larger.sample(list(grid.vertices()), 2)
+        s, g = larger.sample(list(grid.passable_cells), 2)
         if s not in distance_field(grid, g):
             continue
         priors = build_prior_paths(grid, larger, larger.randint(0, 10))
@@ -315,7 +313,7 @@ def test_randomized_oracle_equivalence_both_modes():
     for case in range(150):
         grid = generate_random_grid(over.randint(3, 6), over.randint(3, 6),
                                     over.choice([0.0, 0.1]), over.randrange(999))
-        s, g = over.sample(list(grid.vertices()), 2)
+        s, g = over.sample(list(grid.passable_cells), 2)
         field = distance_field(grid, g)
         if s not in field:
             continue
@@ -325,7 +323,7 @@ def test_randomized_oracle_equivalence_both_modes():
         enum = enumerate_shortest_paths(grid, s, g)
         for params in (UsageParams(1.0, 0.0, num_robots=num_robots),
                        UsageParams(1.0, 0.0, *window, True, num_robots)):
-            claims = UsageTable.build(priors, params)
+            claims = usage_table(priors, params)
             path = find_path_cost_to_go(grid, s, g, claims, field,
                                         SearchConfig(tie_break_seed=case),
                                         over_stats)
@@ -342,7 +340,7 @@ def test_over_unit_penalties_buy_no_detour(temporal):
     # it only searches shortest paths, so no detour around the row pays
     grid = GridMap(5, 3)
     row = [(x, 1) for x in range(5)]
-    table = UsageTable.build([row] * 5, UsageParams(1.0, 0.0, 0, 0, temporal, 1))
+    table = usage_table([row] * 5, UsageParams(1.0, 0.0, 0, 0, temporal, 1))
     start, goal = (0, 1), (4, 1)
     field = distance_field(grid, goal)
     stats = SearchStats()
@@ -373,7 +371,7 @@ def test_order_robots():
 
 def test_plan_single_robot_any_iterations():
     grid = generate_random_grid(8, 8, 0.1, 3)
-    cells = list(grid.vertices())
+    cells = list(grid.passable_cells)
     tasks = [(cells[0], cells[-1])]
     for r in (0, 1, 3):
         paths = plan_independent_paths(grid, tasks, UsageParams(num_robots=1), r)

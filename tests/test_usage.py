@@ -1,12 +1,10 @@
-import copy
-import json
 import random
 
 import pytest
 
-from helpers import ReferenceUsageTable, build_prior_paths
+from helpers import ReferenceUsageTable, build_prior_paths, usage_table
 from spreadplan.grid import generate_random_grid
-from spreadplan.usage import (UsageParams, UsageTable, UsageUnderflowError)
+from spreadplan.usage import UsageParams, UsageTable, UsageUnderflowError
 
 
 def test_params_validation():
@@ -23,28 +21,27 @@ def test_params_validation():
 
 
 def test_build_empty():
-    table = UsageTable.build([], UsageParams())
-    assert table.vertex_use == {} and table.edge_use == {}
+    table = usage_table([], UsageParams())
+    assert table.vertex_count((0, 0)) == 0
     assert table.penalty((0, 0), (0, 1)) == 0.0
-
-
-def test_build_skips_missing_paths():
-    table = UsageTable.build([None, [(0, 0), (1, 0)]], UsageParams())
-    assert table.vertex_use[(1, 0)] == 1
 
 
 def test_single_path_aggregate_counts():
     path = [(0, 0), (1, 0), (2, 0)]  # A -> B -> C
-    table = UsageTable.build([path], UsageParams(0.5, 0.5, num_robots=2))
-    assert table.vertex_use == {(0, 0): 1, (1, 0): 1, (2, 0): 1}
-    assert table.edge_use == {(0, 0, 1, 0): 1, (1, 0, 2, 0): 1}
+    table = usage_table([path], UsageParams(0.0, 1.0, num_robots=2))
+    assert [table.vertex_count((x, 0)) for x in range(4)] == [1, 1, 1, 0]
+    # each traversed edge is charged once, to the move against it
+    assert table.penalty((1, 0), (0, 0)) == pytest.approx(0.5)
+    assert table.penalty((2, 0), (1, 0)) == pytest.approx(0.5)
+    assert table.penalty((0, 0), (1, 0)) == 0.0
+    assert table.penalty((1, 0), (1, 1)) == 0.0
 
 
 def test_aggregate_waits_count_per_step_but_no_self_edge():
     path = [(0, 0), (0, 0), (1, 0)]
-    table = UsageTable.build([path], UsageParams())
-    assert table.vertex_use[(0, 0)] == 2
-    assert (0, 0, 0, 0) not in table.edge_use
+    table = usage_table([path], UsageParams())
+    assert table.vertex_count((0, 0)) == 2
+    assert ((0, 0), (0, 0)) not in table._edge
 
 
 def test_temporal_window_spans_18_steps():
@@ -53,17 +50,27 @@ def test_temporal_window_spans_18_steps():
                          temporal=True)
     table = UsageTable(params=params)
     table.add_path([(3, 8), (3, 7), (3, 6), (3, 5), (3, 4), (3, 3)])
-    keys = [t for (x, y, t) in table.vertex_use if (x, y) == (3, 3)]
-    assert sorted(keys) == list(range(3, 21))  # 18 consecutive time keys
-    assert all(table.vertex_use[(3, 3, t)] == 1 for t in range(3, 21))
+    counts = [table.vertex_count((3, 3), t) for t in range(25)]
+    assert counts == [0] * 3 + [1] * 18 + [0] * 4  # 18 consecutive steps
 
 
 def test_temporal_window_clamps_at_zero():
     params = UsageParams(1.0, 0.0, window_before=3, window_after=0,
                          temporal=True)
-    table = UsageTable.build([[(0, 0), (1, 0)]], params)
-    assert (0, 0, 0) in table.vertex_use
-    assert all(t >= 0 for (_, _, t) in table.vertex_use)
+    table = usage_table([[(0, 0), (1, 0)]], params)
+    assert table.vertex_count((0, 0), 0) == 1
+    assert table.vertex_count((1, 0), 0) == 1  # step 1 reaches back to 0
+    assert all(table.vertex_count(v, -1) == 0 for v in ((0, 0), (1, 0)))
+    assert table.penalty((0, 0), (1, 0), -1) == 0.0
+
+
+def _reads(table, grid, horizon):
+    """Every penalty and vertex count the searches could read, in order."""
+    steps = range(-2, horizon + table.params.window_after
+                  + table.params.window_before + 2)
+    return [(table.penalty(v, u, t), table.vertex_count(v, t))
+            for v in grid.passable_cells for u in grid.neighbors(v) + [v]
+            for t in steps]
 
 
 def test_add_then_remove_restores_table():
@@ -74,44 +81,31 @@ def test_add_then_remove_restores_table():
                    UsageParams(0.5, 0.5, 0, 0, True, 2),
                    UsageParams(0.3, 0.7, 1, 3, True, 3)]:
         base_paths = build_prior_paths(grid, rng, 3)
-        table = UsageTable.build(base_paths, params)
-        before_v = copy.deepcopy(table.vertex_use)
-        before_e = copy.deepcopy(table.edge_use)
+        table = usage_table(base_paths, params)
         extra = build_prior_paths(grid, rng, 1)[0]
         waiting = [c for c in extra for _ in range(rng.randint(1, 3))]
+        horizon = max(map(len, base_paths + [waiting]))
+        before = _reads(table, grid, horizon)
         for path in (extra, waiting, base_paths[0]):
             table.add_path(path)
             table.remove_path(path)
-            assert table.vertex_use == before_v
-            assert table.edge_use == before_e
-
-
-def test_build_equals_fold_of_add():
-    rng = random.Random(2)
-    grid = generate_random_grid(8, 8, 0.1, 3)
-    paths = build_prior_paths(grid, rng, 4)
-    params = UsageParams(0.5, 0.5, 1, 2, True, 4)
-    built = UsageTable.build(paths, params)
-    folded = UsageTable(params=params)
-    for p in paths:
-        folded.add_path(p)
-    assert built.vertex_use == folded.vertex_use
-    assert built.edge_use == folded.edge_use
+            assert _reads(table, grid, horizon) == before
 
 
 def test_two_identical_paths_double_counts():
     path = [(0, 0), (1, 0), (1, 1)]
-    table = UsageTable.build([path, path], UsageParams())
-    assert all(v == 2 for v in table.vertex_use.values())
-    assert all(v == 2 for v in table.edge_use.values())
+    table = usage_table([path, path], UsageParams(0.0, 1.0))
+    assert all(table.vertex_count(v) == 2 for v in path)
+    assert table.penalty((1, 0), (0, 0)) == 2.0
+    assert table.penalty((1, 1), (1, 0)) == 2.0
 
 
 def test_remove_never_added_underflows():
-    table = UsageTable.build([[(0, 0), (1, 0)]], UsageParams())
+    table = usage_table([[(0, 0), (1, 0)]], UsageParams())
     with pytest.raises(UsageUnderflowError, match=r"at \(5, 5\)$"):
         table.remove_path([(5, 5), (5, 6)])
-    table = UsageTable.build([[(0, 0), (1, 0)]],
-                             UsageParams(window_before=1, temporal=True))
+    table = usage_table([[(0, 0), (1, 0)]],
+                        UsageParams(window_before=1, temporal=True))
     with pytest.raises(UsageUnderflowError, match=r"at \(5, 5, 0\)$"):
         table.remove_path([(5, 5), (5, 6)])
 
@@ -119,8 +113,8 @@ def test_remove_never_added_underflows():
 def test_remove_step_covered_by_other_windows_underflows():
     # (0, 0) is held at step 1, whose window covers step 0; a path
     # that stood there at step 0 was never added and cannot be removed
-    table = UsageTable.build([[(1, 0), (0, 0), (0, 0)]],
-                             UsageParams(window_before=1, window_after=1,
+    table = usage_table([[(1, 0), (0, 0), (0, 0)]],
+                        UsageParams(window_before=1, window_after=1,
                                          temporal=True))
     with pytest.raises(UsageUnderflowError, match=r"at \(0, 0, 0\)$"):
         table.remove_path([(0, 0)])
@@ -128,8 +122,8 @@ def test_remove_step_covered_by_other_windows_underflows():
 
 
 def test_penalty_vertex_term():
-    table = UsageTable.build([[(0, 0), (1, 0), (2, 0)]],
-                             UsageParams(1.0, 0.0, num_robots=2))
+    table = usage_table([[(0, 0), (1, 0), (2, 0)]],
+                        UsageParams(1.0, 0.0, num_robots=2))
     assert table.penalty((1, 1), (1, 0)) == pytest.approx(0.5)
     assert table.penalty((9, 9), (9, 8)) == 0.0
 
@@ -138,14 +132,14 @@ def test_penalty_uses_reversed_edge():
     # one path traverses B -> A; querying the transition A -> B is the
     # head-to-head direction and must be charged, the same direction is not
     a, b = (0, 0), (1, 0)
-    table = UsageTable.build([[b, a]], UsageParams(0.0, 1.0, num_robots=2))
+    table = usage_table([[b, a]], UsageParams(0.0, 1.0, num_robots=2))
     assert table.penalty(a, b) == pytest.approx(0.5)
     assert table.penalty(b, a) == 0.0
 
 
 def test_penalty_wait_has_no_edge_term():
-    table = UsageTable.build([[(0, 0), (1, 0)]],
-                             UsageParams(0.0, 1.0, num_robots=2))
+    table = usage_table([[(0, 0), (1, 0)]],
+                        UsageParams(0.0, 1.0, num_robots=2))
     assert table.penalty((1, 0), (1, 0)) == 0.0
 
 
@@ -160,8 +154,8 @@ def test_penalty_bound_for_simple_paths():
         for params in [UsageParams(1.0, 0.0, num_robots=n + 1),
                        UsageParams(0.5, 0.5, num_robots=n + 1),
                        UsageParams(0.5, 0.5, 2, 5, True, n + 1)]:
-            table = UsageTable.build(paths, params)
-            for v in grid.vertices():
+            table = usage_table(paths, params)
+            for v in grid.passable_cells:
                 for nxt in grid.neighbors(v) + [v]:
                     for t in range(0, 12, 3):
                         assert 0.0 <= table.penalty(v, nxt, t) < 1.0
@@ -173,10 +167,10 @@ def test_penalty_linear_in_table():
     paths_a = build_prior_paths(grid, rng, 2)
     paths_b = build_prior_paths(grid, rng, 3)
     params = UsageParams(0.5, 0.5, num_robots=6)
-    t_a = UsageTable.build(paths_a, params)
-    t_b = UsageTable.build(paths_b, params)
-    t_ab = UsageTable.build(paths_a + paths_b, params)
-    for v in grid.vertices():
+    t_a = usage_table(paths_a, params)
+    t_b = usage_table(paths_b, params)
+    t_ab = usage_table(paths_a + paths_b, params)
+    for v in grid.passable_cells:
         for nxt in grid.neighbors(v):
             assert t_ab.penalty(v, nxt) == pytest.approx(
                 t_a.penalty(v, nxt) + t_b.penalty(v, nxt))
@@ -186,20 +180,12 @@ def test_temporal_zero_window_sums_to_aggregate():
     rng = random.Random(11)
     grid = generate_random_grid(7, 7, 0.1, 12)
     paths = build_prior_paths(grid, rng, 4)
-    aggregate = UsageTable.build(paths, UsageParams())
-    temporal = UsageTable.build(paths, UsageParams(0.5, 0.5, 0, 0, True, 1))
-    summed = {}
-    for (x, y, _), c in temporal.vertex_use.items():
-        summed[(x, y)] = summed.get((x, y), 0) + c
-    assert summed == aggregate.vertex_use
-
-
-def test_json_dump_is_stable():
-    table = UsageTable.build([[(0, 0), (1, 0)]], UsageParams())
-    payload = json.loads(table.to_json())
-    assert payload["vertex_use"] == {"0,0": 1, "1,0": 1}
-    assert payload["edge_use"] == {"0,0,1,0": 1}
-    assert table.to_json() == table.to_json()
+    aggregate = usage_table(paths, UsageParams())
+    temporal = usage_table(paths, UsageParams(0.5, 0.5, 0, 0, True, 1))
+    horizon = max(map(len, paths))
+    for v in grid.passable_cells:
+        assert sum(temporal.vertex_count(v, t) for t in range(horizon)) == \
+            aggregate.vertex_count(v)
 
 
 # Equivalence with the reference table, which smears every temporal
@@ -222,17 +208,19 @@ def _with_waits(path, rng):
 def _assert_same(table, ref, grid, horizon):
     wa, wb = table.params.window_after, table.params.window_before
     steps = range(-2, horizon + wa + wb + 2)
-    for v in grid.vertices():
+    for v in grid.passable_cells:
         for u in grid.neighbors(v) + [v]:
             for t in steps:
                 assert table.penalty(v, u, t) == ref.penalty(v, u, t), (v, u, t)
         for t in steps:
-            assert table.vertex_count(v, t) == (
-                ref.vertex_use.get((*v, t), 0) if ref.params.temporal
-                else ref.vertex_use.get(v, 0))
-    assert table.vertex_use == ref.vertex_use
-    assert table.edge_use == ref.edge_use
-    assert table.to_json() == ref.to_json()
+            assert table.vertex_count(v, t) == ref.vertex_count(v, t), (v, t)
+
+
+def _reference(paths, params):
+    ref = ReferenceUsageTable(params=params)
+    for path in paths:
+        ref.add_path(path)
+    return ref
 
 
 def test_penalties_match_reference_over_random_adds_and_removes():
@@ -241,7 +229,7 @@ def test_penalties_match_reference_over_random_adds_and_removes():
         grid = generate_random_grid(rng.randint(4, 7), rng.randint(4, 7),
                                     rng.choice((0.0, 0.1, 0.2)), case)
         pool = [_with_waits(p, rng) for p in build_prior_paths(grid, rng, 5)]
-        pool.append([rng.choice(list(grid.vertices()))])  # a lone step
+        pool.append([rng.choice(list(grid.passable_cells))])  # a lone step
         for params in SWEEP_PARAMS:
             table, ref = UsageTable(params=params), ReferenceUsageTable(params=params)
             held = []
@@ -263,8 +251,7 @@ def test_build_matches_reference():
     grid = generate_random_grid(7, 7, 0.1, 33)
     paths = [_with_waits(p, rng) for p in build_prior_paths(grid, rng, 6)]
     for params in SWEEP_PARAMS:
-        _assert_same(UsageTable.build(paths + [None], params),
-                     ReferenceUsageTable.build(paths + [None], params),
+        _assert_same(usage_table(paths, params), _reference(paths, params),
                      grid, max(map(len, paths)))
 
 
@@ -280,8 +267,8 @@ def test_remove_never_added_raises_whenever_reference_does():
                 paths[2][:rng.randint(1, len(paths[2]))],
                 build_prior_paths(grid, rng, 1)[0]))
             outcome = []
-            for table in (UsageTable.build(paths, params),
-                          ReferenceUsageTable.build(paths, params)):
+            for table in (usage_table(paths, params),
+                          _reference(paths, params)):
                 try:
                     table.remove_path(probe)
                     outcome.append(False)
