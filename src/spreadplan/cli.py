@@ -75,6 +75,8 @@ def cmd_gen_map(args) -> int:
 
 
 def cmd_gen_instance(args) -> int:
+    if args.n < 1:
+        raise ValueError("--n must be >= 1")
     grid = _load_grid(args.map)
     robots = generate_instance(grid, args.n, args.seed, args.goals_per_robot)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -125,6 +127,8 @@ def cmd_solve(args) -> int:
 def cmd_lifelong(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
+    if args.total_goals < 1:
+        raise ValueError("--total-goals must be >= 1")
     grid = _load_grid(args.map)
     cfg = config_for_variant(args.variant, args.h, args.seed)
     streams = [GoalStream(grid, seed=args.seed * 7919 + i)
@@ -176,6 +180,8 @@ def run_standalone_case(args, seed: int) -> list[int]:
 
 
 def cmd_bench_standalone(args) -> int:
+    if args.n < 1:
+        raise ValueError("--n must be >= 1")
     if args.seeds < 1:
         raise ValueError("--seeds must be >= 1")
     if args.r_max < 0:

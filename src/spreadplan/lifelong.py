@@ -21,8 +21,8 @@ from .grid import BLOCKED, Cell, DistanceField, FieldCache, GridMap, distance_fi
 from .metrics import makespan, sum_of_cost, throughput
 from .oneshot import MppInstance, lower_bounds
 from .search import (InstanceError, NoPathError, PlanningError, SearchConfig,
-                     _cell_mix, _fold, _mix, _Reservations, _TieQueue, _unwind,
-                     find_path_cost_to_go, plan_prioritized)
+                     _fold, _mix, _Reservations, _unwind, find_path_cost_to_go,
+                     plan_prioritized)
 from .usage import Path, UsageParams, UsageTable
 
 
@@ -288,6 +288,17 @@ def _plan_window(grid: GridMap, plan: _WindowPlan, h: int,
     Finishes when the whole chain is done and at least h steps have passed;
     if the chain cannot be finished within the bound, falls back to the safe
     h-step prefix that gets closest to the next target.
+
+    Pops come in the order of a heap of (f, -t, tie, state), the tie
+    `_fold(_mix(seed), state)`.  The chain's remaining distance is
+    consistent, so a move raises f by 0, 1 or 2, and pops come level by
+    level in f, deepest t first.  The current level is a stack of buckets
+    by t, deepest last, where a move that keeps f lands at t + 1, the new
+    deepest bucket.  A move that raises f puts its state on an unsorted
+    list for that level, split into buckets by t only when the level is
+    reached: most of those states are never popped.  A bucket of several
+    states is ranked by (tie, state) once, just before its first pop; no
+    state joins a bucket after that.
     """
     start, target_ids, tfields, tlabels, suffix, rem0 = plan
     K = len(target_ids)
@@ -296,36 +307,47 @@ def _plan_window(grid: GridMap, plan: _WindowPlan, h: int,
     template = grid.template
     stride = grid.stride
     size = len(template)
-    span = max_t + 1
-    k_step = span * size
+    k_step = (max_t + 1) * size
     vertex_res, edge_res = reservations.vertex, reservations.edge
 
     def wait_safe(v: int, t_from: int) -> bool:
         return all(t * size + v not in vertex_res for t in range(t_from + 1, h + 1))
 
-    mix = _cell_mix(grid, seed)
+    salt = _mix(seed)
 
-    def tie(state: int) -> int:
-        k, v = divmod(state, k_step)
-        t, v = divmod(v, size)
-        return _fold(_fold(mix(v), t), k)
+    def rank(states: list[int]) -> list[int]:
+        """`states` in reverse pop order, the least (tie, state) last."""
+        if len(states) > 1:
+            states.sort(key=lambda s: (_fold(salt, s), s), reverse=True)
+        return states
 
-    # the key f * span + (span - 1 - t) orders states by (f, -t), for every
-    # t <= max_t; a state enters the queue once, when it first enters
-    # parents, so no state is popped twice and no closed set is needed
-    queue = _TieQueue(tie)
-    push, pop, live = queue.push, queue.pop, queue.keys
+    # a state enters a bucket once, when it first enters parents, so no
+    # state is popped twice and no closed set is needed
     parents: dict[int, int | None] = {start: None}  # the start state is t = k = 0
-    push(rem0 * span + span - 1, start)
+    f = rem0  # the level popped from
+    stack = [[start]]  # its ranked buckets, deepest last
+    shallower: list[list[int]] = []  # its unranked buckets, deepest last
+    later: dict[int, list[int]] = {}  # f -> the states of a later level
     nearest, least = [], None  # the t == h pops of least remaining distance
     expansions = 0
-    while live and expansions < MAX_EXPANSIONS:
-        key, state = pop()
+    while expansions < MAX_EXPANSIONS:
+        if not stack:
+            if not shallower:
+                if not later:
+                    break
+                f = min(later)
+                by_t: dict[int, list[int]] = {}
+                for state in later.pop(f):
+                    by_t.setdefault(state % k_step // size, []).append(state)
+                shallower = [by_t[t] for t in sorted(by_t)]
+            stack.append(rank(shallower.pop()))
+        bucket = stack[-1]
+        state = bucket.pop()
+        if not bucket:
+            stack.pop()
         expansions += 1
-        f, r = divmod(key, span)
-        t = span - 1 - r
         k, v = divmod(state, k_step)
-        v -= t * size
+        t, v = divmod(v, size)
         if k == K and (t >= h or wait_safe(v, t)):
             path = _unwind(parents, state, size)
             path.extend([v] * (h - t))
@@ -341,6 +363,7 @@ def _plan_window(grid: GridMap, plan: _WindowPlan, h: int,
         at_nt = nt * size
         # no reserved move arrives after step h: the parked tail only waits
         edges = edge_res if nt <= h else ()
+        deeper = []  # the children that keep f
         for nxt in (v + 1, v - 1, v + stride, v - stride, v):
             if template[nxt] == BLOCKED:
                 continue
@@ -366,10 +389,19 @@ def _plan_window(grid: GridMap, plan: _WindowPlan, h: int,
             else:
                 rem = 0
             parents[nstate] = state
-            push((nt + rem) * span + span - 1 - nt, nstate)
+            nf = nt + rem
+            if nf == f:
+                deeper.append(nstate)
+            else:
+                level = later.get(nf)
+                if level is None:
+                    later[nf] = [nstate]
+                else:
+                    level.append(nstate)
+        if deeper:  # at t + 1, below every bucket of the level
+            stack.append(rank(deeper))
     if nearest:  # ranked only now, since a finished chain never needs it
-        best = min(nearest, key=lambda state: (tie(state), state))
-        return _unwind(parents, best, size), expansions
+        return _unwind(parents, rank(nearest)[-1], size), expansions
     return None, expansions
 
 

@@ -28,7 +28,7 @@ from .grid import (Cell, FieldCache, GridMap, _bit_step, cells_from_json,
 from .metrics import (makespan, max_vertex_overlap, robots_by_step,
                       sum_of_cost, timed_conflicts, total_pairwise_overlap)
 from .search import (InstanceError, PlanningError, SearchConfig, SearchStats,
-                     _cell_mix, _fold, _mix, _Reservations,
+                     _fold, _mix, _Reservations,
                      plan_independent_paths, plan_prioritized, task_distances)
 from .usage import Path, UsageParams
 
@@ -170,9 +170,10 @@ def default_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
 
     A re-planned path is the one a space-time A* over (cell, step) states
     returns (Silver, "Cooperative Pathfinding", AIIDE 2005): states keyed
-    by (f, t) with the goal distance as h, a seeded hash of (cell, t)
-    breaking ties and the state's id breaking equal hashes, terminal once
-    the robot can rest on its goal.  `resolver_expansions` counts the states
+    by (f, t) with the goal distance as h, ties broken by a one-step hash
+    of the state's int t * size + id, `_fold(_mix(_mix(seed, i)), state)`
+    for robot i, and equal hashes by the id, terminal once the robot can
+    rest on its goal.  `resolver_expansions` counts the states
     that A* pops on every attempt; `robots_replanned` and `wait_steps_added`
     describe the returned paths.
     """
@@ -279,20 +280,23 @@ def _layered_plan(grid: GridMap, passable: int, start: int, goal: int,
     stats.resolver_expansions += 1 + sum(
         (layers[k] & balls[f_star - k]).bit_count() for k in range(f_star))
 
-    mix = _cell_mix(grid, seed)
+    salt = _mix(seed)
+    size = len(grid.template)
     path = [goal]
     v, h = goal, 0
     for t in range(f_star, 0, -1):
-        # the predecessors of (v, t), each ranked by (h, tie, id)
+        # the predecessors of (v, t), each ranked by (h, tie, id), the tie
+        # of the A* state (u, t - 1), whose int is (t - 1) * size + u
         prev = layers[t - 1]
+        at_prev = (t - 1) * size
         nearer = balls[h - 1] if h else 0
         level = balls[h]
-        ranked = [(h, _fold(mix(v), t - 1), v)] if prev >> v & 1 else []
+        ranked = [(h, _fold(salt, at_prev + v), v)] if prev >> v & 1 else []
         for s, swap in zip(steps, swaps):
             u = v - s
             if prev >> u & 1 and not (t < horizon and swap[t] >> u & 1):
                 hu = h - 1 if nearer >> u & 1 else h if level >> u & 1 else h + 1
-                ranked.append((hu, _fold(mix(u), t - 1), u))
+                ranked.append((hu, _fold(salt, at_prev + u), u))
         h, _, v = min(ranked)
         path.append(v)
     path.reverse()

@@ -17,7 +17,7 @@ counts:
   distance levels from the start, with no queue; the returned path is a
   shortest path with the least summed penalty, which on an aggregate
   vertex table is the least total overlap with other paths.  An exactly
-  equal sum goes to the predecessor with the smaller `_mix(seed, x, y)`.
+  equal sum goes to the predecessor with the smaller tie.
 
 `plan_independent_paths` runs these searches for every robot over several
 passes, keeping one usage table updated incrementally.  `plan_prioritized`
@@ -25,15 +25,15 @@ runs both prioritized planners, the one-shot resolver and the windowed
 solver: robots plan in turn around one space-time table, `_Reservations`,
 and a robot that fails moves to the front of a restart.
 
-Both A* loops (`find_path_cost_to_go` here, over ids, and
-`lifelong._plan_window`, over space-time states) pop their states through
-`_TieQueue`.  It pops in exactly the order of a heap of (key, tie, state)
-tuples, where the tie is a seeded splitmix hash of the state and the int
-state itself breaks an exactly equal tie, yet it hashes a state only when
-another state holds the same key at pop time: keys compare the same way in
-a dict as in a heap.  The one-shot resolver needs no queue: its layered
-search (`oneshot._layered_plan`) recovers the path and the pop count of an
-A* with this order from bit-mask layers.
+Every search breaks ties by a seeded hash of its own int state: one
+splitmix step (Steele, Lea and Flood, OOPSLA 2014), `_fold(_mix(seed),
+state)`, with `_mix(seed)` computed once per search; the state itself
+breaks an exactly equal hash.  `find_path_cost_to_go` pops a plain heap of
+(f, h, tie, id).  `lifelong._plan_window` pops in the order of a heap of
+(key, tie, state) from buckets by f level and step, ranking a bucket only
+when it is first popped with more than one state.  The one-shot resolver
+needs no queue: its layered search (`oneshot._layered_plan`) recovers the
+path and the pop count of an A* with this order from bit-mask layers.
 """
 
 from __future__ import annotations
@@ -66,74 +66,12 @@ class PlanningError(RuntimeError):
         self.robot = robot
 
 
-class _Ranked(list):
-    """A `_TieQueue` bucket that has been ranked: a heap of (tie, state)."""
-
-    __slots__ = ()
-
-
-class _TieQueue:
-    """Priority queue of int states that hashes a tie only when it must.
-
-    Pops come in the order of a heap of (key, tie(state), state) entries.
-    States wait in buckets by key, and the heap `keys` holds each live key
-    once, so it is empty exactly when the queue is.  A bucket popped while
-    it holds one state returns that state unhashed, since no other entry
-    shares its key.  A bucket popped while it holds more is ranked once by
-    (tie, state), and a later push into it is hashed on arrival.  Keys may
-    be ints or tuples of numbers: a dict groups exactly the keys that a
-    heap finds equal (`-0.0 == 0.0`, and both hash alike), so the two
-    orders agree.
-
-    `pop` returns (key, state).  Search loops bind `push` and `pop` to
-    locals.
-    """
-
-    __slots__ = ("_tie", "keys", "_buckets")
-
-    def __init__(self, tie) -> None:
-        self._tie = tie
-        self.keys: list = []  # heap of the keys with a live bucket
-        # key -> one state, or a list of states not yet ranked, or a _Ranked
-        self._buckets: dict = {}
-
-    def push(self, key, state: int) -> None:
-        buckets = self._buckets
-        bucket = buckets.get(key)
-        if bucket is None:
-            buckets[key] = state
-            heappush(self.keys, key)
-        elif type(bucket) is int:
-            buckets[key] = [bucket, state]
-        elif type(bucket) is list:
-            bucket.append(state)
-        else:
-            heappush(bucket, (self._tie(state), state))
-
-    def pop(self) -> tuple:
-        keys, buckets = self.keys, self._buckets
-        key = keys[0]
-        bucket = buckets[key]
-        if type(bucket) is int:
-            heappop(keys)
-            del buckets[key]
-            return key, bucket
-        if type(bucket) is list:
-            tie = self._tie
-            bucket = buckets[key] = _Ranked((tie(s), s) for s in bucket)
-            bucket.sort()
-        state = heappop(bucket)[1]
-        if not bucket:
-            heappop(keys)
-            del buckets[key]
-        return key, state
-
-
 def _fold(h: int, part: int) -> int:
     """One step of the `_mix` fold: `_fold(_mix(s, *a), p) == _mix(s, *a, p)`.
 
-    Search loops memoize `_mix(seed, x, y)` per cell and continue it with the
-    step, which gives the same tie values for a fraction of the work.
+    A search's tie for state p is `_fold(_mix(seed), p)`: one step per
+    state, and distinct states below 2**64 never share a tie, since every
+    part of the step is a bijection on 64-bit words.
     """
     h = (h ^ (part & MASK64)) * 0xBF58476D1CE4E5B9 & MASK64
     h = (h ^ (h >> 27)) * 0x94D049BB133111EB & MASK64
@@ -146,20 +84,6 @@ def _mix(seed: int, *parts: int) -> int:
     for p in parts:
         h = _fold(h, p)
     return h
-
-
-def _cell_mix(grid: GridMap, seed: int):
-    """`_mix(seed, x, y)` of a padded id's cell, memoized per id."""
-    cell_at = grid.cell_at
-    memo: dict[int, int] = {}
-
-    def mix(v: int) -> int:
-        m = memo.get(v)
-        if m is None:
-            x, y = cell_at[v]
-            m = memo[v] = _mix(seed, x, y)
-        return m
-    return mix
 
 
 @dataclass
@@ -371,26 +295,21 @@ def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
     depth_end = -1 if stop_depth is None else base - stop_depth
 
     # a state is a padded id below size; on a temporal table the step of id
-    # v is base - labels[v].  The table and the tie-break see (x, y) cells.
+    # v is base - labels[v], so the step adds nothing to its tie.  The table
+    # sees (x, y) cells.
     cell_at = grid.cell_at
     size = len(cell_at)
     stride = grid.stride
     labels = dfield.labels
     penalty = table.penalty
     goal_id = grid.cell_id(goal)
-    mix = _cell_mix(grid, seed)
-
-    def tie(v: int) -> int:
-        return _fold(mix(v), base - labels[v] if temporal else 0)
-
-    queue = _TieQueue(tie)
-    push, pop, live = queue.push, queue.pop, queue.keys
+    salt = _mix(seed)
     start_id = grid.cell_id(start)
     parents = {start_id: None}
     best = {start_id: float(base)}  # least f pushed; -1.0 once closed
-    push((float(base), base), start_id)
-    while live:
-        (f, h), v = pop()
+    queue = [(float(base), base, _fold(salt, start_id), start_id)]
+    while queue:
+        f, h, _, v = heappop(queue)
         if f > best[v]:
             continue  # a stale queue entry, or closed
         best[v] = -1.0
@@ -413,7 +332,7 @@ def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
                 best[nxt] = nf
                 parents[nxt] = v
                 stats.generated += 1
-                push((nf, h_next), nxt)
+                heappush(queue, (nf, h_next, _fold(salt, nxt), nxt))
     raise NoPathError(f"no path from {start} to {goal}")
 
 
@@ -426,9 +345,9 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
     A sweep over the shortest-path DAG from the start, one distance level
     at a time: each reached cell keeps the least penalty sum over the moves
     into it from the level before, and the predecessor that gives it.  An
-    exactly equal sum goes to the predecessor with the smaller
-    `_mix(seed, x, y)`.  On a temporal table a move is read at the step of
-    the cell it arrives at, base - its label.  Every path compared is a
+    exactly equal sum goes to the predecessor with the smaller tie,
+    `_fold(_mix(seed), id)`.  On a temporal table a move is read at the step
+    of the cell it arrives at, base - its label.  Every path compared is a
     shortest path, so the sum needs no scaling and carries no step count.
     `expansions` counts the reached cells, `generated` the moves that
     lowered a sum.
@@ -444,7 +363,7 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
     stride = grid.stride
     labels = dfield.labels
     penalty = table.penalty
-    mix = _cell_mix(grid, seed)  # hashed on a tie only
+    salt = _mix(seed)  # folded with an id on an equal sum only
 
     start_id = grid.cell_id(start)
     sums = {start_id: 0.0}
@@ -472,7 +391,7 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
                 elif s > old:
                     continue
                 elif s == old:
-                    if mix(u) < mix(parents[v]):
+                    if _fold(salt, u) < _fold(salt, parents[v]):
                         parents[v] = u
                     continue
                 sums[v] = s

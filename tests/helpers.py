@@ -8,10 +8,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from operator import add
 
-from spreadplan.grid import FieldCache, GridMap, MapParseError, distance_field
+from spreadplan import lifelong
+from spreadplan.grid import (BLOCKED, FieldCache, GridMap, MapParseError,
+                             distance_field)
 from spreadplan.oneshot import Conflict, ResolverError, SolveStats
-from spreadplan.search import (RESTARTS, SearchConfig, _fold, _mix, _TieQueue,
-                               _unwind, find_path_cost_to_go)
+from spreadplan.search import (RESTARTS, SearchConfig, _fold, _mix, _unwind,
+                               find_path_cost_to_go)
 from spreadplan.usage import (Cell, Path, UsageParams, UsageTable,
                               UsageUnderflowError)
 
@@ -30,8 +32,8 @@ def eager_bfs(grid: GridMap, goal):
 
 
 class EagerTieHeap:
-    """Reference for `search._TieQueue`: one heap of (key, tie, state)
-    tuples, the tie hashed at every push."""
+    """Reference for the pop order of the space-time searches: one heap of
+    (key, tie, state) tuples, the tie hashed at every push."""
 
     def __init__(self, tie):
         self.tie = tie
@@ -365,31 +367,23 @@ def reference_space_time_plan(grid: GridMap, start: int, goal: int, dfield,
     """A* over (id, step) states; terminal only once resting at goal is safe.
 
     `start`, `goal` and the returned path are padded ids, and a state is
-    its reservation key, t * size + id.
+    its reservation key, t * size + id, whose tie is `_fold(_mix(seed),
+    state)`.
     """
     h0 = dfield.at(start)
     if h0 is None:
         return None
-    cell_at = grid.cell_at
     stride = grid.stride
     labels, label_at = dfield.labels, dfield.at
     size = reservations.size
     vertex, edge = reservations.vertex, reservations.edge
     rest_from = reservations.rest_from
-    cell_mix: dict[int, int] = {}  # _mix(seed, x, y) per id
-
-    def tie(state: int) -> int:
-        t, v = divmod(state, size)
-        cm = cell_mix.get(v)
-        if cm is None:
-            x, y = cell_at[v]
-            cm = cell_mix[v] = _mix(seed, x, y)
-        return _fold(cm, t)
+    salt = _mix(seed)
 
     # the key f * span + t orders states by (f, t), for every t <= bound
     span = bound + 1
-    queue = _TieQueue(tie)
-    push, pop, live = queue.push, queue.pop, queue.keys
+    queue = EagerTieHeap(lambda state: _fold(salt, state))
+    push, pop, live = queue.push, queue.pop, queue.heap
     push(h0 * span, start)
     # a state enters the queue once, when it first enters parents, so no
     # state is popped twice and no closed set is needed
@@ -424,6 +418,69 @@ def reference_space_time_plan(grid: GridMap, start: int, goal: int, dfield,
             parents[nstate] = state
             push((nt + h) * span + nt, nstate)
     return None
+
+
+def reference_plan_window(grid: GridMap, plan, h: int, reservations,
+                          seed: int) -> tuple[list[int] | None, int]:
+    """Reference for `lifelong._plan_window`: the same space-time A*, its
+    states popped from one heap of (f * span + span - 1 - t, tie, state)
+    with the tie `_fold(_mix(seed), state)` hashed at every push."""
+    start, target_ids, tfields, tlabels, suffix, rem0 = plan
+    K = len(target_ids)
+    max_t = h + rem0 + grid.width + grid.height
+    template = grid.template
+    stride = grid.stride
+    size = len(template)
+    span = max_t + 1
+    k_step = span * size
+    vertex_res, edge_res = reservations.vertex, reservations.edge
+    salt = _mix(seed)
+    queue = EagerTieHeap(lambda state: _fold(salt, state))
+    parents = {start: None}
+    queue.push(rem0 * span + span - 1, start)
+    nearest, least = [], None  # the t == h pops of least remaining distance
+    expansions = 0
+    while queue.heap and expansions < lifelong.MAX_EXPANSIONS:
+        key, state = queue.pop()
+        expansions += 1
+        f, r = divmod(key, span)
+        t = span - 1 - r
+        k, v = divmod(state, k_step)
+        v -= t * size
+        if k == K and (t >= h or all(s * size + v not in vertex_res
+                                     for s in range(t + 1, h + 1))):
+            path = _unwind(parents, state, size)
+            return path + [v] * (h - t), expansions
+        if t == h:
+            if least is None or f - h < least:
+                nearest, least = [state], f - h
+            elif f - h == least:
+                nearest.append(state)
+        if t >= max_t:
+            continue
+        nt = t + 1
+        for nxt in (v + 1, v - 1, v + stride, v - stride, v):
+            if template[nxt] == BLOCKED or nt * size + nxt in vertex_res:
+                continue
+            if (nxt != v and nt <= h
+                    and (nt * size + nxt) * size + v in edge_res):
+                continue
+            nk = k + (k < K and nxt == target_ids[k])
+            nstate = nk * k_step + nt * size + nxt
+            if nstate in parents:
+                continue
+            rem = 0
+            if nk < K:
+                rem = tfields[nk].at(nxt)
+                if rem is None:
+                    continue
+                rem += suffix[nk]
+            parents[nstate] = state
+            queue.push((nt + rem) * span + span - 1 - nt, nstate)
+    if nearest:
+        best = min(nearest, key=lambda state: (_fold(salt, state), state))
+        return _unwind(parents, best, size), expansions
+    return None, expansions
 
 
 # Reference for the usage table as it was before temporal occupancies were

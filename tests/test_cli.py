@@ -303,12 +303,18 @@ def test_gen_instance_rejects_zero_goals_per_robot(small_world, tmp_path,
     (["bench-standalone", "--r-max", "-1"], "--r-max"),
     (["solve", "--iterations", "-1"], "iterations"),
     (["lifelong", "--n", "-1"], "--n"),
+    (["lifelong", "--n", "2", "--total-goals", "0"], "--total-goals"),
+    (["lifelong", "--n", "2", "--total-goals", "-5"], "--total-goals"),
+    (["gen-instance", "--n", "0"], "--n"),
+    (["gen-instance", "--n", "-1"], "--n"),
+    (["bench-standalone", "--n", "-3"], "--n"),
 ])
 def test_a_bad_count_flag_exits_2_naming_it(small_world, tmp_path, capsys,
                                             argv, flag):
     map_path, inst_path = small_world
     where = {"bench-standalone": [], "solve": ["--instance", str(inst_path)],
-             "lifelong": ["--map", str(map_path)]}[argv[0]]
+             "lifelong": ["--map", str(map_path)],
+             "gen-instance": ["--map", str(map_path)]}[argv[0]]
     out = tmp_path / "x.csv"
     assert main(argv + where + ["--out", str(out)]) == 2
     assert flag in capsys.readouterr().err

@@ -5,9 +5,10 @@ import tracemalloc
 
 import pytest
 
+import helpers
 import spreadplan.grid as grid_module
 import spreadplan.lifelong as lifelong
-from helpers import eager_bfs
+from helpers import eager_bfs, reference_plan_window
 from spreadplan.grid import (NEIGHBOR_STEPS, FieldCache, GridMap,
                              distance_field, generate_instance,
                              generate_random_grid, generate_warehouse)
@@ -19,7 +20,7 @@ from spreadplan.lifelong import (GoalStream, HorizonConfig, LivelockError,
                                  windowed_solver)
 from spreadplan.metrics import path_length, timed_conflicts
 from spreadplan.oneshot import validate_solution
-from spreadplan.search import InstanceError, _cell_mix, _fold, _Reservations
+from spreadplan.search import InstanceError, _fold, _mix, _Reservations
 from spreadplan.usage import UsageParams
 
 
@@ -158,16 +159,69 @@ def test_window_fallback_ends_on_the_least_tie_of_the_nearest_cells():
     reservations = _Reservations(len(grid.template))
     reservations.add_path([grid.cell_id((3, 3))] * 40)
     nearest = [grid.cell_id(c) for c in ((3, 2), (2, 3), (4, 3))]
+    at_h = h * len(grid.template)  # the state of id v at t = h, k = 0
     ends = set()
     for seed in range(20):
         path, _ = lifelong._plan_window(grid, plan, h, reservations, seed)
-        mix = _cell_mix(grid, seed)
-        # with t = h and no target reached, states order as their ids
+        salt = _mix(seed)
         assert path[-1] == min(nearest,
-                               key=lambda v: (_fold(_fold(mix(v), h), 0), v))
+                               key=lambda v: (_fold(salt, at_h + v), v))
         assert len(path) == h + 1
         ends.add(path[-1])
     assert len(ends) > 1
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_window_search_pops_as_one_eager_heap(monkeypatch, collide):
+    """`_plan_window`'s level buckets pop exactly as one heap of (key, tie,
+    state) does: on seeded random windows, `reference_plan_window` finds
+    the same path with the same expansion count, also for target chains,
+    around parked robots, and when the search ends in the t = h fallback
+    or finds nothing.  With `collide`, ties take three values, so the
+    state's id orders most states of a bucket."""
+    if collide:
+        for module in (lifelong, helpers):
+            monkeypatch.setattr(module, "_fold", lambda salt, state: state % 3)
+    plan_window = lifelong._plan_window
+    seen = dict.fromkeys(("chain", "parked", "fallback", "failed"), 0)
+
+    def checked(grid, plan, h, reservations, seed):
+        expected = reference_plan_window(grid, plan, h, reservations, seed)
+        path, expansions = plan_window(grid, plan, h, reservations, seed)
+        assert (path, expansions) == expected
+        seen["chain"] += len(plan.target_ids) > 1
+        # a robot parked at the end of its window is reserved past step h
+        seen["parked"] += max(reservations.vertex, default=0) >= (
+            (h + 1) * reservations.size)
+        if path is None:
+            seen["failed"] += 1
+        else:
+            walk = iter(path[1:])
+            seen["fallback"] += not all(g in walk for g in plan.target_ids)
+        return path, expansions
+
+    monkeypatch.setattr(lifelong, "_plan_window", checked)
+    rng = random.Random(29)
+    for _ in range(60):
+        if rng.random() < 0.3:
+            grid = generate_warehouse(rng.randint(9, 16), rng.randint(6, 10),
+                                      (3, 1), 1)
+        else:
+            grid = generate_random_grid(rng.randint(3, 10), rng.randint(3, 10),
+                                        rng.choice([0.0, 0.15, 0.3]),
+                                        seed=rng.randrange(1 << 20))
+        n = rng.randint(1, min(10, grid.num_vertices))
+        robots = generate_instance(grid, n, rng.randrange(1 << 20),
+                                   goals_per_robot=rng.randint(1, 3))
+        monkeypatch.setattr(lifelong, "MAX_EXPANSIONS",
+                            rng.choice((15, 40, 200_000)))
+        try:
+            windowed_solver(grid, [s for s, _ in robots],
+                            [gs for _, gs in robots], rng.randint(1, 6),
+                            seed=rng.randrange(1 << 20))
+        except WindowedSolverError:
+            pass
+    assert all(count >= 5 for count in seen.values()), seen
 
 
 def test_windowed_solver_sweep_returns_valid_windows_or_raises():
