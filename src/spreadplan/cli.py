@@ -68,7 +68,7 @@ def cmd_gen_map(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(grid_to_movingai(grid))
     config = {k: v for k, v in vars(args).items() if k not in unread}
-    _write_manifest(args.out, config | {"command": "gen-map"})
+    _write_manifest(args.out, config)
     print(f"wrote {args.out}: {grid.width}x{grid.height}, "
           f"{grid.num_vertices} vertices")
     return EXIT_OK
@@ -81,7 +81,7 @@ def cmd_gen_instance(args) -> int:
     robots = generate_instance(grid, args.n, args.seed, args.goals_per_robot)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(instance_to_json(grid, robots, args.seed, map_path=args.map))
-    _write_manifest(args.out, vars(args) | {"command": "gen-instance"})
+    _write_manifest(args.out, vars(args))
     print(f"wrote {args.out}: {args.n} robots")
     return EXIT_OK
 
@@ -115,7 +115,7 @@ def cmd_solve(args) -> int:
            _fmt(solution.stats.plan_seconds),
            _fmt(solution.stats.resolve_seconds)]
     _write_csv(args.out, header, [row])
-    _write_manifest(args.out, vars(args) | {"command": "solve"})
+    _write_manifest(args.out, vars(args))
     if args.solution_out:
         with open(args.solution_out, "w", encoding="utf-8") as fh:
             fh.write(solution.to_json())
@@ -139,7 +139,7 @@ def cmd_lifelong(args) -> int:
     rows = [[c.cycle, c.goals_cumulative, c.expansions, c.target_conflicts,
              _fmt(c.solver_ms)] for c in stats.cycles]
     _write_csv(args.out, header, rows)
-    _write_manifest(args.out, vars(args) | {"command": "lifelong"})
+    _write_manifest(args.out, vars(args))
     print(f"throughput {stats.throughput:.4f} "
           f"({stats.goals_reached} goals / {stats.elapsed_steps} steps)")
     return EXIT_OK
@@ -200,7 +200,7 @@ def cmd_bench_standalone(args) -> int:
     rows.append(["mean_normalized", args.order, args.metric]
                 + [_fmt(v) for v in normalized])
     _write_csv(args.out, header, rows)
-    _write_manifest(args.out, vars(args) | {"command": "bench-standalone"})
+    _write_manifest(args.out, vars(args))
     print(f"wrote {args.out}: {len(seeds)} seeds, r 0..{args.r_max}")
     return EXIT_OK
 

@@ -432,13 +432,18 @@ def run_lifelong(grid: GridMap, streams: list[GoalStream], cfg: HorizonConfig,
     LivelockError when every stream has run out of goals before stop_goals
     were reached, as fixed goal lists can: no later cycle could reach one.
     InstanceError names a robot sent to a goal its cell cannot reach.
+    Without `positions`, robots start on distinct cells drawn by the seed,
+    and ValueError says when there are more robots than passable cells.
     """
     n = len(streams)
     stats = LifelongStats()
     if n == 0 or stop_goals <= 0:
         return stats
     if positions is None:
-        positions = random.Random(cfg.seed).sample(grid.passable_cells, n)
+        cells = grid.passable_cells
+        if n > len(cells):
+            raise ValueError(f"cannot place {n} robots on {len(cells)} vertices")
+        positions = random.Random(cfg.seed).sample(cells, n)
     fields = FieldCache(grid, distance_field)
     h = cfg.h
 

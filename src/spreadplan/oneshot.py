@@ -6,15 +6,10 @@ planning in `search.plan_prioritized`: robots go longest-path-first, each
 keeping its phase-1 path when it is clean against the reservations and
 re-planning around them otherwise; a robot that cannot be scheduled goes
 first on a restart.  It is still incomplete: every order can fail on a
-solvable instance.  Phase 2 reads only phase 1's paths, so a stronger
-resolver would replace `default_resolver_prioritized` alone.
-
-A re-plan is a layered search over bit masks, a bit-parallel BFS in the
-manner of Akiba et al. (SIGMOD 2013): one Python int per time step holds
-every cell the robot can stand on at that step, so a whole layer is a few
-shifts, ors and ands.  The search then walks back from the goal and picks
-at each step the predecessor a space-time A* would have expanded first, so
-its path, and the count of states that A* pops, are exactly the A*'s.
+solvable instance.  Phase 2 reads only phase 1's paths and its distance
+fields, so a stronger resolver would replace `default_resolver_prioritized`
+alone.  A re-plan is the layered search `search._layered_plan`, whose
+paths equal those of a space-time A*.
 """
 
 from __future__ import annotations
@@ -23,12 +18,11 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .grid import (Cell, FieldCache, GridMap, _bit_step, cells_from_json,
-                   distance_field)
+from .grid import Cell, FieldCache, GridMap, cells_from_json, distance_field
 from .metrics import (makespan, max_vertex_overlap, robots_by_step,
                       sum_of_cost, timed_conflicts, total_pairwise_overlap)
 from .search import (InstanceError, PlanningError, SearchConfig, SearchStats,
-                     _fold, _mix, _Reservations,
+                     _layered_plan, _mix, _Reservations,
                      plan_independent_paths, plan_prioritized, task_distances)
 from .usage import Path, UsageParams
 
@@ -157,45 +151,53 @@ def validate_solution(paths: list[Path], grid: GridMap | None = None,
 
 def default_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
                                  seed: int = 0,
-                                 stats: SolveStats | None = None
+                                 stats: SolveStats | None = None,
+                                 fields: FieldCache | None = None
                                  ) -> list[Path]:
     """Prioritized space-time scheduling around earlier robots' reservations.
 
     Robots go longest initial path first, ties by index, restarted by
     `search.plan_prioritized` when one fails.  Robots whose initial path is
     already clean keep it unchanged; the rest re-plan with waits allowed,
-    by the layered search of `_layered_plan`.  Each robot's final cell is
-    reserved for all later steps.  Raises ResolverError naming the robot
-    that could not be scheduled within the time bound on the last attempt.
+    by the layered search of `search._layered_plan`, which reads the goal's
+    field in `fields`: the map's field cache, such as the one phase 1
+    filled, or a new one.  Each robot's final cell is reserved for all
+    later steps.  Raises ResolverError naming the robot that could not be
+    scheduled within the time bound on the last attempt.
 
     A re-planned path is the one a space-time A* over (cell, step) states
     returns (Silver, "Cooperative Pathfinding", AIIDE 2005): states keyed
     by (f, t) with the goal distance as h, ties broken by a one-step hash
     of the state's int t * size + id, `_fold(_mix(_mix(seed, i)), state)`
     for robot i, and equal hashes by the id, terminal once the robot can
-    rest on its goal.  `resolver_expansions` counts the states
-    that A* pops on every attempt; `robots_replanned` and `wait_steps_added`
-    describe the returned paths.
+    rest on its goal.  `resolver_expansions` counts the (id, step) states
+    in the layers of every re-plan on every attempt; `robots_replanned` and
+    `wait_steps_added` describe the returned paths.
     """
     if stats is None:
         stats = SolveStats()
+    if fields is None:
+        fields = FieldCache(grid, distance_field)
     cell_id, cell_at = grid.cell_id, grid.cell_at
     initial = [[cell_id(c) for c in path] for path in initial_paths]
-    passable = grid.passable_mask
 
     def plan_one(i: int, attempt: int, reservations: _Reservations) -> list[int]:
         ids = initial[i]
         if not reservations.path_is_clean(ids):
             bound = 2 * (grid.width + grid.height) + reservations.max_time
             goal_free_from = reservations.free_from(ids[-1])
-            ids = None if goal_free_from == -2 else _layered_plan(
-                grid, passable, ids[0], ids[-1], reservations, bound,
-                goal_free_from, _mix(seed, i), stats)
-            if ids is None:
+            path = None
+            if goal_free_from != -2:
+                path, states = _layered_plan(
+                    grid, ids[0], ids[-1], fields(initial_paths[i][-1]),
+                    reservations, bound, goal_free_from, _mix(seed, i))
+                stats.resolver_expansions += states
+            if path is None:
                 stats.resolver_restarts = attempt
                 why = ("goal permanently reserved" if goal_free_from == -2
                        else f"no conflict-free path within {bound} steps")
                 raise ResolverError(i, f"robot {i}: {why}", stats)
+            ids = path
         reservations.add_path(ids)
         return ids
 
@@ -207,108 +209,12 @@ def default_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
     return [[cell_at[v] for v in p] for p in paths]
 
 
-def _layered_plan(grid: GridMap, passable: int, start: int, goal: int,
-                  reservations: _Reservations, bound: int,
-                  goal_free_from: int, seed: int,
-                  stats: SolveStats) -> list[int] | None:
-    """The path of the resolver's space-time A*, from bit-mask layers.
-
-    `start`, `goal` and the returned path are padded ids, and bit v of a
-    mask stands for id v.  Layer t holds every id the robot can stand on at
-    step t; the next layer is its four shifts and itself, cleared of
-    blocked ids, reserved and rested-on ids, and of moves that swap with a
-    reserved move.  The A*'s terminal is the goal in the first layer t >=
-    `goal_free_from` that holds it, so f* = t; there is none when a layer
-    is empty or t passes `bound`.
-
-    The A* pops a state before the terminal exactly when its f = t + h is
-    at most f* (and t < f*), since h is consistent; so it pops
-    popcount(layer t & ids within f* - t of the goal) states at each t <
-    f*, and every state of every layer when it fails.  It gives a state
-    its first-popped predecessor as parent.  Those predecessors all have
-    f <= f* and the same t, and the queue pops by (key, tie, state), so the
-    parent is the predecessor with the least (h, tie, id).
-    """
-    stride = grid.stride
-    # balls[k]: the ids within k steps of the goal, by a bit-parallel BFS
-    ball = 1 << goal
-    balls = [ball]
-    start_bit = 1 << start
-    while not ball & start_bit:
-        wider = _bit_step(ball, passable, stride)
-        if wider == ball:
-            return None  # the start is not in the goal's component
-        ball = wider
-        balls.append(ball)
-
-    steps = (1, -1, stride, -stride)
-    vertex_masks, rest_masks, swaps = reservations.step_masks(steps)
-    swap1, swap2, swap3, swap4 = swaps
-    # from this step on, no id is reserved and no reserved move arrives
-    horizon = len(vertex_masks)
-    goal_bit = 1 << goal
-    layer = start_bit
-    layers = [layer]
-    rested = rest_masks[0]
-    t = 0
-    while t < goal_free_from or not layer & goal_bit:
-        if t >= bound:
-            layer = 0
-            break
-        t += 1
-        if t < horizon:
-            rested |= rest_masks[t]
-            layer = (layer | (layer & ~swap1[t]) << 1 | (layer & ~swap2[t]) >> 1
-                     | (layer & ~swap3[t]) << stride
-                     | (layer & ~swap4[t]) >> stride
-                     ) & passable & ~(vertex_masks[t] | rested)
-        else:
-            if t == horizon:
-                unreserved = passable & ~rested
-            layer = _bit_step(layer, unreserved, stride)
-        if not layer:
-            break
-        layers.append(layer)
-    if not layer:
-        stats.resolver_expansions += sum(r.bit_count() for r in layers)
-        return None
-
-    f_star = t
-    while len(balls) <= f_star:
-        ball = _bit_step(ball, passable, stride)
-        balls.append(ball)
-    stats.resolver_expansions += 1 + sum(
-        (layers[k] & balls[f_star - k]).bit_count() for k in range(f_star))
-
-    salt = _mix(seed)
-    size = len(grid.template)
-    path = [goal]
-    v, h = goal, 0
-    for t in range(f_star, 0, -1):
-        # the predecessors of (v, t), each ranked by (h, tie, id), the tie
-        # of the A* state (u, t - 1), whose int is (t - 1) * size + u
-        prev = layers[t - 1]
-        at_prev = (t - 1) * size
-        nearer = balls[h - 1] if h else 0
-        level = balls[h]
-        ranked = [(h, _fold(salt, at_prev + v), v)] if prev >> v & 1 else []
-        for s, swap in zip(steps, swaps):
-            u = v - s
-            if prev >> u & 1 and not (t < horizon and swap[t] >> u & 1):
-                hu = h - 1 if nearer >> u & 1 else h if level >> u & 1 else h + 1
-                ranked.append((hu, _fold(salt, at_prev + u), u))
-        h, _, v = min(ranked)
-        path.append(v)
-    path.reverse()
-    return path
-
-
 def solve_mpp(instance: MppInstance, params: UsageParams | None = None,
               iterations: int = 1, cfg: SearchConfig | None = None,
               fields: FieldCache | None = None) -> Solution:
     """Two-phase solve: guided independent paths, then collision resolution.
 
-    Phase 1 reads one field cache of the map: `fields`, or a new one.
+    Both phases read one field cache of the map: `fields`, or a new one.
     """
     params = params or UsageParams()
     cfg = cfg or SearchConfig()
@@ -327,7 +233,8 @@ def solve_mpp(instance: MppInstance, params: UsageParams | None = None,
 
     t1 = time.perf_counter()
     final = default_resolver_prioritized(instance.grid, initial,
-                                         seed=cfg.tie_break_seed, stats=stats)
+                                         seed=cfg.tie_break_seed, stats=stats,
+                                         fields=fields)
     stats.resolve_seconds = time.perf_counter() - t1
     return Solution(final, makespan(final), sum_of_cost(final), stats)
 

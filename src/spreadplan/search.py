@@ -31,9 +31,11 @@ state)`, with `_mix(seed)` computed once per search; the state itself
 breaks an exactly equal hash.  `find_path_cost_to_go` pops a plain heap of
 (f, h, tie, id).  `lifelong._plan_window` pops in the order of a heap of
 (key, tie, state) from buckets by f level and step, ranking a bucket only
-when it is first popped with more than one state.  The one-shot resolver
-needs no queue: its layered search (`oneshot._layered_plan`) recovers the
-path and the pop count of an A* with this order from bit-mask layers.
+when it is first popped with more than one state.  The one-shot resolver's
+re-plan, `_layered_plan`, needs no queue: one int per step holds every cell
+the robot can stand on then, a layer of the bit-parallel BFS of Akiba,
+Iwata and Yoshida (SIGMOD 2013), and a walk back from the goal, reading h
+from the goal's distance field, picks the path an A* with this order returns.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from operator import add
 
-from .grid import Cell, DistanceField, FieldCache, GridMap, distance_field
+from .grid import (FREE, Cell, DistanceField, FieldCache, GridMap, _bit_step,
+                   distance_field)
 from .usage import Path, UsageParams, UsageTable
 
 MASK64 = (1 << 64) - 1
@@ -121,9 +124,9 @@ class _Reservations:
 
     `add_path` stores the path and fills the `vertex` and `edge` key sets,
     which every planner reads.  The one-shot resolver also reads where
-    paths rest, how late each id is reserved and bit masks by step; these
-    are derived from the stored paths when first read after an add, so the
-    windowed solver never pays for them.
+    paths rest, how late each id is reserved and, in `_layered_plan`, bit
+    masks by step; these are derived from the stored paths when first read
+    after an add, so the windowed solver never pays for them.
 
     Both indexes stay: a mask steps a whole layer in a few shifts, but one
     bit test `m >> v & 1` copies the bits above v (up to 4 us on a 257x256
@@ -193,18 +196,6 @@ class _Reservations:
         self._index()
         return self._max_time
 
-    def step_masks(self, steps) -> tuple[list[int], list[int], list[list[int]]]:
-        """Bit masks by step t = 0..max_time, bit v standing for id v.
-
-        The ids reserved at t; the ids where a path starts resting at t; and
-        for each id difference s in `steps`, the ids u whose move to u + s
-        arriving at t would swap with a reserved move from u + s to u.
-        """
-        self._index()
-        none = [0] * (self._max_time + 1)
-        return (self._vertex_masks, self._rest_masks,
-                [self._move_masks.get(-s, none) for s in steps])
-
     def path_is_clean(self, path: list[int]) -> bool:
         """True when no step of `path` meets a reservation: a reserved or
         rested-on id, or a reserved move the other way."""
@@ -230,6 +221,91 @@ class _Reservations:
         if v in self.rest_from:
             return -2  # rested on forever; never free
         return self._last.get(v, -1) + 1
+
+
+def _layered_plan(grid: GridMap, start: int, goal: int, dfield: DistanceField,
+                  reservations: _Reservations, bound: int, goal_free_from: int,
+                  seed: int) -> tuple[list[int] | None, int]:
+    """The path of the one-shot resolver's space-time A*, from bit-mask
+    layers, or None; and the number of (id, step) states in the layers.
+
+    `start`, `goal` and the returned path are padded ids, and bit v of a
+    mask stands for id v.  Layer t holds every id the robot can stand on at
+    step t; the next layer is its four shifts and itself, cleared of
+    blocked ids, reserved and rested-on ids, and of moves that swap with a
+    reserved move.  The A*'s terminal is the goal in the first layer t >=
+    `goal_free_from` that holds it, so f* = t; there is none when a layer
+    is empty or t passes `bound`.  Its h is the distance to the goal in
+    `dfield`, the goal's field.
+
+    The A* pops a state before the terminal exactly when its f = t + h is
+    at most f* (and t < f*), since h is consistent.  It gives a state its
+    first-popped predecessor as parent.  Those predecessors all have f <=
+    f* and the same t, and the queue pops by (key, tie, state), so the
+    parent is the predecessor with the least (h, tie, id).  Labels are
+    exact from the moment a cell is first reached, so h reads the label and
+    grows the field only for a label still FREE.
+    """
+    reservations._index()
+    stride = grid.stride
+    passable = grid.passable_mask
+    steps = (1, -1, stride, -stride)
+    vertex_masks, rest_masks = reservations._vertex_masks, reservations._rest_masks
+    none = [0] * len(vertex_masks)
+    # per step s, the ids u whose move to u + s swaps with a reserved move
+    swaps = [reservations._move_masks.get(-s, none) for s in steps]
+    swap1, swap2, swap3, swap4 = swaps
+    # from this step on, no id is reserved and no reserved move arrives
+    horizon = len(vertex_masks)
+    goal_bit = 1 << goal
+    layer = 1 << start
+    layers = [layer]
+    rested = rest_masks[0]
+    t = 0
+    while t < goal_free_from or not layer & goal_bit:
+        if t >= bound:
+            layer = 0
+            break
+        t += 1
+        if t < horizon:
+            rested |= rest_masks[t]
+            layer = (layer | (layer & ~swap1[t]) << 1 | (layer & ~swap2[t]) >> 1
+                     | (layer & ~swap3[t]) << stride
+                     | (layer & ~swap4[t]) >> stride
+                     ) & passable & ~(vertex_masks[t] | rested)
+        else:
+            if t == horizon:
+                unreserved = passable & ~rested
+            layer = _bit_step(layer, unreserved, stride)
+        if not layer:
+            break
+        layers.append(layer)
+    states = sum(r.bit_count() for r in layers)
+    if not layer:
+        return None, states
+
+    labels, label_at = dfield.labels, dfield.at
+    salt = _mix(seed)
+    size = len(grid.template)
+    path = [goal]
+    v, h = goal, 0
+    for t in range(t, 0, -1):
+        # the predecessors of (v, t), each ranked by (h, tie, id), the tie
+        # of the A* state (u, t - 1), whose int is (t - 1) * size + u
+        prev = layers[t - 1]
+        at_prev = (t - 1) * size
+        ranked = [(h, _fold(salt, at_prev + v), v)] if prev >> v & 1 else []
+        for s, swap in zip(steps, swaps):
+            u = v - s
+            if prev >> u & 1 and not (t < horizon and swap[t] >> u & 1):
+                hu = labels[u]
+                if hu == FREE:
+                    hu = label_at(u)
+                ranked.append((hu, _fold(salt, at_prev + u), u))
+        h, _, v = min(ranked)
+        path.append(v)
+    path.reverse()
+    return path, states
 
 
 def plan_prioritized(size: int, base_order: list[int], plan_one,

@@ -300,7 +300,8 @@ def reference_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
     later steps.  A robot that cannot be scheduled within the time bound
     plans first on the next attempt; after RESTARTS restarts, the last such
     robot is named by a ResolverError.  `fields` is the map's field cache,
-    such as the one phase 1 filled.
+    such as the one phase 1 filled.  `resolver_expansions` counts the
+    states of `reference_layer_states` for every re-plan.
     """
     n = len(initial_paths)
     priority = sorted(range(n), key=lambda i: (-(len(initial_paths[i]) - 1), i))
@@ -351,7 +352,9 @@ def _reference_attempt(grid: GridMap, initial_paths: list[Path],
             raise ResolverError(i, f"robot {i}: goal permanently reserved", stats)
         new_ids = reference_space_time_plan(grid, ids[0], ids[-1], fields(goal),
                                             reservations, bound, goal_free_from,
-                                            _mix(seed, i), stats)
+                                            _mix(seed, i))
+        stats.resolver_expansions += reference_layer_states(
+            grid, ids[0], ids[-1], reservations, bound, goal_free_from)
         if new_ids is None:
             raise ResolverError(
                 i, f"robot {i}: no conflict-free path within {bound} steps", stats)
@@ -362,8 +365,7 @@ def _reference_attempt(grid: GridMap, initial_paths: list[Path],
 
 def reference_space_time_plan(grid: GridMap, start: int, goal: int, dfield,
                               reservations: ReferenceReservations, bound: int,
-                              goal_free_from: int, seed: int,
-                              stats: SolveStats) -> list[int] | None:
+                              goal_free_from: int, seed: int) -> list[int] | None:
     """A* over (id, step) states; terminal only once resting at goal is safe.
 
     `start`, `goal` and the returned path are padded ids, and a state is
@@ -390,7 +392,6 @@ def reference_space_time_plan(grid: GridMap, start: int, goal: int, dfield,
     parents = {start: None}
     while live:
         state = pop()[1]
-        stats.resolver_expansions += 1
         t, v = divmod(state, size)
         if v == goal and t >= goal_free_from:
             return _unwind(parents, state, size)
@@ -418,6 +419,28 @@ def reference_space_time_plan(grid: GridMap, start: int, goal: int, dfield,
             parents[nstate] = state
             push((nt + h) * span + nt, nstate)
     return None
+
+
+def reference_layer_states(grid: GridMap, start: int, goal: int,
+                           reservations: ReferenceReservations, bound: int,
+                           goal_free_from: int) -> int:
+    """Reference for the state count of `search._layered_plan`: the (id,
+    step) states that a plain space-time BFS reaches, one set per step,
+    under the reservation rules, up to the first step t >= `goal_free_from`
+    that holds the goal, an empty step, or a step past `bound`."""
+    stride = grid.stride
+    template = grid.template
+    layer = {start}
+    states = 1
+    t = 0
+    while layer and (t < goal_free_from or goal not in layer) and t < bound:
+        t += 1
+        layer = {nxt for v in layer
+                 for nxt in (v + 1, v - 1, v + stride, v - stride, v)
+                 if template[nxt] != BLOCKED
+                 and not reservations.blocked_move(v, nxt, t)}
+        states += len(layer)
+    return states
 
 
 def reference_plan_window(grid: GridMap, plan, h: int, reservations,

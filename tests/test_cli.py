@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -48,8 +49,23 @@ def test_gen_map_writes_manifest(tmp_path):
     assert main(["gen-map", "random", "--width", "12", "--height", "8",
                  "--seed", "3", "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "r.map.manifest.json").read_text())
+    assert manifest["command"] == "gen-map"
     assert manifest["seed"] == 3 and manifest["obstacle_ratio"] == 0.1
     assert not {"shelf_width", "shelf_height", "aisle"} & manifest.keys()
+    # every other manifest-writing subcommand names itself too
+    inst = tmp_path / "i.json"
+    for argv in (["gen-instance", "--map", str(out), "--n", "3",
+                  "--out", str(inst)],
+                 ["solve", "--instance", str(inst),
+                  "--out", str(tmp_path / "s.csv")],
+                 ["lifelong", "--map", str(out), "--n", "3",
+                  "--total-goals", "3", "--out", str(tmp_path / "l.csv")],
+                 ["bench-standalone", "--width", "6", "--height", "5",
+                  "--n", "3", "--r-max", "1", "--seeds", "1",
+                  "--out", str(tmp_path / "b.csv")]):
+        assert main(argv) == 0
+        manifest = json.loads(Path(argv[-1] + ".manifest.json").read_text())
+        assert manifest["command"] == argv[0]
 
 
 def test_gen_map_infeasible_exit_code(tmp_path):
@@ -128,6 +144,19 @@ def test_lifelong_unreachable_goal_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path / "ll.csv")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("infeasible: robot ") and "unreachable from" in err
+
+
+def test_lifelong_more_robots_than_cells_exit_code(tmp_path, capsys):
+    """Robots start on distinct cells, so a map with fewer passable cells
+    than robots is refused with both counts."""
+    map_path = tmp_path / "small.map"
+    assert main(["gen-map", "random", "--width", "8", "--height", "6",
+                 "--out", str(map_path)]) == 0
+    capsys.readouterr()
+    assert main(["lifelong", "--map", str(map_path), "--n", "100",
+                 "--out", str(tmp_path / "ll.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot place 100 robots on 44 vertices\n"
 
 
 def test_lifelong_rerun_is_deterministic(tmp_path):

@@ -222,13 +222,13 @@ GOLDEN = {
     "passes_cost_to_come_temporal":
         "5aaed1ac93458ff8f0eca6dadaa21bae777ed7254031094ce1490f105a8570ec",
     "resolver_error":
-        "5804a57f8474b906df3f5a9d03b0738be833918ee4095beaa5518dcd778a3460",
+        "cbceab7a398d056cea42ccb2a41712b18aa428849db5205f1b39e116379e4fae",
     "resolver_restarts":
-        "126a8cbd079fc65c3ed1c48d42b5208c3f1e0596a20ebb6c6d9b7ae07e0d4bc7",
+        "6587af06a473d5c8f20c9a769a9b694fde3d6b529361a7eafa8e0cf4c898e039",
     "solve_mpp_goal_wait":
-        "6fe2a1813e677c3a5abd9c1951ff2b5ea981dd27343c4f5db0c149ed0b3c9bb3",
+        "341e32b4863d7c23ad4ca6adbf444358908beb7e0ca5fa33a7c778b2530aec8e",
     "solve_mpp_temporal":
-        "e36f8b45b0388a486849e344376e1afc4acb0e73917ee1d5935d05d136443f14",
+        "08c4605a55781d9da98d61c7dbacf5cb35a5e7b7c58ffea73b4a2ed917bd75af",
     "lifelong_cut_usage":
         "da7bdbc9e45abd5cd5796c73f1df63903f22ae31c5bc612833c337daf2b9907b",
     "lifelong_retries":

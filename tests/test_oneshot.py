@@ -5,9 +5,10 @@ import random
 import pytest
 
 import helpers
-import spreadplan.oneshot as oneshot
+import spreadplan.search as search
 from helpers import random_walks, reference_resolver_prioritized
-from spreadplan.grid import (GenerationError, GridMap, generate_instance,
+from spreadplan.grid import (FieldCache, GenerationError, GridMap,
+                             distance_field, generate_instance,
                              generate_random_grid)
 from spreadplan.oneshot import (Conflict, MppInstance, ResolverError, Solution,
                                 SolveStats, default_resolver_prioritized,
@@ -327,7 +328,8 @@ def random_resolver_case(rng: random.Random, max_side: int = 16):
 def resolve_both(grid, initial, seed):
     """The outcome of the resolver and of the reference A* resolver: the
     paths, or the failing robot and message, then the four counters.  The
-    expansions sum over every attempt, so an attempt that differs shows."""
+    reference counts expansions with a set-based space-time BFS; they sum
+    over every attempt, so an attempt that differs shows."""
     outcomes = []
     for resolver in (default_resolver_prioritized, reference_resolver_prioritized):
         stats = SolveStats()
@@ -342,8 +344,9 @@ def resolve_both(grid, initial, seed):
 
 
 def test_layered_resolver_matches_reference_astar():
-    """The layered search returns the A*'s paths, counters and errors, and
-    every solution it returns validates against the map and the tasks."""
+    """The layered search returns the A*'s paths, counters and errors, its
+    layers hold the states a set-based BFS reaches, and every solution it
+    returns validates against the map and the tasks."""
     rng = random.Random(2013)
     solved = failed = waited = restarted = 0
     for _ in range(60):
@@ -367,7 +370,7 @@ def test_layered_resolver_matches_reference_on_equal_ties(monkeypatch):
     decides between states of one key."""
     rng = random.Random(2005)
     cases = [random_resolver_case(rng, max_side=10) for _ in range(15)]
-    monkeypatch.setattr(oneshot, "_fold", lambda salt, state: 12345)
+    monkeypatch.setattr(search, "_fold", lambda salt, state: 12345)
     monkeypatch.setattr(helpers, "_fold", lambda salt, state: 12345)
     replanned = 0
     for grid, _, initial, seed in cases:
@@ -375,3 +378,22 @@ def test_layered_resolver_matches_reference_on_equal_ties(monkeypatch):
         assert ours == reference
         replanned += ours[2]
     assert replanned >= 10
+
+
+def test_resolver_builds_its_own_fields_when_called_directly():
+    """Without `fields`, the resolver builds a field cache of its own and
+    returns the paths `solve_mpp` returns with the cache phase 1 filled."""
+    replanned = 0
+    for seed in range(4):
+        grid = generate_random_grid(12, 12, 0.1, seed=seed)
+        tasks = [(s, gs[0]) for s, gs in generate_instance(grid, 20, seed=seed)]
+        params, cfg = UsageParams(num_robots=20), SearchConfig(tie_break_seed=seed)
+        fields = FieldCache(grid, distance_field)
+        sol = solve_mpp(MppInstance(grid, tasks), params, 1, cfg, fields=fields)
+        initial = plan_independent_paths(grid, tasks, params, 1, cfg)
+        stats = SolveStats()
+        assert default_resolver_prioritized(grid, initial, seed=seed,
+                                            stats=stats) == sol.paths
+        assert stats.resolver_expansions == sol.stats.resolver_expansions
+        replanned += stats.robots_replanned
+    assert replanned >= 1
