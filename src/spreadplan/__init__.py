@@ -2,7 +2,7 @@
 
 from .grid import (DistanceField, FieldCache, GridMap, distance_field,
                    generate_instance, generate_random_grid, generate_warehouse,
-                   grid_to_movingai, parse_movingai_map, parse_movingai_scen)
+                   grid_to_movingai, parse_movingai_map)
 from .lifelong import (GoalStream, HorizonConfig, LifelongStats,
                        config_for_variant, run_lifelong, solve_mpp_via_horizon,
                        truncate_goal_list, windowed_solver)
@@ -17,7 +17,7 @@ __all__ = [
     "DistanceField", "FieldCache", "GridMap", "distance_field",
     "generate_instance",
     "generate_random_grid", "generate_warehouse", "grid_to_movingai",
-    "parse_movingai_map", "parse_movingai_scen",
+    "parse_movingai_map",
     "GoalStream", "HorizonConfig", "LifelongStats", "config_for_variant",
     "run_lifelong", "solve_mpp_via_horizon", "truncate_goal_list",
     "windowed_solver",

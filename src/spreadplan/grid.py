@@ -64,7 +64,7 @@ _MASK_DIGITS = bytes.maketrans(bytes([FREE & 0xff, BLOCKED & 0xff]), b"10")
 
 
 class MapParseError(ValueError):
-    """Raised for malformed map or scenario files; message names the line."""
+    """Raised for malformed map files; message names the line."""
 
 
 class GenerationError(RuntimeError):
@@ -94,15 +94,6 @@ class GridMap:
 
     def passable(self, cell: Cell) -> bool:
         return self.in_bounds(cell) and cell not in self.blocked
-
-    def neighbors(self, cell: Cell) -> list[Cell]:
-        x, y = cell
-        out = []
-        for dx, dy in NEIGHBOR_STEPS:
-            nxt = (x + dx, y + dy)
-            if self.passable(nxt):
-                out.append(nxt)
-        return out
 
     @property
     def stride(self) -> int:
@@ -229,16 +220,6 @@ class DistanceField:
         self._aim, self._f, self._g = None, 0, 0
         self._cur, self._near, self._far = [v], [], []
         self._expanded = 0
-
-    @classmethod
-    def from_distances(cls, grid: GridMap, goal: Cell,
-                       dist: dict[Cell, int]) -> DistanceField:
-        """A complete field from known distances; cells not in `dist` miss."""
-        f = cls(grid, goal)
-        for cell, d in dist.items():
-            f.labels[grid.cell_id(cell)] = d
-        f._cur, f._g, f._expanded = [], len(f.labels), len(dist)
-        return f
 
     def __len__(self) -> int:
         return (self._expanded + len(self._cur) + len(self._near)
@@ -404,17 +385,6 @@ class FieldCache:
         return self(b)[a]
 
 
-@dataclass(frozen=True)
-class ScenEntry:
-    bucket: int
-    map_name: str
-    map_width: int
-    map_height: int
-    start: Cell
-    goal: Cell
-    optimal_length: float
-
-
 def parse_movingai_map(text: str) -> GridMap:
     """Parse the standard grid map format: type/height/width header then rows.
 
@@ -484,32 +454,6 @@ def grid_to_movingai(grid: GridMap) -> str:
         lines.append("".join(
             "@" if (x, y) in grid.blocked else "." for x in range(grid.width)))
     return "\n".join(lines) + "\n"
-
-
-def parse_movingai_scen(text: str) -> list[ScenEntry]:
-    """Parse a .scen instance file (bucket, map, dims, start, goal, length)."""
-    entries = []
-    lines = _lines(text)
-    start_idx = 1 if lines and lines[0].startswith("version") else 0
-    for i, line in enumerate(lines[start_idx:], start=start_idx + 1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) < 9:
-            raise MapParseError(f"line {i}: expected 9 tab-separated columns")
-        try:
-            entries.append(ScenEntry(
-                bucket=int(parts[0]),
-                map_name=parts[1],
-                map_width=int(parts[2]),
-                map_height=int(parts[3]),
-                start=(int(parts[4]), int(parts[5])),
-                goal=(int(parts[6]), int(parts[7])),
-                optimal_length=float(parts[8]),
-            ))
-        except ValueError as exc:
-            raise MapParseError(f"line {i}: malformed scenario entry") from exc
-    return entries
 
 
 def generate_random_grid(width: int, height: int, obstacle_ratio: float,

@@ -182,7 +182,7 @@ def apply_horizon_cut(grid: GridMap, chains: list[tuple[list[Cell], int]],
         # with execution, and a batch calibration on warehouse runs showed a
         # small forward window works best there
         temporal = cfg.variant == "cut+usage+temporal"
-        table = UsageTable(params=UsageParams(
+        table = UsageTable(grid, UsageParams(
             0.5, 0.5, 1 if temporal else 0, 5 if temporal else 0, temporal,
             max(len(chains), 1)))
     targets: list[list[Cell]] = []

@@ -41,6 +41,7 @@ from the goal's distance field, picks the path an A* with this order returns.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from operator import add
@@ -367,49 +368,67 @@ def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
     if base is None:
         raise NoPathError(f"no path from {start} to {goal}")
     seed = (cfg or SearchConfig()).tie_break_seed
-    temporal = table.params.temporal
     depth_end = -1 if stop_depth is None else base - stop_depth
 
     # a state is a padded id below size; on a temporal table the step of id
-    # v is base - labels[v], so the step adds nothing to its tie.  The table
-    # sees (x, y) cells.
+    # v is base - labels[v], so the step adds nothing to its tie.  The
+    # penalty is `table.penalty`'s, read from the id-keyed counts.
     cell_at = grid.cell_at
     size = len(cell_at)
     stride = grid.stride
     labels = dfield.labels
-    penalty = table.penalty
+    params = table.params
+    vw, ew, num_robots = params.vertex_weight, params.edge_weight, params.num_robots
+    temporal, wa, wb = params.temporal, params.window_after, params.window_before
+    vertex, edge = table.vertex, table.edge
     goal_id = grid.cell_id(goal)
     salt = _mix(seed)
     start_id = grid.cell_id(start)
     parents = {start_id: None}
-    best = {start_id: float(base)}  # least f pushed; -1.0 once closed
-    queue = [(float(base), base, _fold(salt, start_id), start_id)]
+    d_star = float(base)  # f of the start, and of every move with no penalty
+    best = {start_id: d_star}  # least f pushed; -1.0 once closed
+    queue = [(d_star, base, _fold(salt, start_id), start_id)]
+    found = None
+    expansions = evaluations = generated = violations = 0
     while queue:
         f, h, _, v = heappop(queue)
         if f > best[v]:
             continue  # a stale queue entry, or closed
         best[v] = -1.0
-        stats.expansions += 1
+        expansions += 1
         if v == goal_id or h <= depth_end:
-            return [cell_at[u] for u in _unwind(parents, v, size)]
+            found = v
+            break
         # dfield.get(start) labelled every shortest path from the start
         h_next = h - 1
-        t_next = base - h_next if temporal else 0
-        cv = cell_at[v]
+        if temporal:
+            t_next = base - h_next
+            lo, hi = t_next - wa, t_next + wb
         for nxt in (v + 1, v - 1, v + stride, v - stride):
             if labels[nxt] != h_next:
                 continue
-            pen = penalty(cv, cell_at[nxt], t_next)
-            stats.evaluations += 1
+            vcount = vertex.get(nxt, 0)
+            ecount = edge.get(nxt * size + v, 0)
+            if temporal:
+                vcount = vcount and bisect_right(vcount, hi) - bisect_left(vcount, lo)
+                ecount = ecount and bisect_right(ecount, hi) - bisect_left(ecount, lo)
+            pen = (vw * vcount + ew * ecount) / num_robots
+            evaluations += 1
             if not 0.0 <= pen < 1.0:
-                stats.penalty_bound_violations += 1
-            nf = float(base) + pen
+                violations += 1
+            nf = d_star + pen
             if nf < best.get(nxt, _UNSEEN):
                 best[nxt] = nf
                 parents[nxt] = v
-                stats.generated += 1
+                generated += 1
                 heappush(queue, (nf, h_next, _fold(salt, nxt), nxt))
-    raise NoPathError(f"no path from {start} to {goal}")
+    stats.expansions += expansions
+    stats.evaluations += evaluations
+    stats.generated += generated
+    stats.penalty_bound_violations += violations
+    if found is None:
+        raise NoPathError(f"no path from {start} to {goal}")
+    return [cell_at[u] for u in _unwind(parents, found, size)]
 
 
 def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
@@ -434,11 +453,14 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
     if base is None:
         raise NoPathError(f"no path from {start} to {goal}")
     seed = (cfg or SearchConfig()).tie_break_seed
-    temporal = table.params.temporal
     cell_at = grid.cell_at
+    size = len(cell_at)
     stride = grid.stride
     labels = dfield.labels
-    penalty = table.penalty
+    params = table.params
+    vw, ew, num_robots = params.vertex_weight, params.edge_weight, params.num_robots
+    temporal, wa, wb = params.temporal, params.window_after, params.window_before
+    vertex, edge = table.vertex, table.edge
     salt = _mix(seed)  # folded with an id on an equal sum only
 
     start_id = grid.cell_id(start)
@@ -448,15 +470,22 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
     evaluations = generated = violations = 0
     # dfield.get(start) labelled every shortest path from the start
     for h in range(base - 1, -1, -1):
-        t = base - h if temporal else 0
+        if temporal:
+            t = base - h
+            lo, hi = t - wa, t + wb
         reached = []
         for u in level:
             su = sums[u]
-            cu = cell_at[u]
             for v in (u + 1, u - 1, u + stride, u - stride):
                 if labels[v] != h:
                     continue
-                pen = penalty(cu, cell_at[v], t)
+                # `table.penalty`'s expression, read from the id-keyed counts
+                vcount = vertex.get(v, 0)
+                ecount = edge.get(v * size + u, 0)
+                if temporal:
+                    vcount = vcount and bisect_right(vcount, hi) - bisect_left(vcount, lo)
+                    ecount = ecount and bisect_right(ecount, hi) - bisect_left(ecount, lo)
+                pen = (vw * vcount + ew * ecount) / num_robots
                 evaluations += 1
                 if not 0.0 <= pen < 1.0:
                     violations += 1
@@ -558,13 +587,13 @@ def plan_independent_paths(grid: GridMap, tasks: list[tuple[Cell, Cell]],
 
     paths: list[Path | None] = [None] * n
     if iterations == 0:
-        empty = UsageTable(params=replace(params, window_before=0,
-                                          window_after=0, temporal=False))
+        empty = UsageTable(grid, replace(params, window_before=0,
+                                         window_after=0, temporal=False))
         for i in sequence:
             paths[i] = search(i, empty)
         return paths  # type: ignore[return-value]
 
-    table = UsageTable(params=params)
+    table = UsageTable(grid, params)
     for it in range(iterations):
         for i in sequence:
             if paths[i] is not None:

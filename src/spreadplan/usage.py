@@ -1,10 +1,14 @@
 """Shared-space usage accounting for decoupled multi-robot planning.
 
 A UsageTable counts how many already-planned paths occupy each vertex and each
-directed edge, either aggregated over time or per time step.  Searches consult
-it through `penalty`, a sub-unit surcharge that steers a robot away from cells
-and head-to-head edges other robots have claimed, without ever trading away
-path length.
+directed edge, either aggregated over time or per time step.  Its `penalty` is
+a sub-unit surcharge that steers a robot away from cells and head-to-head
+edges other robots have claimed, without ever trading away path length.
+
+The table keys on the padded cell ids of its map (see `spreadplan.grid`),
+the ids the searches work on, while its methods take (x, y) cells.  The two
+search kernels read the counts by id and compute the penalty inline, one
+read per move, with the same float expression as `penalty`.
 
 A temporal table stores each occupancy once, as a step in a sorted list per
 cell or directed edge, and counts the occupancies whose window covers a step
@@ -15,9 +19,10 @@ inserts, however wide the window.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-Cell = tuple[int, int]
+from .grid import Cell, GridMap
+
 Path = list[Cell]
 
 
@@ -58,22 +63,27 @@ class UsageUnderflowError(ValueError):
     """Removing a path that was never added."""
 
 
-@dataclass
 class UsageTable:
-    """Occupancy counts over vertices and directed edges.
+    """Occupancy counts over the vertices and directed edges of one map.
 
-    An aggregate table keeps a counter per (x, y) cell and per directed edge,
-    keyed by its (from, to) cell pair.  A temporal table keeps, under the
-    same keys, the sorted steps at which a path occupies the cell or arrives
-    over the edge; an occupancy at step s counts at every t >= 0 with
-    s - window_before <= t <= s + window_after.  Mutated in place by
-    add/remove so a planning loop can swap one robot's path without
-    rebuilding; remove is the exact inverse of add.
+    The table keys on the map's padded ids (see `spreadplan.grid`): a claim
+    on id v is keyed v, and a move from id a to id b is keyed a * size + b,
+    where size is the map's number of ids.  An aggregate table keeps a count
+    under each key.  A temporal table keeps, under the same keys, the sorted
+    steps at which a path occupies the cell or arrives over the edge; an
+    occupancy at step s counts at every t >= 0 with s - window_before <= t
+    <= s + window_after.  The methods take (x, y) cells; the search kernels
+    read `vertex` and `edge` by id.  Mutated in place by add/remove so a
+    planning loop can swap one robot's path without rebuilding; remove is
+    the exact inverse of add.
     """
 
-    params: UsageParams = field(default_factory=UsageParams)
-    _vertex: dict = field(default_factory=dict, init=False, repr=False)
-    _edge: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, grid: GridMap, params: UsageParams) -> None:
+        self.grid = grid
+        self.params = params
+        self.size = grid.stride * (grid.height + 2)
+        self.vertex: dict = {}  # id -> count, or its sorted steps
+        self.edge: dict = {}  # a * size + b -> count, or its sorted steps
 
     def add_path(self, path: Path) -> None:
         self._update(path, 1)
@@ -84,13 +94,15 @@ class UsageTable:
     def _update(self, path: Path, delta: int) -> None:
         """Add (+1) or remove (-1) the path's claims, vertices first and then
         edges, each in path order.  Removing a claim the table does not hold
-        raises; in a temporal table the error names the key with the first
-        step of the claim's window."""
+        raises, naming its cell or its (from, to) cells; in a temporal table
+        also the first step of the claim's window."""
+        stride, size = self.grid.stride, self.size
+        ids = [(y + 1) * stride + x + 1 for x, y in path]
         if self.params.temporal:
-            edges = [(t, uv) for t, uv in enumerate(zip(path, path[1:]), 1)
-                     if uv[0] != uv[1]]
-            for steps, claims in ((self._vertex, enumerate(path)),
-                                  (self._edge, edges)):
+            moves = [(t, a * size + b)
+                     for t, (a, b) in enumerate(zip(ids, ids[1:]), 1) if a != b]
+            for steps, claims in ((self.vertex, enumerate(ids)),
+                                  (self.edge, moves)):
                 if delta > 0:
                     for t, key in claims:
                         held = steps.get(key)
@@ -103,16 +115,17 @@ class UsageTable:
                         held = steps.get(key, ())
                         i = bisect_left(held, t)
                         if i == len(held) or held[i] != t:
+                            cells = self._cells(key, steps)
                             first = max(0, t - self.params.window_before)
                             raise UsageUnderflowError(
-                                f"count underflow at {(*key, first)}")
+                                f"count underflow at {(*cells, first)}")
                         if len(held) == 1:
                             del steps[key]
                         else:
                             del held[i]
             return
-        edge_keys = [uv for uv in zip(path, path[1:]) if uv[0] != uv[1]]
-        for counts, keys in ((self._vertex, path), (self._edge, edge_keys)):
+        moves = [a * size + b for a, b in zip(ids, ids[1:]) if a != b]
+        for counts, keys in ((self.vertex, ids), (self.edge, moves)):
             for key in keys:
                 c = counts.get(key, 0) + delta
                 if c > 0:
@@ -120,40 +133,48 @@ class UsageTable:
                 elif c == 0:
                     del counts[key]
                 else:
-                    raise UsageUnderflowError(f"count underflow at {key}")
+                    raise UsageUnderflowError(
+                        f"count underflow at {self._cells(key, counts)}")
+
+    def _cells(self, key: int, held: dict):
+        """The cell of a key of `vertex`, or the (from, to) cells of a key of
+        `edge`, for error messages."""
+        cell_at = self.grid.cell_at
+        if held is self.vertex:
+            return cell_at[key]
+        a, b = divmod(key, self.size)
+        return cell_at[a], cell_at[b]
 
     def penalty(self, frm: Cell, to: Cell, t: int = 0) -> float:
         """Surcharge for arriving at `to` from `frm` at time t.
 
         The vertex term counts claims on the destination; the edge term counts
         robots traversing the opposite direction (to -> frm), i.e. head-to-head
-        exposure.  Wait moves have no edge term.  Aggregate tables ignore t.
+        exposure.  Wait moves have no edge term, since no path claims one.
+        Aggregate tables ignore t.  The search kernels compute the same
+        expression from `vertex` and `edge` inline.
         """
         params = self.params
+        u, v = self.grid.cell_id(frm), self.grid.cell_id(to)
+        vcount = self.vertex.get(v, 0)
+        ecount = self.edge.get(v * self.size + u, 0)
         if params.temporal:
             if t < 0:
                 return 0.0
             lo, hi = t - params.window_after, t + params.window_before
-            held = self._vertex.get(to)
-            vcount = 0 if held is None else (bisect_right(held, hi)
-                                             - bisect_left(held, lo))
-            held = None if to == frm else self._edge.get((to, frm))
-            ecount = 0 if held is None else (bisect_right(held, hi)
-                                             - bisect_left(held, lo))
-        else:
-            vcount = self._vertex.get(to, 0)
-            ecount = 0 if to == frm else self._edge.get((to, frm), 0)
+            vcount = vcount and bisect_right(vcount, hi) - bisect_left(vcount, lo)
+            ecount = ecount and bisect_right(ecount, hi) - bisect_left(ecount, lo)
         return (params.vertex_weight * vcount
                 + params.edge_weight * ecount) / params.num_robots
 
     def vertex_count(self, cell: Cell, t: int | None = None) -> int:
         """Claims on `cell`; a temporal table counts those at step t (0 when
         omitted)."""
+        held = self.vertex.get(self.grid.cell_id(cell), 0)
         if not self.params.temporal:
-            return self._vertex.get(cell, 0)
+            return held
         t = 0 if t is None else t
-        held = self._vertex.get(cell)
-        if held is None or t < 0:
+        if not held or t < 0:
             return 0
         return (bisect_right(held, t + self.params.window_before)
                 - bisect_left(held, t - self.params.window_after))

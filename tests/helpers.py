@@ -9,13 +9,20 @@ from dataclasses import dataclass, field
 from operator import add
 
 from spreadplan import lifelong
-from spreadplan.grid import (BLOCKED, FieldCache, GridMap, MapParseError,
-                             distance_field)
+from spreadplan.grid import (BLOCKED, NEIGHBOR_STEPS, FieldCache, GridMap,
+                             MapParseError, distance_field)
 from spreadplan.oneshot import Conflict, ResolverError, SolveStats
 from spreadplan.search import (RESTARTS, SearchConfig, _fold, _mix, _unwind,
                                find_path_cost_to_go)
 from spreadplan.usage import (Cell, Path, UsageParams, UsageTable,
                               UsageUnderflowError)
+
+
+def neighbors(grid: GridMap, cell: Cell) -> list[Cell]:
+    """The passable 4-neighbours of `cell`, in `NEIGHBOR_STEPS` order."""
+    x, y = cell
+    return [(x + dx, y + dy) for dx, dy in NEIGHBOR_STEPS
+            if grid.passable((x + dx, y + dy))]
 
 
 def eager_bfs(grid: GridMap, goal):
@@ -24,7 +31,7 @@ def eager_bfs(grid: GridMap, goal):
     queue = deque([goal])
     while queue:
         v = queue.popleft()
-        for n in grid.neighbors(v):
+        for n in neighbors(grid, v):
             if n not in dist:
                 dist[n] = dist[v] + 1
                 queue.append(n)
@@ -59,7 +66,7 @@ def reference_components(grid: GridMap) -> list[set]:
             component = {(x, y)}
             queue = deque([(x, y)])
             while queue:
-                for n in grid.neighbors(queue.popleft()):
+                for n in neighbors(grid, queue.popleft()):
                     if n not in component:
                         component.add(n)
                         queue.append(n)
@@ -119,7 +126,7 @@ def random_shortest_path(grid: GridMap, rng: random.Random):
         a, b = rng.sample(cells, 2)
         dfield = distance_field(grid, b)
         if a in dfield:
-            empty = UsageTable(params=UsageParams(1.0, 0.0, num_robots=1))
+            empty = UsageTable(grid, UsageParams(1.0, 0.0, num_robots=1))
             cfg = SearchConfig(tie_break_seed=rng.randrange(1 << 30))
             return find_path_cost_to_go(grid, a, b, empty, dfield, cfg)
     raise RuntimeError("could not sample a connected pair")
@@ -147,9 +154,10 @@ def build_prior_paths(grid: GridMap, rng: random.Random, count: int):
     return [random_shortest_path(grid, rng) for _ in range(count)]
 
 
-def usage_table(paths: list[Path], params: UsageParams) -> UsageTable:
-    """A usage table holding every path, added in order."""
-    table = UsageTable(params=params)
+def usage_table(grid: GridMap, paths: list[Path],
+                params: UsageParams) -> UsageTable:
+    """A usage table on `grid` holding every path, added in order."""
+    table = UsageTable(grid, params)
     for path in paths:
         table.add_path(path)
     return table

@@ -3,13 +3,15 @@
 Enumerates every shortest path between two cells by walking the BFS-distance
 DAG, then minimizes conflict objectives over the enumeration.  Used by tests
 to check that the guided searches return exactly the paths they promise.
-Also the per-path overlap measures that only this oracle and the tests read.
+Also the per-path overlap and penalty measures that only this oracle and
+the tests read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from helpers import neighbors
 from spreadplan.grid import Cell, GridMap, distance_field
 from spreadplan.metrics import _image_counts
 from spreadplan.usage import Path, UsageTable
@@ -44,7 +46,7 @@ def enumerate_shortest_paths(grid: GridMap, start: Cell, goal: Cell,
             paths.append(list(prefix))
             return
         d = dfield[v]
-        for nxt in grid.neighbors(v):
+        for nxt in neighbors(grid, v):
             if dfield.get(nxt) == d - 1:
                 prefix.append(nxt)
                 walk(nxt)
@@ -98,3 +100,15 @@ def pairwise_overlap(path: Path, others: list[Path]) -> int:
     the others' image counts summed over the path's image."""
     counts = _image_counts(others)
     return sum(counts[v] for v in set(path))
+
+
+def path_penalty(path: Path, table: UsageTable) -> float:
+    """The summed penalty of `path`, each move read at its arrival step."""
+    return sum(table.penalty(path[t - 1], path[t], t)
+               for t in range(1, len(path)))
+
+
+def worst_move(path: Path, table: UsageTable) -> float:
+    """The largest penalty of a move of `path`, read at its arrival step."""
+    return max(table.penalty(path[t - 1], path[t], t)
+               for t in range(1, len(path)))

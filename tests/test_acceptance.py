@@ -13,8 +13,10 @@ import time
 
 import pytest
 
-from helpers import build_prior_paths, pairwise_conflicts, usage_table
-from oracle import enumerate_shortest_paths, min_objective, peak_vertex_overlap
+from helpers import (build_prior_paths, neighbors, pairwise_conflicts,
+                     usage_table)
+from oracle import (enumerate_shortest_paths, min_objective, path_penalty,
+                    peak_vertex_overlap, worst_move)
 from spreadplan import metrics
 from spreadplan.grid import (GridMap, distance_field, generate_instance,
                              generate_random_grid, generate_warehouse,
@@ -66,7 +68,7 @@ def test_01_shortest_length_preserved_in_both_modes():
                              rng.randint(0, 2) if temporal else 0,
                              rng.randint(0, 4) if temporal else 0,
                              temporal, n)
-        table = usage_table(priors, params)
+        table = usage_table(grid, priors, params)
         p1 = find_path_cost_to_go(grid, s, g, table, field,
                                   SearchConfig(tie_break_seed=case_seed),
                                   SHARED_SEARCH_STATS)
@@ -83,8 +85,17 @@ def test_01_shortest_length_preserved_in_both_modes():
 
 
 def _oracle_cases(mode, objective, count=500):
+    """Each case's search on a vertex-only aggregate table against the
+    brute-force minimum of `objective`; then on the same priors as a 0.5/0.5
+    aggregate table and as a 0.5/0.5 temporal one, against the brute-force
+    minimum of the kernel's own objective: cost_to_go's worst move penalty,
+    cost_to_come's summed penalty.  Returns the matched and total counts of
+    both."""
     rng = random.Random(2002 if mode == "cost_to_go" else 3003)
-    matched = total = 0
+    # the temporal windows come from a stream apart, so the cases stay as drawn
+    windows = random.Random(2003 if mode == "cost_to_go" else 3004)
+    objective_of_mode = worst_move if mode == "cost_to_go" else path_penalty
+    matched = total = weighted_matched = weighted_total = 0
     case_seed = 0
     while total < count:
         case_seed += 1
@@ -96,7 +107,7 @@ def _oracle_cases(mode, objective, count=500):
         if s not in field:
             continue
         priors = build_prior_paths(grid, rng, rng.randint(0, 6))
-        table = usage_table(priors,
+        table = usage_table(grid, priors,
                             UsageParams(1.0, 0.0, num_robots=len(priors) + 1))
         enum = enumerate_shortest_paths(grid, s, g)
         best, _ = min_objective(enum, table, objective)
@@ -112,19 +123,40 @@ def _oracle_cases(mode, objective, count=500):
             value = sum(table.vertex_count(v) for v in set(path))
         matched += (value == best)
         total += 1
-    return matched, total
+        n = len(priors) + 1
+        window = (windows.randint(0, 2), windows.randint(0, 3))
+        for params in (UsageParams(0.5, 0.5, num_robots=n),
+                       UsageParams(0.5, 0.5, *window, True, n)):
+            claims = usage_table(grid, priors, params)
+            if mode == "cost_to_go":
+                path = find_path_cost_to_go(
+                    grid, s, g, claims, field,
+                    SearchConfig(tie_break_seed=case_seed), SHARED_SEARCH_STATS)
+            else:
+                path = find_path_cost_to_come(
+                    grid, s, g, claims, field,
+                    SearchConfig("cost_to_come", case_seed), SHARED_SEARCH_STATS)
+            least = min(objective_of_mode(p, claims) for p in enum.paths)
+            weighted_matched += (len(path) - 1 == field[s] and abs(
+                objective_of_mode(path, claims) - least) <= 1e-9)
+            weighted_total += 1
+    return matched, total, weighted_matched, weighted_total
 
 
 def test_02_min_peak_matches_bruteforce():
-    matched, total = _oracle_cases("cost_to_go", "peak")
+    matched, total, w_matched, w_total = _oracle_cases("cost_to_go", "peak")
     report(2, "worst-cell overlap equals brute-force minimum",
-           matched == total, f"{matched}/{total} matched")
+           matched == total and w_matched == w_total,
+           f"{matched}/{total} matched; worst move penalty on edge-weighted "
+           f"and temporal tables {w_matched}/{w_total} matched")
 
 
 def test_03_min_total_matches_bruteforce():
-    matched, total = _oracle_cases("cost_to_come", "total")
+    matched, total, w_matched, w_total = _oracle_cases("cost_to_come", "total")
     report(3, "summed overlap equals brute-force minimum",
-           matched == total, f"{matched}/{total} matched")
+           matched == total and w_matched == w_total,
+           f"{matched}/{total} matched; summed penalty on edge-weighted "
+           f"and temporal tables {w_matched}/{w_total} matched")
 
 
 def test_04_penalty_always_below_one():
@@ -394,7 +426,7 @@ def _illegal_move_case(rng, planted):
                 moves.append(Conflict("move", (i,), t + 1, (there, here)))
                 planted[kind] += 1
                 continue
-            path.append(rng.choice(grid.neighbors(here) + [here]))
+            path.append(rng.choice(neighbors(grid, here) + [here]))
         start, goal = path[0], path[-1]
         if rng.random() < 0.2:
             start = rng.choice([c for c in cells if c != path[0]])

@@ -9,18 +9,37 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
+
 import spreadplan.lifelong as lifelong
 import spreadplan.oneshot as oneshot
 import spreadplan.search as search
-from spreadplan.grid import (DistanceField, generate_instance,
+from spreadplan.grid import (DistanceField, GridMap, generate_instance,
                              generate_random_grid, generate_warehouse)
 from spreadplan.usage import UsageParams
 
 from helpers import eager_bfs
 
 
+def from_distances(grid, goal, dist):
+    """A complete field from known distances; cells not in `dist` miss."""
+    f = DistanceField(grid, goal)
+    for cell, d in dist.items():
+        f.labels[grid.cell_id(cell)] = d
+    f._cur, f._g, f._expanded = [], len(f.labels), len(dist)
+    return f
+
+
 def complete_field(grid, goal):
-    return DistanceField.from_distances(grid, goal, eager_bfs(grid, goal))
+    return from_distances(grid, goal, eager_bfs(grid, goal))
+
+
+def test_distance_field_from_complete_dict():
+    field = from_distances(GridMap(3, 1), (0, 0), {(0, 0): 0, (1, 0): 1})
+    assert field[(1, 0)] == 1 and (1, 0) in field
+    assert (2, 0) not in field and field.get((2, 0), 7) == 7
+    with pytest.raises(KeyError):
+        field[(2, 0)]
 
 
 def twice(monkeypatch, run):

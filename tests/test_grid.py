@@ -4,15 +4,15 @@ import re
 
 import pytest
 
-from spreadplan.grid import (BLOCKED, FREE, NEIGHBOR_STEPS, DistanceField,
-                             FieldCache, GenerationError, GridMap, MapParseError,
+from spreadplan.grid import (BLOCKED, FREE, NEIGHBOR_STEPS, FieldCache,
+                             GenerationError, GridMap, MapParseError,
                              distance_field, generate_instance,
                              generate_random_grid, generate_warehouse,
                              grid_to_movingai, instance_from_json,
                              instance_to_json, largest_component_grid,
-                             parse_movingai_map, parse_movingai_scen)
+                             parse_movingai_map)
 
-from helpers import (eager_bfs, labelled, reference_components,
+from helpers import (eager_bfs, labelled, neighbors, reference_components,
                      reference_lines, reference_one_goal_instance,
                      reference_parse_rows)
 
@@ -121,9 +121,6 @@ def test_parse_breaks_lines_only_at_line_ends():
             parse_movingai_map(text)
     with pytest.raises(MapParseError, match="^line 6: expected 2 map rows$"):
         parse_movingai_map("type octile\nheight 2\nwidth 1\nmap\n.\n")
-    # scenario lines split the same way: the form feed stays in its column
-    (entry,) = parse_movingai_scen("0\tx.map\t64\t64\t1\t2\x0c\t3\t4\t4.5\r\n")
-    assert (entry.start, entry.goal) == ((1, 2), (3, 4))
 
 
 def test_parse_line_ends_match_per_character_reference():
@@ -174,23 +171,6 @@ def test_serialize_roundtrip():
         grid = generate_random_grid(rng.randint(3, 12), rng.randint(3, 12),
                                     0.1, seed)
         assert parse_movingai_map(grid_to_movingai(grid)) == grid
-
-
-def test_parse_scen():
-    text = ("version 1\n"
-            "0\tmaps/x.map\t64\t64\t1\t2\t3\t4\t4.5\n"
-            "1\tmaps/x.map\t64\t64\t5\t6\t7\t8\t4\n")
-    entries = parse_movingai_scen(text)
-    assert len(entries) == 2
-    assert entries[0].start == (1, 2)
-    assert entries[0].goal == (3, 4)
-    assert entries[0].optimal_length == 4.5
-    assert entries[1].bucket == 1
-
-
-def test_parse_scen_malformed():
-    with pytest.raises(MapParseError, match="line 1"):
-        parse_movingai_scen("0\tonly\tfour\tcols\n")
 
 
 def test_random_grid_obstacle_counts():
@@ -265,8 +245,8 @@ def test_distance_field_bellman_property():
             if v == goal:
                 continue
             if v in field:
-                assert field[v] == 1 + min(field[n] for n in grid.neighbors(v)
-                                           if n in field)
+                assert field[v] == 1 + min(
+                    field[n] for n in neighbors(grid, v) if n in field)
 
 
 def test_lazy_field_matches_eager_bfs_in_any_read_order():
@@ -407,15 +387,6 @@ def test_lazy_field_labels_the_cone_toward_the_cell_asked_about():
     assert len(field) <= 1000   # a whole BFS disc to level 150 holds 24,200
 
 
-def test_distance_field_from_complete_dict():
-    field = DistanceField.from_distances(GridMap(3, 1), (0, 0),
-                                         {(0, 0): 0, (1, 0): 1})
-    assert field[(1, 0)] == 1 and (1, 0) in field
-    assert (2, 0) not in field and field.get((2, 0), 7) == 7
-    with pytest.raises(KeyError):
-        field[(2, 0)]
-
-
 def test_field_cache_evicts_least_recently_used(monkeypatch):
     import spreadplan.grid as grid_module
     grid = GridMap(6, 4)
@@ -489,7 +460,7 @@ def test_id_steps_match_neighbors_in_step_order():
             v = grid.cell_id(cell)
             by_id = [grid.cell_at[u] for u in (v + 1, v - 1, v + stride, v - stride)
                      if grid.template[u] != BLOCKED]
-            assert by_id == grid.neighbors(cell)
+            assert by_id == neighbors(grid, cell)
 
 
 def test_largest_component_grid():

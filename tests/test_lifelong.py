@@ -8,7 +8,7 @@ import pytest
 import helpers
 import spreadplan.grid as grid_module
 import spreadplan.lifelong as lifelong
-from helpers import eager_bfs, reference_plan_window
+from helpers import eager_bfs, neighbors, reference_plan_window
 from spreadplan.grid import (NEIGHBOR_STEPS, FieldCache, GridMap,
                              distance_field, generate_instance,
                              generate_random_grid, generate_warehouse)
@@ -123,7 +123,7 @@ def brute_joint_windows(grid, states, goals, h):
         nxt_plans = []
         for plan in plans:
             prev = plan[-1]
-            options = [grid.neighbors(v) + [v] for v in prev]
+            options = [neighbors(grid, v) + [v] for v in prev]
             for step in itertools.product(*options):
                 if ok(prev, step):
                     nxt_plans.append(plan + [list(step)])

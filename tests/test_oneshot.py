@@ -6,7 +6,7 @@ import pytest
 
 import helpers
 import spreadplan.search as search
-from helpers import random_walks, reference_resolver_prioritized
+from helpers import neighbors, random_walks, reference_resolver_prioritized
 from spreadplan.grid import (FieldCache, GenerationError, GridMap,
                              distance_field, generate_instance,
                              generate_random_grid)
@@ -101,7 +101,7 @@ def test_single_robot_solution():
 def brute_force_joint_optimum(grid, tasks, horizon):
     """Exhaustive search over joint plans; returns minimal sum of arrival steps."""
     def moves(v):
-        return grid.neighbors(v) + [v]
+        return neighbors(grid, v) + [v]
 
     best = None
     starts = tuple(s for s, _ in tasks)

@@ -3,10 +3,13 @@ import random
 import pytest
 
 from helpers import build_prior_paths, usage_table
+from spreadplan import lifelong
 from oracle import (enumerate_shortest_paths, min_objective,
-                    pairwise_overlap, peak_vertex_overlap)
+                    pairwise_overlap, path_penalty, peak_vertex_overlap,
+                    worst_move)
 from spreadplan import metrics
-from spreadplan.grid import GridMap, distance_field, generate_instance, generate_random_grid
+from spreadplan.grid import (FieldCache, GridMap, distance_field,
+                             generate_instance, generate_random_grid)
 from spreadplan.search import (InstanceError, NoPathError, SearchConfig,
                                SearchStats, _fold, _mix, find_path_cost_to_come,
                                find_path_cost_to_go, order_robots,
@@ -14,8 +17,8 @@ from spreadplan.search import (InstanceError, NoPathError, SearchConfig,
 from spreadplan.usage import UsageParams, UsageTable
 
 
-def empty_table(n=1):
-    return UsageTable(params=UsageParams(1.0, 0.0, num_robots=n))
+def empty_table(grid, n=1):
+    return UsageTable(grid, UsageParams(1.0, 0.0, num_robots=n))
 
 
 def assert_valid_path(grid, path, start, goal):
@@ -28,7 +31,7 @@ def assert_valid_path(grid, path, start, goal):
 def test_plain_search_on_empty_grid():
     grid = GridMap(3, 3)
     field = distance_field(grid, (2, 2))
-    path = find_path_cost_to_go(grid, (0, 0), (2, 2), empty_table(), field)
+    path = find_path_cost_to_go(grid, (0, 0), (2, 2), empty_table(grid), field)
     assert_valid_path(grid, path, (0, 0), (2, 2))
     assert len(path) - 1 == 4
 
@@ -37,15 +40,15 @@ def test_no_path_raises():
     grid = GridMap(3, 1, frozenset({(1, 0)}))
     field = distance_field(grid, (2, 0))
     with pytest.raises(NoPathError):
-        find_path_cost_to_go(grid, (0, 0), (2, 0), empty_table(), field)
+        find_path_cost_to_go(grid, (0, 0), (2, 0), empty_table(grid), field)
     with pytest.raises(NoPathError):
-        find_path_cost_to_come(grid, (0, 0), (2, 0), empty_table(), field)
+        find_path_cost_to_come(grid, (0, 0), (2, 0), empty_table(grid), field)
 
 
 def test_loaded_middle_row_keeps_length_and_matches_oracle():
     grid = GridMap(5, 5)
     prior = [[(x, 2) for x in range(5)]]
-    table = usage_table(prior, UsageParams(1.0, 0.0, num_robots=2))
+    table = usage_table(grid, prior, UsageParams(1.0, 0.0, num_robots=2))
     field = distance_field(grid, (4, 4))
     path = find_path_cost_to_go(grid, (0, 0), (4, 4), table, field,
                                 SearchConfig(tie_break_seed=1))
@@ -59,7 +62,7 @@ def test_loaded_middle_row_keeps_length_and_matches_oracle():
 def test_concentrated_load_is_avoided():
     grid = GridMap(5, 5)
     # three robots parked around the center; a clean shortest path exists
-    table = usage_table([[(2, 2)], [(2, 2)], [(2, 1)]],
+    table = usage_table(grid, [[(2, 2)], [(2, 2)], [(2, 1)]],
                         UsageParams(1.0, 0.0, num_robots=4))
     field = distance_field(grid, (4, 4))
     path = find_path_cost_to_go(grid, (0, 0), (4, 4), table, field,
@@ -76,12 +79,12 @@ def test_vertex_information_scenario():
     blue = [(1, 0), (1, 1)]
     enum = enumerate_shortest_paths(grid, (0, 0), (2, 2))
 
-    vertex_table = usage_table([blue], UsageParams(1.0, 0.0, num_robots=2))
+    vertex_table = usage_table(grid, [blue], UsageParams(1.0, 0.0, num_robots=2))
     peaks = sorted(peak_vertex_overlap(p, vertex_table)
                    for p in enum.paths)
     assert peaks[0] == 0 and peaks[-1] == 1  # vertex info discriminates
 
-    edge_table = usage_table([blue], UsageParams(0.0, 1.0, num_robots=2))
+    edge_table = usage_table(grid, [blue], UsageParams(0.0, 1.0, num_robots=2))
     exposures = {max((edge_table.penalty(p[i], p[i + 1])
                       for i in range(len(p) - 1)), default=0.0)
                  for p in enum.paths}
@@ -101,11 +104,11 @@ def test_edge_information_scenario():
     blue = [(2, 1), (1, 1), (0, 1)]
     enum = enumerate_shortest_paths(grid, (0, 0), (2, 2))
 
-    vertex_table = usage_table([blue], UsageParams(1.0, 0.0, num_robots=2))
+    vertex_table = usage_table(grid, [blue], UsageParams(1.0, 0.0, num_robots=2))
     peaks = {peak_vertex_overlap(p, vertex_table) for p in enum.paths}
     assert peaks == {1}  # vertex info alone ties
 
-    edge_table = usage_table([blue], UsageParams(0.0, 1.0, num_robots=2))
+    edge_table = usage_table(grid, [blue], UsageParams(0.0, 1.0, num_robots=2))
 
     def headon(p):
         return max((edge_table.penalty(p[i], p[i + 1])
@@ -130,14 +133,14 @@ def test_temporal_information_scenario():
     enum = enumerate_shortest_paths(grid, start, goal)
     assert len(enum.paths) == 3
 
-    aggregate = usage_table([orange], UsageParams(1.0, 0.0, num_robots=2))
+    aggregate = usage_table(grid, [orange], UsageParams(1.0, 0.0, num_robots=2))
     peaks = {peak_vertex_overlap(p, aggregate) for p in enum.paths}
     assert peaks == {1}  # without time stamps every candidate looks alike
 
     conflicts = {metrics.timed_conflicts([p, orange]) for p in enum.paths}
     assert (0, 0) in conflicts and len(conflicts) > 1  # but they differ live
 
-    temporal = usage_table([orange], UsageParams(1.0, 0.0, 0, 0, True, 2))
+    temporal = usage_table(grid, [orange], UsageParams(1.0, 0.0, 0, 0, True, 2))
     field = distance_field(grid, goal)
     path = find_path_cost_to_go(grid, start, goal, temporal, field,
                                 SearchConfig(tie_break_seed=4))
@@ -148,7 +151,7 @@ def test_temporal_information_scenario():
 def test_cost_to_come_empty_table_shortest():
     grid = GridMap(4, 4)
     field = distance_field(grid, (3, 3))
-    path = find_path_cost_to_come(grid, (0, 0), (3, 3), empty_table(), field)
+    path = find_path_cost_to_come(grid, (0, 0), (3, 3), empty_table(grid), field)
     assert len(path) - 1 == 6
     # on an empty table every sum ties, so the seed alone picks the path
     grid = GridMap(6, 6)
@@ -156,11 +159,11 @@ def test_cost_to_come_empty_table_shortest():
     paths = set()
     for seed in range(10):
         cfg = SearchConfig("cost_to_come", seed)
-        path = find_path_cost_to_come(grid, (0, 0), (5, 5), empty_table(),
+        path = find_path_cost_to_come(grid, (0, 0), (5, 5), empty_table(grid),
                                       field, cfg)
         assert_valid_path(grid, path, (0, 0), (5, 5))
         assert len(path) - 1 == 10
-        assert find_path_cost_to_come(grid, (0, 0), (5, 5), empty_table(),
+        assert find_path_cost_to_come(grid, (0, 0), (5, 5), empty_table(grid),
                                       field, cfg) == path
         paths.add(tuple(path))
     assert len(paths) >= 2
@@ -172,12 +175,12 @@ def test_search_counts_every_penalty_evaluation():
     grid = GridMap(3, 3)
     field = distance_field(grid, (2, 2))
     come = SearchStats()
-    find_path_cost_to_come(grid, (0, 0), (2, 2), empty_table(), field,
+    find_path_cost_to_come(grid, (0, 0), (2, 2), empty_table(grid), field,
                            SearchConfig("cost_to_come", 3), come)
     assert come.evaluations == 12
     assert come.expansions == 9  # every cell of the DAG is reached
     go = SearchStats()
-    find_path_cost_to_go(grid, (0, 0), (2, 2), empty_table(), field,
+    find_path_cost_to_go(grid, (0, 0), (2, 2), empty_table(grid), field,
                          SearchConfig(tie_break_seed=3), go)
     for stats in (come, go):
         assert stats.evaluations >= stats.generated > 0
@@ -190,7 +193,7 @@ def test_cost_to_come_prefers_lighter_corridor():
     left = [(1, 0), (0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 4)]
     right = [(1, 0), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (1, 4)]
     priors = [left, list(left), right]
-    table = usage_table(priors, UsageParams(1.0, 0.0, num_robots=4))
+    table = usage_table(grid, priors, UsageParams(1.0, 0.0, num_robots=4))
     field = distance_field(grid, (1, 4))
     path = find_path_cost_to_come(grid, (1, 0), (1, 4), table, field,
                                   SearchConfig("cost_to_come", 1))
@@ -204,7 +207,7 @@ def test_objectives_disagree_and_each_mode_wins_its_own():
     grid = GridMap(5, 5)
     rests = ([[(1, 2)]] + [[(1, 3)]] + [[(2, 3)]] + [[(2, 2)]] * 2
              + [[(3, 1)]] * 5)
-    table = usage_table(rests, UsageParams(1.0, 0.0, num_robots=11))
+    table = usage_table(grid, rests, UsageParams(1.0, 0.0, num_robots=11))
     start, goal = (1, 1), (3, 3)
     enum = enumerate_shortest_paths(grid, start, goal)
     best_peak, _ = min_objective(enum, table, "peak")
@@ -224,18 +227,6 @@ def test_objectives_disagree_and_each_mode_wins_its_own():
     assert come_peak == 2  # concentrates to keep the sum down
 
 
-def path_penalty(path, table):
-    """The summed penalty of `path`, each move read at its arrival step."""
-    return sum(table.penalty(path[t - 1], path[t], t)
-               for t in range(1, len(path)))
-
-
-def worst_move(path, table):
-    """The largest penalty of a move of `path`, read at its arrival step."""
-    return max(table.penalty(path[t - 1], path[t], t)
-               for t in range(1, len(path)))
-
-
 def check_oracle_case(grid, s, g, priors, window, seed, stats):
     """Both modes on one case against the exhaustive minima over every
     shortest path: cost_to_go's worst interior cell on an aggregate and a
@@ -244,11 +235,11 @@ def check_oracle_case(grid, s, g, priors, window, seed, stats):
     table and its summed penalty on every kind of table."""
     field = distance_field(grid, g)
     n = len(priors) + 1
-    table = usage_table(priors, UsageParams(1.0, 0.0, num_robots=n))
-    mixed = usage_table(priors, UsageParams(0.5, 0.5, num_robots=n))
+    table = usage_table(grid, priors, UsageParams(1.0, 0.0, num_robots=n))
+    mixed = usage_table(grid, priors, UsageParams(0.5, 0.5, num_robots=n))
     # the same claims as temporal tables, read at each step
-    timed = usage_table(priors, UsageParams(1.0, 0.0, *window, True, n))
-    timed_mixed = usage_table(priors, UsageParams(0.5, 0.5, *window, True, n))
+    timed = usage_table(grid, priors, UsageParams(1.0, 0.0, *window, True, n))
+    timed_mixed = usage_table(grid, priors, UsageParams(0.5, 0.5, *window, True, n))
     enum = enumerate_shortest_paths(grid, s, g)
     for claims in (table, timed):
         path = find_path_cost_to_go(grid, s, g, claims, field,
@@ -322,7 +313,7 @@ def test_randomized_oracle_equivalence_both_modes():
         enum = enumerate_shortest_paths(grid, s, g)
         for params in (UsageParams(1.0, 0.0, num_robots=num_robots),
                        UsageParams(1.0, 0.0, *window, True, num_robots)):
-            claims = usage_table(priors, params)
+            claims = usage_table(grid, priors, params)
             path = find_path_cost_to_go(grid, s, g, claims, field,
                                         SearchConfig(tie_break_seed=case),
                                         over_stats)
@@ -339,7 +330,7 @@ def test_over_unit_penalties_buy_no_detour(temporal):
     # it only searches shortest paths, so no detour around the row pays
     grid = GridMap(5, 3)
     row = [(x, 1) for x in range(5)]
-    table = usage_table([row] * 5, UsageParams(1.0, 0.0, 0, 0, temporal, 1))
+    table = usage_table(grid, [row] * 5, UsageParams(1.0, 0.0, 0, 0, temporal, 1))
     start, goal = (0, 1), (4, 1)
     field = distance_field(grid, goal)
     stats = SearchStats()
@@ -353,10 +344,67 @@ def test_over_unit_penalties_buy_no_detour(temporal):
     assert stats.penalty_bound_violations > 0
 
 
+def _plans_and_reads(monkeypatch):
+    """Paths and penalty reads of every planner that reads a usage table:
+    both kernels on an aggregate vertex-only, an edge-weighted and a
+    temporal table, `plan_independent_paths` in both modes, and the
+    horizon cut of both usage variants."""
+    grid = generate_random_grid(12, 10, 0.1, 5)
+    rng = random.Random(6)
+    priors = build_prior_paths(grid, rng, 6)
+    tasks = [(s, gs[0]) for s, gs in generate_instance(grid, 8, 7)]
+    s, g = tasks[0]
+    field = distance_field(grid, g)
+    paths, reads = [], []
+    tables = (UsageParams(1.0, 0.0, num_robots=7),
+              UsageParams(0.5, 0.5, num_robots=7),
+              UsageParams(0.5, 0.5, 2, 15, True, 7))
+    for params in tables:
+        table = usage_table(grid, priors, params)
+        for kernel in (find_path_cost_to_go, find_path_cost_to_come):
+            stats = SearchStats()
+            paths.append(kernel(grid, s, g, table, field, SearchConfig(), stats))
+            reads.append(stats.evaluations)
+    for mode in ("cost_to_go", "cost_to_come"):
+        for params in tables[1:]:
+            stats = SearchStats()
+            paths += plan_independent_paths(grid, tasks, params, 2,
+                                            SearchConfig(mode, 4), stats=stats)
+            reads.append(stats.evaluations)
+    stats = SearchStats()
+    with monkeypatch.context() as m:
+        m.setattr(lifelong, "find_path_cost_to_go",
+                  lambda *args, **kwargs: find_path_cost_to_go(
+                      *args, stats=stats, **kwargs))
+        for variant in ("cut+usage", "cut+usage+temporal"):
+            fields = FieldCache(grid)
+            chains = [lifelong.truncate_goal_list(s, [g], 3, fields.dist)
+                      for s, g in tasks]
+            paths += lifelong.apply_horizon_cut(
+                grid, chains, lifelong.config_for_variant(variant, 3, 8),
+                fields, 1)
+            reads.append(stats.evaluations)
+    return paths, reads
+
+
+def test_kernels_read_the_table_inline(monkeypatch):
+    # the kernels read the id-keyed counts themselves, one read per move:
+    # with `UsageTable.penalty` made to raise, every planner still plans the
+    # same paths with the same number of reads
+    paths, reads = _plans_and_reads(monkeypatch)
+    assert all(reads)
+
+    def raising(self, frm, to, t=0):
+        raise AssertionError("a search called UsageTable.penalty")
+
+    monkeypatch.setattr(UsageTable, "penalty", raising)
+    assert _plans_and_reads(monkeypatch) == (paths, reads)
+
+
 def test_prefix_search_stops_at_depth():
     grid = GridMap(9, 9)
     field = distance_field(grid, (8, 8))
-    path = find_path_cost_to_go(grid, (0, 0), (8, 8), empty_table(), field,
+    path = find_path_cost_to_go(grid, (0, 0), (8, 8), empty_table(grid), field,
                                 SearchConfig(tie_break_seed=1), stop_depth=5)
     assert len(path) - 1 == 5
     assert field[path[-1]] == 16 - 5
