@@ -20,8 +20,8 @@ from typing import NamedTuple
 from .grid import BLOCKED, Cell, DistanceField, FieldCache, GridMap, distance_field
 from .metrics import makespan, sum_of_cost, throughput
 from .oneshot import MppInstance, lower_bounds
-from .search import (InstanceError, NoPathError, PlanningError, SearchConfig,
-                     _fold, _mix, _Reservations, _unwind, find_path_cost_to_go,
+from .search import (InstanceError, NoPathError, PlanningError, _fold, _mix,
+                     _Reservations, _unwind, find_path_cost_to_go,
                      plan_prioritized)
 from .usage import Path, UsageParams, UsageTable
 
@@ -140,13 +140,13 @@ def horizon_cut_index(leg_len: int, total_dist: int, h: int) -> int:
     return min(leg_len, h - (total_dist - leg_len) + 1)
 
 
-def _shortest_leg_path(grid: GridMap, start: Cell, dfield: DistanceField,
-                       steps: int) -> Path:
+def _shortest_leg_path(start: Cell, dfield: DistanceField, steps: int) -> Path:
     """The first `steps` steps of the deterministic greedy walk down the
     distance field: at each step the first neighbour in NEIGHBOR_STEPS order
     one closer to the goal.  The walk stops early at the goal.  Looking up
     `start` labels every shortest path from it, so the walk reads labels
     and never grows the field."""
+    grid = dfield.grid
     stride, cell_at = grid.stride, grid.cell_at
     labels = dfield.labels
     v = grid.cell_id(start)
@@ -196,12 +196,12 @@ def apply_horizon_cut(grid: GridMap, chains: list[tuple[list[Cell], int]],
         if table is not None:
             # only the prefix up to the cut matters, and bounding the search
             # depth keeps long legs on large maps cheap
-            scfg = SearchConfig("cost_to_go", _mix(cfg.seed, cycle_seed, i))
-            leg_path = find_path_cost_to_go(grid, leg_start, leg_end, table,
-                                            dfield, scfg, stop_depth=idx)
+            leg_path = find_path_cost_to_go(leg_start, table, dfield,
+                                            _mix(cfg.seed, cycle_seed, i),
+                                            stop_depth=idx)
             table.add_path(leg_path)
         else:
-            leg_path = _shortest_leg_path(grid, leg_start, dfield, idx)
+            leg_path = _shortest_leg_path(leg_start, dfield, idx)
         targets.append(chain[1:-1] + [leg_path[-1]])
     return targets
 

@@ -189,8 +189,8 @@ def default_resolver_prioritized(grid: GridMap, initial_paths: list[Path],
             path = None
             if goal_free_from != -2:
                 path, states = _layered_plan(
-                    grid, ids[0], ids[-1], fields(initial_paths[i][-1]),
-                    reservations, bound, goal_free_from, _mix(seed, i))
+                    ids[0], fields(initial_paths[i][-1]), reservations, bound,
+                    goal_free_from, _mix(seed, i))
                 stats.resolver_expansions += states
             if path is None:
                 stats.resolver_restarts = attempt

@@ -224,20 +224,20 @@ class _Reservations:
         return self._last.get(v, -1) + 1
 
 
-def _layered_plan(grid: GridMap, start: int, goal: int, dfield: DistanceField,
+def _layered_plan(start: int, dfield: DistanceField,
                   reservations: _Reservations, bound: int, goal_free_from: int,
                   seed: int) -> tuple[list[int] | None, int]:
     """The path of the one-shot resolver's space-time A*, from bit-mask
     layers, or None; and the number of (id, step) states in the layers.
 
-    `start`, `goal` and the returned path are padded ids, and bit v of a
-    mask stands for id v.  Layer t holds every id the robot can stand on at
-    step t; the next layer is its four shifts and itself, cleared of
-    blocked ids, reserved and rested-on ids, and of moves that swap with a
-    reserved move.  The A*'s terminal is the goal in the first layer t >=
-    `goal_free_from` that holds it, so f* = t; there is none when a layer
-    is empty or t passes `bound`.  Its h is the distance to the goal in
-    `dfield`, the goal's field.
+    `dfield` is the goal's field.  `start` and the returned path are
+    padded ids of its map, and bit v of a mask stands for id v.  Layer t
+    holds every id the robot can stand on at step t; the next layer is its
+    four shifts and itself, cleared of blocked ids, reserved and rested-on
+    ids, and of moves that swap with a reserved move.  The A*'s terminal is
+    the goal in the first layer t >= `goal_free_from` that holds it, so f*
+    = t; there is none when a layer is empty or t passes `bound`.  Its h is
+    the distance to the goal in `dfield`.
 
     The A* pops a state before the terminal exactly when its f = t + h is
     at most f* (and t < f*), since h is consistent.  It gives a state its
@@ -248,6 +248,8 @@ def _layered_plan(grid: GridMap, start: int, goal: int, dfield: DistanceField,
     grows the field only for a label still FREE.
     """
     reservations._index()
+    grid = dfield.grid
+    goal = grid.cell_id(dfield.goal)
     stride = grid.stride
     passable = grid.passable_mask
     steps = (1, -1, stride, -stride)
@@ -342,12 +344,11 @@ def plan_prioritized(size: int, base_order: list[int], plan_one,
 _UNSEEN = float("inf")  # above every f
 
 
-def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
-                         table: UsageTable, dfield: DistanceField,
-                         cfg: SearchConfig | None = None,
-                         stats: SearchStats | None = None,
+def find_path_cost_to_go(start: Cell, table: UsageTable, dfield: DistanceField,
+                         seed: int = 0, stats: SearchStats | None = None,
                          stop_depth: int | None = None) -> Path:
-    """Shortest path with the usage penalty as a heuristic tie-breaker.
+    """Shortest path to the goal of `dfield` with the usage penalty as a
+    heuristic tie-breaker.
 
     A* over the cells of the shortest-path DAG, with no wait move: on a
     temporal table a cell's step is its distance from the start, and the
@@ -360,28 +361,32 @@ def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
     path has the least largest move penalty of all shortest paths.  With
     stop_depth set, the search instead returns the best shortest-path prefix
     of that many steps, which keeps the cost bounded when only the first
-    stretch of a long route matters.
+    stretch of a long route matters.  The search reads the map and the
+    goal from `dfield`; a `table` built on a map of another shape, whose
+    keys name other cells, raises ValueError.
     """
     if stats is None:
         stats = SearchStats()
+    grid, labels = dfield.grid, dfield.labels
+    size = len(labels)
+    if table.size != size or table.grid.width != grid.width:
+        raise ValueError("usage table built on a map of another shape")
     base = dfield.get(start)
     if base is None:
-        raise NoPathError(f"no path from {start} to {goal}")
-    seed = (cfg or SearchConfig()).tie_break_seed
-    depth_end = -1 if stop_depth is None else base - stop_depth
+        raise NoPathError(f"no path from {start} to {dfield.goal}")
+    # the goal is the one cell at distance 0
+    depth_end = 0 if stop_depth is None else max(0, base - stop_depth)
 
     # a state is a padded id below size; on a temporal table the step of id
     # v is base - labels[v], so the step adds nothing to its tie.  The
-    # penalty is `table.penalty`'s, read from the id-keyed counts.
+    # penalty of a move to v is (vw * claims on v + ew * claims on the move
+    # back) / num_robots, read from the id-keyed counts.
     cell_at = grid.cell_at
-    size = len(cell_at)
     stride = grid.stride
-    labels = dfield.labels
     params = table.params
     vw, ew, num_robots = params.vertex_weight, params.edge_weight, params.num_robots
     temporal, wa, wb = params.temporal, params.window_after, params.window_before
     vertex, edge = table.vertex, table.edge
-    goal_id = grid.cell_id(goal)
     salt = _mix(seed)
     start_id = grid.cell_id(start)
     parents = {start_id: None}
@@ -396,7 +401,7 @@ def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
             continue  # a stale queue entry, or closed
         best[v] = -1.0
         expansions += 1
-        if v == goal_id or h <= depth_end:
+        if h <= depth_end:
             found = v
             break
         # dfield.get(start) labelled every shortest path from the start
@@ -427,15 +432,15 @@ def find_path_cost_to_go(grid: GridMap, start: Cell, goal: Cell,
     stats.generated += generated
     stats.penalty_bound_violations += violations
     if found is None:
-        raise NoPathError(f"no path from {start} to {goal}")
+        raise NoPathError(f"no path from {start} to {dfield.goal}")
     return [cell_at[u] for u in _unwind(parents, found, size)]
 
 
-def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
-                           table: UsageTable, dfield: DistanceField,
-                           cfg: SearchConfig | None = None,
+def find_path_cost_to_come(start: Cell, table: UsageTable,
+                           dfield: DistanceField, seed: int = 0,
                            stats: SearchStats | None = None) -> Path:
-    """Shortest path with the least summed usage penalty along it.
+    """Shortest path to the goal of `dfield` with the least summed usage
+    penalty along it.
 
     A sweep over the shortest-path DAG from the start, one distance level
     at a time: each reached cell keeps the least penalty sum over the moves
@@ -445,18 +450,19 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
     of the cell it arrives at, base - its label.  Every path compared is a
     shortest path, so the sum needs no scaling and carries no step count.
     `expansions` counts the reached cells, `generated` the moves that
-    lowered a sum.
+    lowered a sum.  Map, goal and table as in `find_path_cost_to_go`.
     """
     if stats is None:
         stats = SearchStats()
+    grid, labels = dfield.grid, dfield.labels
+    size = len(labels)
+    if table.size != size or table.grid.width != grid.width:
+        raise ValueError("usage table built on a map of another shape")
     base = dfield.get(start)
     if base is None:
-        raise NoPathError(f"no path from {start} to {goal}")
-    seed = (cfg or SearchConfig()).tie_break_seed
+        raise NoPathError(f"no path from {start} to {dfield.goal}")
     cell_at = grid.cell_at
-    size = len(cell_at)
     stride = grid.stride
-    labels = dfield.labels
     params = table.params
     vw, ew, num_robots = params.vertex_weight, params.edge_weight, params.num_robots
     temporal, wa, wb = params.temporal, params.window_after, params.window_before
@@ -479,7 +485,7 @@ def find_path_cost_to_come(grid: GridMap, start: Cell, goal: Cell,
             for v in (u + 1, u - 1, u + stride, u - stride):
                 if labels[v] != h:
                     continue
-                # `table.penalty`'s expression, read from the id-keyed counts
+                # the penalty of `find_path_cost_to_go`, read the same way
                 vcount = vertex.get(v, 0)
                 ecount = edge.get(v * size + u, 0)
                 if temporal:
@@ -554,8 +560,9 @@ def plan_independent_paths(grid: GridMap, tasks: list[tuple[Cell, Cell]],
     alternative shortest routes, must then stack on.  Later passes see every
     other path, and all three orders reach the same peak by about r=5.
     iterations == 0 plans plain shortest paths with seeded random
-    tie-breaking and no table.  Paths return in input order.  `fields` is
-    the map's field cache, such as one a caller shares with later phases.
+    tie-breaking, against the empty table.  Paths return in input order.
+    `fields` is the map's field cache, such as one a caller shares with
+    later phases.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
@@ -579,21 +586,18 @@ def plan_independent_paths(grid: GridMap, tasks: list[tuple[Cell, Cell]],
 
     def search(i: int, table: UsageTable) -> Path:
         s, g = tasks[i]
-        robot_cfg = SearchConfig(cfg.mode, _mix(cfg.tie_break_seed, i))
+        seed = _mix(cfg.tie_break_seed, i)
         if cfg.mode == "cost_to_come":
-            return find_path_cost_to_come(grid, s, g, table, fields(g),
-                                          robot_cfg, stats)
-        return find_path_cost_to_go(grid, s, g, table, fields(g), robot_cfg, stats)
+            return find_path_cost_to_come(s, table, fields(g), seed, stats)
+        return find_path_cost_to_go(s, table, fields(g), seed, stats)
 
     paths: list[Path | None] = [None] * n
+    table = UsageTable(grid, params)
     if iterations == 0:
-        empty = UsageTable(grid, replace(params, window_before=0,
-                                         window_after=0, temporal=False))
         for i in sequence:
-            paths[i] = search(i, empty)
+            paths[i] = search(i, table)
         return paths  # type: ignore[return-value]
 
-    table = UsageTable(grid, params)
     for it in range(iterations):
         for i in sequence:
             if paths[i] is not None:

@@ -1,14 +1,16 @@
 """Shared-space usage accounting for decoupled multi-robot planning.
 
 A UsageTable counts how many already-planned paths occupy each vertex and each
-directed edge, either aggregated over time or per time step.  Its `penalty` is
-a sub-unit surcharge that steers a robot away from cells and head-to-head
-edges other robots have claimed, without ever trading away path length.
+directed edge, either aggregated over time or per time step.  It only
+stores: the two search kernels of `spreadplan.search` read its counts inline,
+one read per move, as the usage penalty of a move from u to v, (vertex_weight
+* claims on v + edge_weight * claims on the move v -> u) / num_robots.  That
+sub-unit surcharge steers a robot away from cells and head-to-head edges
+other robots have claimed, without ever trading away path length.
 
 The table keys on the padded cell ids of its map (see `spreadplan.grid`),
-the ids the searches work on, while its methods take (x, y) cells.  The two
-search kernels read the counts by id and compute the penalty inline, one
-read per move, with the same float expression as `penalty`.
+the ids the searches work on, while `add_path` and `remove_path` take
+(x, y) cells.
 
 A temporal table stores each occupancy once, as a step in a sorted list per
 cell or directed edge, and counts the occupancies whose window covers a step
@@ -18,7 +20,7 @@ inserts, however wide the window.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .grid import Cell, GridMap
@@ -72,10 +74,10 @@ class UsageTable:
     under each key.  A temporal table keeps, under the same keys, the sorted
     steps at which a path occupies the cell or arrives over the edge; an
     occupancy at step s counts at every t >= 0 with s - window_before <= t
-    <= s + window_after.  The methods take (x, y) cells; the search kernels
-    read `vertex` and `edge` by id.  Mutated in place by add/remove so a
-    planning loop can swap one robot's path without rebuilding; remove is
-    the exact inverse of add.
+    <= s + window_after.  `add_path` and `remove_path` take (x, y) cells;
+    the search kernels read `vertex` and `edge` by id.  Mutated in place by
+    add/remove so a planning loop can swap one robot's path without
+    rebuilding; remove is the exact inverse of add.
     """
 
     def __init__(self, grid: GridMap, params: UsageParams) -> None:
@@ -144,37 +146,3 @@ class UsageTable:
             return cell_at[key]
         a, b = divmod(key, self.size)
         return cell_at[a], cell_at[b]
-
-    def penalty(self, frm: Cell, to: Cell, t: int = 0) -> float:
-        """Surcharge for arriving at `to` from `frm` at time t.
-
-        The vertex term counts claims on the destination; the edge term counts
-        robots traversing the opposite direction (to -> frm), i.e. head-to-head
-        exposure.  Wait moves have no edge term, since no path claims one.
-        Aggregate tables ignore t.  The search kernels compute the same
-        expression from `vertex` and `edge` inline.
-        """
-        params = self.params
-        u, v = self.grid.cell_id(frm), self.grid.cell_id(to)
-        vcount = self.vertex.get(v, 0)
-        ecount = self.edge.get(v * self.size + u, 0)
-        if params.temporal:
-            if t < 0:
-                return 0.0
-            lo, hi = t - params.window_after, t + params.window_before
-            vcount = vcount and bisect_right(vcount, hi) - bisect_left(vcount, lo)
-            ecount = ecount and bisect_right(ecount, hi) - bisect_left(ecount, lo)
-        return (params.vertex_weight * vcount
-                + params.edge_weight * ecount) / params.num_robots
-
-    def vertex_count(self, cell: Cell, t: int | None = None) -> int:
-        """Claims on `cell`; a temporal table counts those at step t (0 when
-        omitted)."""
-        held = self.vertex.get(self.grid.cell_id(cell), 0)
-        if not self.params.temporal:
-            return held
-        t = 0 if t is None else t
-        if not held or t < 0:
-            return 0
-        return (bisect_right(held, t + self.params.window_before)
-                - bisect_left(held, t - self.params.window_after))

@@ -12,7 +12,7 @@ from spreadplan import lifelong
 from spreadplan.grid import (BLOCKED, NEIGHBOR_STEPS, FieldCache, GridMap,
                              MapParseError, distance_field)
 from spreadplan.oneshot import Conflict, ResolverError, SolveStats
-from spreadplan.search import (RESTARTS, SearchConfig, _fold, _mix, _unwind,
+from spreadplan.search import (RESTARTS, _fold, _mix, _unwind,
                                find_path_cost_to_go)
 from spreadplan.usage import (Cell, Path, UsageParams, UsageTable,
                               UsageUnderflowError)
@@ -127,8 +127,7 @@ def random_shortest_path(grid: GridMap, rng: random.Random):
         dfield = distance_field(grid, b)
         if a in dfield:
             empty = UsageTable(grid, UsageParams(1.0, 0.0, num_robots=1))
-            cfg = SearchConfig(tie_break_seed=rng.randrange(1 << 30))
-            return find_path_cost_to_go(grid, a, b, empty, dfield, cfg)
+            return find_path_cost_to_go(a, empty, dfield, rng.randrange(1 << 30))
     raise RuntimeError("could not sample a connected pair")
 
 
@@ -589,3 +588,13 @@ class ReferenceUsageTable:
         if self.params.temporal:
             return self.vertex_use.get((cell[0], cell[1], 0 if t is None else t), 0)
         return self.vertex_use.get(cell, 0)
+
+
+def reference_table(paths: list[Path], params: UsageParams) -> ReferenceUsageTable:
+    """A reference table holding every path, added in order: the claims of
+    `usage_table(grid, paths, params)`, for oracles that share no code with
+    the search kernels' reads."""
+    table = ReferenceUsageTable(params=params)
+    for path in paths:
+        table.add_path(path)
+    return table

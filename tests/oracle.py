@@ -4,17 +4,18 @@ Enumerates every shortest path between two cells by walking the BFS-distance
 DAG, then minimizes conflict objectives over the enumeration.  Used by tests
 to check that the guided searches return exactly the paths they promise.
 Also the per-path overlap and penalty measures that only this oracle and
-the tests read.
+the tests read.  The tables they read are `helpers.ReferenceUsageTable`s,
+which share no code with the counts the search kernels read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from helpers import neighbors
+from helpers import ReferenceUsageTable, neighbors
 from spreadplan.grid import Cell, GridMap, distance_field
 from spreadplan.metrics import _image_counts
-from spreadplan.usage import Path, UsageTable
+from spreadplan.usage import Path
 
 
 class TooManyPathsError(RuntimeError):
@@ -56,7 +57,7 @@ def enumerate_shortest_paths(grid: GridMap, start: Cell, goal: Cell,
     return PathEnumeration(start, goal, paths)
 
 
-def min_objective(enumeration: PathEnumeration, table: UsageTable,
+def min_objective(enumeration: PathEnumeration, table: ReferenceUsageTable,
                   objective: str) -> tuple[int, Path]:
     """Exact minimum of a conflict objective over every enumerated path.
 
@@ -83,7 +84,7 @@ def min_objective(enumeration: PathEnumeration, table: UsageTable,
     return best_value, best_path
 
 
-def peak_vertex_overlap(path: Path, table: UsageTable) -> int:
+def peak_vertex_overlap(path: Path, table: ReferenceUsageTable) -> int:
     """Worst usage count over the path's interior cells (endpoints excluded).
 
     The table should be built from the *other* robots' paths; temporal tables
@@ -102,13 +103,13 @@ def pairwise_overlap(path: Path, others: list[Path]) -> int:
     return sum(counts[v] for v in set(path))
 
 
-def path_penalty(path: Path, table: UsageTable) -> float:
+def path_penalty(path: Path, table: ReferenceUsageTable) -> float:
     """The summed penalty of `path`, each move read at its arrival step."""
     return sum(table.penalty(path[t - 1], path[t], t)
                for t in range(1, len(path)))
 
 
-def worst_move(path: Path, table: UsageTable) -> float:
+def worst_move(path: Path, table: ReferenceUsageTable) -> float:
     """The largest penalty of a move of `path`, read at its arrival step."""
     return max(table.penalty(path[t - 1], path[t], t)
                for t in range(1, len(path)))

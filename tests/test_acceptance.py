@@ -9,12 +9,14 @@ component.
 
 import os
 import random
+import re
 import time
+from pathlib import Path
 
 import pytest
 
 from helpers import (build_prior_paths, neighbors, pairwise_conflicts,
-                     usage_table)
+                     reference_table, usage_table)
 from oracle import (enumerate_shortest_paths, min_objective, path_penalty,
                     peak_vertex_overlap, worst_move)
 from spreadplan import metrics
@@ -30,6 +32,7 @@ from spreadplan.search import (SearchConfig, SearchStats,
 from spreadplan.usage import UsageParams
 
 SHARED_SEARCH_STATS = SearchStats()
+README = Path(__file__).resolve().parent.parent / "README.md"
 _batch_cache = {}
 
 
@@ -69,11 +72,9 @@ def test_01_shortest_length_preserved_in_both_modes():
                              rng.randint(0, 4) if temporal else 0,
                              temporal, n)
         table = usage_table(grid, priors, params)
-        p1 = find_path_cost_to_go(grid, s, g, table, field,
-                                  SearchConfig(tie_break_seed=case_seed),
+        p1 = find_path_cost_to_go(s, table, field, case_seed,
                                   SHARED_SEARCH_STATS)
-        p2 = find_path_cost_to_come(grid, s, g, table, field,
-                                    SearchConfig("cost_to_come", case_seed),
+        p2 = find_path_cost_to_come(s, table, field, case_seed,
                                     SHARED_SEARCH_STATS)
         good += (len(p1) - 1 == field[s])
         good += (len(p2) - 1 == field[s])
@@ -89,8 +90,8 @@ def _oracle_cases(mode, objective, count=500):
     brute-force minimum of `objective`; then on the same priors as a 0.5/0.5
     aggregate table and as a 0.5/0.5 temporal one, against the brute-force
     minimum of the kernel's own objective: cost_to_go's worst move penalty,
-    cost_to_come's summed penalty.  Returns the matched and total counts of
-    both."""
+    cost_to_come's summed penalty.  The minima read reference tables of the
+    same priors.  Returns the matched and total counts of both."""
     rng = random.Random(2002 if mode == "cost_to_go" else 3003)
     # the temporal windows come from a stream apart, so the cases stay as drawn
     windows = random.Random(2003 if mode == "cost_to_go" else 3004)
@@ -107,38 +108,33 @@ def _oracle_cases(mode, objective, count=500):
         if s not in field:
             continue
         priors = build_prior_paths(grid, rng, rng.randint(0, 6))
-        table = usage_table(grid, priors,
-                            UsageParams(1.0, 0.0, num_robots=len(priors) + 1))
+        params = UsageParams(1.0, 0.0, num_robots=len(priors) + 1)
+        table = usage_table(grid, priors, params)
+        ref = reference_table(priors, params)
         enum = enumerate_shortest_paths(grid, s, g)
-        best, _ = min_objective(enum, table, objective)
+        best, _ = min_objective(enum, ref, objective)
         if mode == "cost_to_go":
-            path = find_path_cost_to_go(grid, s, g, table, field,
-                                        SearchConfig(tie_break_seed=case_seed),
+            path = find_path_cost_to_go(s, table, field, case_seed,
                                         SHARED_SEARCH_STATS)
-            value = peak_vertex_overlap(path, table)
+            value = peak_vertex_overlap(path, ref)
         else:
-            path = find_path_cost_to_come(grid, s, g, table, field,
-                                          SearchConfig("cost_to_come", case_seed),
+            path = find_path_cost_to_come(s, table, field, case_seed,
                                           SHARED_SEARCH_STATS)
-            value = sum(table.vertex_count(v) for v in set(path))
+            value = sum(ref.vertex_count(v) for v in set(path))
         matched += (value == best)
         total += 1
         n = len(priors) + 1
         window = (windows.randint(0, 2), windows.randint(0, 3))
         for params in (UsageParams(0.5, 0.5, num_robots=n),
                        UsageParams(0.5, 0.5, *window, True, n)):
-            claims = usage_table(grid, priors, params)
-            if mode == "cost_to_go":
-                path = find_path_cost_to_go(
-                    grid, s, g, claims, field,
-                    SearchConfig(tie_break_seed=case_seed), SHARED_SEARCH_STATS)
-            else:
-                path = find_path_cost_to_come(
-                    grid, s, g, claims, field,
-                    SearchConfig("cost_to_come", case_seed), SHARED_SEARCH_STATS)
-            least = min(objective_of_mode(p, claims) for p in enum.paths)
+            kernel = (find_path_cost_to_go if mode == "cost_to_go"
+                      else find_path_cost_to_come)
+            path = kernel(s, usage_table(grid, priors, params), field,
+                          case_seed, SHARED_SEARCH_STATS)
+            ref = reference_table(priors, params)
+            least = min(objective_of_mode(p, ref) for p in enum.paths)
             weighted_matched += (len(path) - 1 == field[s] and abs(
-                objective_of_mode(path, claims) - least) <= 1e-9)
+                objective_of_mode(path, ref) - least) <= 1e-9)
             weighted_total += 1
     return matched, total, weighted_matched, weighted_total
 
@@ -251,13 +247,23 @@ def test_07_curve_stabilizes_and_ordering_helps():
     non_increasing = all(b <= a for a, b in zip(normalized, normalized[1:]))
     stabilized = abs(normalized[4] - normalized[8]) <= 0.05
     ordering = asc_r1 < random_r1
+    means = {"desc": f"{desc_r1 / 30:.2f}", "random": f"{random_r1 / 30:.2f}",
+             "asc": f"{asc_r1 / 30:.2f}"}
+    # README quotes the three means, in its prose and its commands
+    readme = " ".join(README.read_text(encoding="utf-8").split())
+    quoted = dict(re.findall(r"--order (\w+) --out o\.csv # mean r1 ([\d.]+)",
+                             readme))
+    documented = quoted == means and (
+        f"{means['desc']} longest-first (the default), {means['random']} random "
+        f"and {means['asc']} shortest-first") in readme
     report(7, "curve stabilizes and distance ordering helps",
-           non_increasing and stabilized and ordering,
+           non_increasing and stabilized and ordering and documented,
            f"non-increasing={non_increasing}, "
            f"r4->r8 delta={abs(normalized[4] - normalized[8]):.4f}<=0.05, "
-           f"one-pass peak shortest-first {asc_r1 / 30:.2f} vs random "
-           f"{random_r1 / 30:.2f}: {'better' if ordering else 'NOT better'} "
-           f"(longest-first {desc_r1 / 30:.2f})")
+           f"one-pass peak shortest-first {means['asc']} vs random "
+           f"{means['random']}: {'better' if ordering else 'NOT better'} "
+           f"(longest-first {means['desc']}); README quotes these means: "
+           f"{documented} ({quoted})")
 
 
 def warehouse_batch():

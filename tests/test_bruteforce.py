@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import usage_table
+from helpers import reference_table
 from oracle import (PathEnumeration, TooManyPathsError,
                     enumerate_shortest_paths, min_objective)
 from spreadplan.grid import GridMap
@@ -38,7 +38,7 @@ def test_enumerate_unreachable():
 
 def test_min_objective_empty_table():
     enum = enumerate_shortest_paths(GridMap(3, 3), (0, 0), (2, 2))
-    table = usage_table(GridMap(3, 3), [], UsageParams())
+    table = reference_table([], UsageParams())
     assert min_objective(enum, table, "peak")[0] == 0
     assert min_objective(enum, table, "total")[0] == 0
 
@@ -47,8 +47,8 @@ def test_min_objective_loaded_diagonal():
     # load the diagonal of a 3x3 grid; the two paths hugging the border skip
     # the loaded center, so best interior peak is 0 (hand-checked over all 6)
     grid = GridMap(3, 3)
-    table = usage_table(grid, [[(0, 0)], [(1, 1)], [(2, 2)]],
-                        UsageParams(num_robots=4))
+    table = reference_table([[(0, 0)], [(1, 1)], [(2, 2)]],
+                            UsageParams(num_robots=4))
     enum = enumerate_shortest_paths(grid, (0, 0), (2, 2))
     peak, witness = min_objective(enum, table, "peak")
     assert peak == 0
@@ -62,7 +62,7 @@ def test_min_objective_loaded_diagonal():
 def test_min_objective_single_path():
     grid = GridMap(4, 1)
     enum = enumerate_shortest_paths(grid, (0, 0), (3, 0))
-    table = usage_table(grid, [[(1, 0)], [(1, 0)]], UsageParams(num_robots=3))
+    table = reference_table([[(1, 0)], [(1, 0)]], UsageParams(num_robots=3))
     value, witness = min_objective(enum, table, "peak")
     assert value == 2
     assert witness == enum.paths[0]
@@ -70,7 +70,7 @@ def test_min_objective_single_path():
 
 def test_min_objective_unknown():
     enum = PathEnumeration((0, 0), (0, 0), [[(0, 0)]])
-    table = usage_table(GridMap(1, 1), [], UsageParams())
+    table = reference_table([], UsageParams())
     with pytest.raises(ValueError):
         min_objective(enum, table, "nope")
 
@@ -79,8 +79,8 @@ def test_min_objective_total_rejects_temporal_table():
     # a temporal table counts claims per step, so a summed count over the
     # path image has no step to read at
     enum = enumerate_shortest_paths(GridMap(3, 3), (0, 0), (2, 2))
-    table = usage_table(GridMap(3, 3), [[(1, 1), (1, 1)]],
-                        UsageParams(window_after=2, temporal=True))
+    table = reference_table([[(1, 1), (1, 1)]],
+                            UsageParams(window_after=2, temporal=True))
     assert min_objective(enum, table, "peak")[0] == 0
     with pytest.raises(ValueError, match="aggregate"):
         min_objective(enum, table, "total")

@@ -284,7 +284,7 @@ def test_usage_guided_targets_spread_crossing_robots():
         chains = [([positions[i], goals[i]], cache.dist(positions[i], goals[i]))
                   for i in range(2)]
         cfg = config_for_variant("cut", h=h, seed=3)
-        legs = [_leg(grid, cache, positions[i], goals[i]) for i in range(2)]
+        legs = [_leg(cache, positions[i], goals[i]) for i in range(2)]
         second_legs.append(legs)
     plain_next, guided_next = second_legs
     # after the blind cut the robots sit head-on in one row; after the
@@ -293,10 +293,10 @@ def test_usage_guided_targets_spread_crossing_robots():
     assert sum(timed_conflicts(guided_next)) == 0
 
 
-def _leg(grid, cache, start, goal):
+def _leg(cache, start, goal):
     from spreadplan.lifelong import _shortest_leg_path
     field = cache(goal)
-    return _shortest_leg_path(grid, start, field, field[start])
+    return _shortest_leg_path(start, field, field[start])
 
 
 def test_shortest_leg_path_reads_labels_without_growing_the_field():
@@ -312,7 +312,7 @@ def test_shortest_leg_path_reads_labels_without_growing_the_field():
         d = field[start]
         labelled = len(field)
         steps = rng.randint(1, d)
-        path = lifelong._shortest_leg_path(grid, start, field, steps)
+        path = lifelong._shortest_leg_path(start, field, steps)
         assert len(field) == labelled
         exact = eager_bfs(grid, goal)
         walk = [start]

@@ -1,14 +1,12 @@
 import random
 
 from helpers import (build_prior_paths, pairwise_conflicts, random_walks,
-                     usage_table)
+                     reference_table)
 from oracle import pairwise_overlap, peak_vertex_overlap
 from spreadplan import metrics
-from spreadplan.grid import GridMap, generate_random_grid
+from spreadplan.grid import generate_random_grid
 from spreadplan.oneshot import validate_solution
 from spreadplan.usage import UsageParams
-
-GRID = GridMap(10, 10)  # holds every cell the hand-written tables claim
 
 
 def test_path_length_strips_trailing_rest():
@@ -31,29 +29,29 @@ def test_throughput():
 
 
 def test_peak_vertex_overlap_interior_only():
-    table = usage_table(GRID, [[(0, 0), (1, 0)], [(0, 0), (0, 1)],
-                               [(0, 0), (1, 0), (2, 0)]],
-                        UsageParams(num_robots=4))
+    table = reference_table([[(0, 0), (1, 0)], [(0, 0), (0, 1)],
+                             [(0, 0), (1, 0), (2, 0)]],
+                            UsageParams(num_robots=4))
     # conflicts sit on the path's first cell only, which never counts
     path = [(0, 0), (0, 1), (0, 2)]
     assert peak_vertex_overlap(path, table) == 1  # interior (0,1)
     assert peak_vertex_overlap([(9, 9), (9, 8)], table) == 0
     three_users = [(5, 5), (0, 0), (5, 6)]
-    table2 = usage_table(GRID, [[(0, 0)], [(0, 0)], [(0, 0)]],
-                         UsageParams(num_robots=4))
+    table2 = reference_table([[(0, 0)], [(0, 0)], [(0, 0)]],
+                             UsageParams(num_robots=4))
     assert peak_vertex_overlap(three_users, table2) == 3
 
 
 def test_peak_vertex_overlap_empty_table():
-    table = usage_table(GRID, [], UsageParams())
+    table = reference_table([], UsageParams())
     assert peak_vertex_overlap([(0, 0), (1, 0), (2, 0)], table) == 0
 
 
 def test_peak_vertex_overlap_temporal_reads_each_step():
     # (1, 0) is held at step 3, which a forward window of 1 stretches to 4
-    table = usage_table(GRID, [[(3, 0), (2, 0), (1, 1), (1, 0)]],
-                        UsageParams(window_after=1, temporal=True,
-                                    num_robots=2))
+    table = reference_table([[(3, 0), (2, 0), (1, 1), (1, 0)]],
+                            UsageParams(window_after=1, temporal=True,
+                                        num_robots=2))
     assert peak_vertex_overlap([(0, 0), (1, 0), (2, 0)], table) == 0
     late = [(0, 0), (0, 0), (0, 0), (0, 0), (1, 0), (2, 0)]
     assert peak_vertex_overlap(late, table) == 1
@@ -179,7 +177,7 @@ def test_peak_bounded_by_global_overlap():
         global_max = metrics.max_vertex_overlap(paths)
         for i, p in enumerate(paths):
             others = paths[:i] + paths[i + 1:]
-            table = usage_table(grid, others, UsageParams(num_robots=len(paths)))
+            table = reference_table(others, UsageParams(num_robots=len(paths)))
             assert peak_vertex_overlap(p, table) <= global_max
 
 

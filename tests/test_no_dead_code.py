@@ -1,9 +1,11 @@
 """Every top-level function and class in `spreadplan` is named somewhere
 other than its own definition: in the program (what `__init__` exports
-counts), the benchmark or `pyproject.toml`.  Every defaulted parameter of a
-top-level function is passed by some call in the program or the benchmark.
-Tests do not count: code that only tests name belongs in the tests, and
-code that nothing names is deleted, not kept."""
+counts), the benchmark or `pyproject.toml`.  Every method and property of
+its classes, dunders aside, is read as an attribute somewhere in the
+program or the benchmark outside its own definition.  Every defaulted
+parameter of a top-level function is passed by some call in the program or
+the benchmark.  Tests do not count: code that only tests name belongs in
+the tests, and code that nothing names is deleted, not kept."""
 
 import ast
 import re
@@ -42,6 +44,44 @@ def unnamed_definitions() -> list[str]:
 
 def test_every_definition_is_named_elsewhere():
     assert unnamed_definitions() == []
+
+
+# members read other than as an attribute, each with its reason
+UNREAD_MEMBERS_ALLOWED = {
+    # the bytes of the fields a cache holds, for the benchmark to report
+    "FieldCache.nbytes",
+    # perfbench reads it by the string "total_expansions"
+    "LifelongStats.total_expansions",
+}
+
+
+def unread_members() -> list[str]:
+    """Methods and properties of the program's classes, dunders aside, that
+    no attribute read outside their own definition names."""
+    reads = []  # (file, line, attribute name) of every attribute read
+    for f, text in _corpus().items():
+        if f.suffix == ".py":
+            reads += [(f, node.lineno, node.attr)
+                      for node in ast.walk(ast.parse(text))
+                      if isinstance(node, ast.Attribute)]
+    unread = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.parse(module.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        or node.name.startswith("__"):
+                    continue
+                if not any(attr == node.name and not (
+                        f == module and node.lineno <= line <= node.end_lineno)
+                        for f, line, attr in reads):
+                    unread.append(f"{cls.name}.{node.name}")
+    return unread
+
+
+def test_every_method_is_read_elsewhere():
+    assert sorted(set(unread_members()) - UNREAD_MEMBERS_ALLOWED) == []
 
 
 # the console entry point, whose argv only tests pass

@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from helpers import build_prior_paths, usage_table
-from spreadplan import lifelong
+from helpers import build_prior_paths, reference_table, usage_table
 from oracle import (enumerate_shortest_paths, min_objective,
                     pairwise_overlap, path_penalty, peak_vertex_overlap,
                     worst_move)
 from spreadplan import metrics
-from spreadplan.grid import (FieldCache, GridMap, distance_field,
-                             generate_instance, generate_random_grid)
+from spreadplan.grid import (GridMap, distance_field, generate_instance,
+                             generate_random_grid)
 from spreadplan.search import (InstanceError, NoPathError, SearchConfig,
                                SearchStats, _fold, _mix, find_path_cost_to_come,
                                find_path_cost_to_go, order_robots,
@@ -31,7 +30,7 @@ def assert_valid_path(grid, path, start, goal):
 def test_plain_search_on_empty_grid():
     grid = GridMap(3, 3)
     field = distance_field(grid, (2, 2))
-    path = find_path_cost_to_go(grid, (0, 0), (2, 2), empty_table(grid), field)
+    path = find_path_cost_to_go((0, 0), empty_table(grid), field)
     assert_valid_path(grid, path, (0, 0), (2, 2))
     assert len(path) - 1 == 4
 
@@ -40,35 +39,34 @@ def test_no_path_raises():
     grid = GridMap(3, 1, frozenset({(1, 0)}))
     field = distance_field(grid, (2, 0))
     with pytest.raises(NoPathError):
-        find_path_cost_to_go(grid, (0, 0), (2, 0), empty_table(grid), field)
+        find_path_cost_to_go((0, 0), empty_table(grid), field)
     with pytest.raises(NoPathError):
-        find_path_cost_to_come(grid, (0, 0), (2, 0), empty_table(grid), field)
+        find_path_cost_to_come((0, 0), empty_table(grid), field)
 
 
 def test_loaded_middle_row_keeps_length_and_matches_oracle():
     grid = GridMap(5, 5)
     prior = [[(x, 2) for x in range(5)]]
-    table = usage_table(grid, prior, UsageParams(1.0, 0.0, num_robots=2))
+    params = UsageParams(1.0, 0.0, num_robots=2)
+    ref = reference_table(prior, params)
     field = distance_field(grid, (4, 4))
-    path = find_path_cost_to_go(grid, (0, 0), (4, 4), table, field,
-                                SearchConfig(tie_break_seed=1))
+    path = find_path_cost_to_go((0, 0), usage_table(grid, prior, params), field, 1)
     assert len(path) - 1 == 8
     enum = enumerate_shortest_paths(grid, (0, 0), (4, 4))
-    best, _ = min_objective(enum, table, "peak")
+    best, _ = min_objective(enum, ref, "peak")
     assert best == 1  # the loaded row spans the grid, one touch is forced
-    assert peak_vertex_overlap(path, table) == 1
+    assert peak_vertex_overlap(path, ref) == 1
 
 
 def test_concentrated_load_is_avoided():
     grid = GridMap(5, 5)
     # three robots parked around the center; a clean shortest path exists
-    table = usage_table(grid, [[(2, 2)], [(2, 2)], [(2, 1)]],
-                        UsageParams(1.0, 0.0, num_robots=4))
+    parked = [[(2, 2)], [(2, 2)], [(2, 1)]]
+    params = UsageParams(1.0, 0.0, num_robots=4)
     field = distance_field(grid, (4, 4))
-    path = find_path_cost_to_go(grid, (0, 0), (4, 4), table, field,
-                                SearchConfig(tie_break_seed=5))
+    path = find_path_cost_to_go((0, 0), usage_table(grid, parked, params), field, 5)
     assert len(path) - 1 == 8
-    assert peak_vertex_overlap(path, table) == 0
+    assert peak_vertex_overlap(path, reference_table(parked, params)) == 0
 
 
 def test_vertex_information_scenario():
@@ -79,20 +77,19 @@ def test_vertex_information_scenario():
     blue = [(1, 0), (1, 1)]
     enum = enumerate_shortest_paths(grid, (0, 0), (2, 2))
 
-    vertex_table = usage_table(grid, [blue], UsageParams(1.0, 0.0, num_robots=2))
+    vertex_only = UsageParams(1.0, 0.0, num_robots=2)
+    vertex_table = reference_table([blue], vertex_only)
     peaks = sorted(peak_vertex_overlap(p, vertex_table)
                    for p in enum.paths)
     assert peaks[0] == 0 and peaks[-1] == 1  # vertex info discriminates
 
-    edge_table = usage_table(grid, [blue], UsageParams(0.0, 1.0, num_robots=2))
-    exposures = {max((edge_table.penalty(p[i], p[i + 1])
-                      for i in range(len(p) - 1)), default=0.0)
-                 for p in enum.paths}
+    edge_table = reference_table([blue], UsageParams(0.0, 1.0, num_robots=2))
+    exposures = {worst_move(p, edge_table) for p in enum.paths}
     assert exposures == {0.0}  # edge info alone cannot tell candidates apart
 
     field = distance_field(grid, (2, 2))
-    path = find_path_cost_to_go(grid, (0, 0), (2, 2), vertex_table, field,
-                                SearchConfig(tie_break_seed=2))
+    path = find_path_cost_to_go((0, 0), usage_table(grid, [blue], vertex_only),
+                                field, 2)
     assert peak_vertex_overlap(path, vertex_table) == 0
 
 
@@ -104,23 +101,19 @@ def test_edge_information_scenario():
     blue = [(2, 1), (1, 1), (0, 1)]
     enum = enumerate_shortest_paths(grid, (0, 0), (2, 2))
 
-    vertex_table = usage_table(grid, [blue], UsageParams(1.0, 0.0, num_robots=2))
+    vertex_table = reference_table([blue], UsageParams(1.0, 0.0, num_robots=2))
     peaks = {peak_vertex_overlap(p, vertex_table) for p in enum.paths}
     assert peaks == {1}  # vertex info alone ties
 
-    edge_table = usage_table(grid, [blue], UsageParams(0.0, 1.0, num_robots=2))
-
-    def headon(p):
-        return max((edge_table.penalty(p[i], p[i + 1])
-                    for i in range(len(p) - 1)), default=0.0)
-
-    exposures = sorted(headon(p) for p in enum.paths)
+    edge_only = UsageParams(0.0, 1.0, num_robots=2)
+    edge_table = reference_table([blue], edge_only)
+    exposures = sorted(worst_move(p, edge_table) for p in enum.paths)
     assert exposures[0] == 0.0 and exposures[-1] > 0.0  # edge info discriminates
 
     field = distance_field(grid, (2, 2))
-    path = find_path_cost_to_go(grid, (0, 0), (2, 2), edge_table, field,
-                                SearchConfig(tie_break_seed=3))
-    assert headon(path) == 0.0
+    path = find_path_cost_to_go((0, 0), usage_table(grid, [blue], edge_only),
+                                field, 3)
+    assert worst_move(path, edge_table) == 0.0
     assert len(path) - 1 == 4
 
 
@@ -133,7 +126,7 @@ def test_temporal_information_scenario():
     enum = enumerate_shortest_paths(grid, start, goal)
     assert len(enum.paths) == 3
 
-    aggregate = usage_table(grid, [orange], UsageParams(1.0, 0.0, num_robots=2))
+    aggregate = reference_table([orange], UsageParams(1.0, 0.0, num_robots=2))
     peaks = {peak_vertex_overlap(p, aggregate) for p in enum.paths}
     assert peaks == {1}  # without time stamps every candidate looks alike
 
@@ -142,8 +135,7 @@ def test_temporal_information_scenario():
 
     temporal = usage_table(grid, [orange], UsageParams(1.0, 0.0, 0, 0, True, 2))
     field = distance_field(grid, goal)
-    path = find_path_cost_to_go(grid, start, goal, temporal, field,
-                                SearchConfig(tie_break_seed=4))
+    path = find_path_cost_to_go(start, temporal, field, 4)
     assert len(path) - 1 == 3
     assert metrics.timed_conflicts([path, orange]) == (0, 0)
 
@@ -151,20 +143,18 @@ def test_temporal_information_scenario():
 def test_cost_to_come_empty_table_shortest():
     grid = GridMap(4, 4)
     field = distance_field(grid, (3, 3))
-    path = find_path_cost_to_come(grid, (0, 0), (3, 3), empty_table(grid), field)
+    path = find_path_cost_to_come((0, 0), empty_table(grid), field)
     assert len(path) - 1 == 6
     # on an empty table every sum ties, so the seed alone picks the path
     grid = GridMap(6, 6)
     field = distance_field(grid, (5, 5))
     paths = set()
     for seed in range(10):
-        cfg = SearchConfig("cost_to_come", seed)
-        path = find_path_cost_to_come(grid, (0, 0), (5, 5), empty_table(grid),
-                                      field, cfg)
+        path = find_path_cost_to_come((0, 0), empty_table(grid), field, seed)
         assert_valid_path(grid, path, (0, 0), (5, 5))
         assert len(path) - 1 == 10
-        assert find_path_cost_to_come(grid, (0, 0), (5, 5), empty_table(grid),
-                                      field, cfg) == path
+        assert find_path_cost_to_come((0, 0), empty_table(grid), field,
+                                      seed) == path
         paths.add(tuple(path))
     assert len(paths) >= 2
 
@@ -175,13 +165,11 @@ def test_search_counts_every_penalty_evaluation():
     grid = GridMap(3, 3)
     field = distance_field(grid, (2, 2))
     come = SearchStats()
-    find_path_cost_to_come(grid, (0, 0), (2, 2), empty_table(grid), field,
-                           SearchConfig("cost_to_come", 3), come)
+    find_path_cost_to_come((0, 0), empty_table(grid), field, 3, come)
     assert come.evaluations == 12
     assert come.expansions == 9  # every cell of the DAG is reached
     go = SearchStats()
-    find_path_cost_to_go(grid, (0, 0), (2, 2), empty_table(grid), field,
-                         SearchConfig(tie_break_seed=3), go)
+    find_path_cost_to_go((0, 0), empty_table(grid), field, 3, go)
     for stats in (come, go):
         assert stats.evaluations >= stats.generated > 0
 
@@ -195,8 +183,7 @@ def test_cost_to_come_prefers_lighter_corridor():
     priors = [left, list(left), right]
     table = usage_table(grid, priors, UsageParams(1.0, 0.0, num_robots=4))
     field = distance_field(grid, (1, 4))
-    path = find_path_cost_to_come(grid, (1, 0), (1, 4), table, field,
-                                  SearchConfig("cost_to_come", 1))
+    path = find_path_cost_to_come((1, 0), table, field, 1)
     assert (2, 2) in path  # took the right corridor
     assert pairwise_overlap(path, priors) == 11
 
@@ -207,23 +194,23 @@ def test_objectives_disagree_and_each_mode_wins_its_own():
     grid = GridMap(5, 5)
     rests = ([[(1, 2)]] + [[(1, 3)]] + [[(2, 3)]] + [[(2, 2)]] * 2
              + [[(3, 1)]] * 5)
-    table = usage_table(grid, rests, UsageParams(1.0, 0.0, num_robots=11))
+    params = UsageParams(1.0, 0.0, num_robots=11)
+    ref = reference_table(rests, params)
     start, goal = (1, 1), (3, 3)
     enum = enumerate_shortest_paths(grid, start, goal)
-    best_peak, _ = min_objective(enum, table, "peak")
-    best_total, _ = min_objective(enum, table, "total")
+    best_peak, _ = min_objective(enum, ref, "peak")
+    best_total, _ = min_objective(enum, ref, "total")
     assert best_peak == 1 and best_total == 2  # frozen from the enumeration
 
     field = distance_field(grid, goal)
-    go_path = find_path_cost_to_go(grid, start, goal, table, field,
-                                   SearchConfig(tie_break_seed=9))
-    come_path = find_path_cost_to_come(grid, start, goal, table, field,
-                                       SearchConfig("cost_to_come", 9))
-    go_total = sum(table.vertex_count(v) for v in set(go_path))
-    come_peak = peak_vertex_overlap(come_path, table)
-    assert peak_vertex_overlap(go_path, table) == 1
+    table = usage_table(grid, rests, params)
+    go_path = find_path_cost_to_go(start, table, field, 9)
+    come_path = find_path_cost_to_come(start, table, field, 9)
+    go_total = sum(ref.vertex_count(v) for v in set(go_path))
+    come_peak = peak_vertex_overlap(come_path, ref)
+    assert peak_vertex_overlap(go_path, ref) == 1
     assert go_total == 3  # pays more overlap to keep the worst cell light
-    assert sum(table.vertex_count(v) for v in set(come_path)) == 2
+    assert sum(ref.vertex_count(v) for v in set(come_path)) == 2
     assert come_peak == 2  # concentrates to keep the sum down
 
 
@@ -232,36 +219,36 @@ def check_oracle_case(grid, s, g, priors, window, seed, stats):
     shortest path: cost_to_go's worst interior cell on an aggregate and a
     temporal vertex-only table and its largest move penalty on tables that
     also weigh edges, and cost_to_come's summed overlap on that aggregate
-    table and its summed penalty on every kind of table."""
+    table and its summed penalty on every kind of table.  The minima read
+    reference tables of the same claims."""
     field = distance_field(grid, g)
     n = len(priors) + 1
-    table = usage_table(grid, priors, UsageParams(1.0, 0.0, num_robots=n))
-    mixed = usage_table(grid, priors, UsageParams(0.5, 0.5, num_robots=n))
-    # the same claims as temporal tables, read at each step
-    timed = usage_table(grid, priors, UsageParams(1.0, 0.0, *window, True, n))
-    timed_mixed = usage_table(grid, priors, UsageParams(0.5, 0.5, *window, True, n))
+    vertex, mixed, timed, timed_mixed = (
+        (usage_table(grid, priors, params), reference_table(priors, params))
+        for params in (UsageParams(1.0, 0.0, num_robots=n),
+                       UsageParams(0.5, 0.5, num_robots=n),
+                       # the same claims as temporal tables, read at each step
+                       UsageParams(1.0, 0.0, *window, True, n),
+                       UsageParams(0.5, 0.5, *window, True, n)))
     enum = enumerate_shortest_paths(grid, s, g)
-    for claims in (table, timed):
-        path = find_path_cost_to_go(grid, s, g, claims, field,
-                                    SearchConfig(tie_break_seed=seed), stats)
+    for claims, ref in (vertex, timed):
+        path = find_path_cost_to_go(s, claims, field, seed, stats)
         assert len(path) - 1 == field[s]
-        assert peak_vertex_overlap(path, claims) == \
-            min_objective(enum, claims, "peak")[0]
-    for claims in (mixed, timed_mixed):
-        path = find_path_cost_to_go(grid, s, g, claims, field,
-                                    SearchConfig(tie_break_seed=seed), stats)
+        assert peak_vertex_overlap(path, ref) == \
+            min_objective(enum, ref, "peak")[0]
+    for claims, ref in (mixed, timed_mixed):
+        path = find_path_cost_to_go(s, claims, field, seed, stats)
         assert len(path) - 1 == field[s]
-        assert worst_move(path, claims) == pytest.approx(
-            min(worst_move(p, claims) for p in enum.paths), abs=1e-9)
-    for claims in (table, mixed, timed, timed_mixed):
-        path = find_path_cost_to_come(grid, s, g, claims, field,
-                                      SearchConfig("cost_to_come", seed), stats)
+        assert worst_move(path, ref) == pytest.approx(
+            min(worst_move(p, ref) for p in enum.paths), abs=1e-9)
+    for claims, ref in (vertex, mixed, timed, timed_mixed):
+        path = find_path_cost_to_come(s, claims, field, seed, stats)
         assert len(path) - 1 == field[s]
-        assert path_penalty(path, claims) == pytest.approx(
-            min(path_penalty(p, claims) for p in enum.paths), abs=1e-9)
-        if claims is table:
-            assert sum(table.vertex_count(v) for v in set(path)) == \
-                min_objective(enum, table, "total")[0]
+        assert path_penalty(path, ref) == pytest.approx(
+            min(path_penalty(p, ref) for p in enum.paths), abs=1e-9)
+        if ref is vertex[1]:
+            assert sum(ref.vertex_count(v) for v in set(path)) == \
+                min_objective(enum, ref, "total")[0]
 
 
 def test_randomized_oracle_equivalence_both_modes():
@@ -314,12 +301,11 @@ def test_randomized_oracle_equivalence_both_modes():
         for params in (UsageParams(1.0, 0.0, num_robots=num_robots),
                        UsageParams(1.0, 0.0, *window, True, num_robots)):
             claims = usage_table(grid, priors, params)
-            path = find_path_cost_to_go(grid, s, g, claims, field,
-                                        SearchConfig(tie_break_seed=case),
-                                        over_stats)
+            ref = reference_table(priors, params)
+            path = find_path_cost_to_go(s, claims, field, case, over_stats)
             assert len(path) - 1 == field[s]
-            assert peak_vertex_overlap(path, claims) == \
-                min_objective(enum, claims, "peak")[0]
+            assert peak_vertex_overlap(path, ref) == \
+                min_objective(enum, ref, "peak")[0]
     assert over_stats.penalty_bound_violations > 0
 
 
@@ -334,78 +320,31 @@ def test_over_unit_penalties_buy_no_detour(temporal):
     start, goal = (0, 1), (4, 1)
     field = distance_field(grid, goal)
     stats = SearchStats()
-    paths = [find_path_cost_to_go(grid, start, goal, table, field,
-                                  SearchConfig(tie_break_seed=0), stats),
-             find_path_cost_to_come(grid, start, goal, table, field,
-                                    SearchConfig("cost_to_come", 0), stats)]
+    paths = [find_path_cost_to_go(start, table, field, 0, stats),
+             find_path_cost_to_come(start, table, field, 0, stats)]
     for path in paths:
         assert_valid_path(grid, path, start, goal)
         assert len(path) - 1 == field[start]
     assert stats.penalty_bound_violations > 0
 
 
-def _plans_and_reads(monkeypatch):
-    """Paths and penalty reads of every planner that reads a usage table:
-    both kernels on an aggregate vertex-only, an edge-weighted and a
-    temporal table, `plan_independent_paths` in both modes, and the
-    horizon cut of both usage variants."""
-    grid = generate_random_grid(12, 10, 0.1, 5)
-    rng = random.Random(6)
-    priors = build_prior_paths(grid, rng, 6)
-    tasks = [(s, gs[0]) for s, gs in generate_instance(grid, 8, 7)]
-    s, g = tasks[0]
-    field = distance_field(grid, g)
-    paths, reads = [], []
-    tables = (UsageParams(1.0, 0.0, num_robots=7),
-              UsageParams(0.5, 0.5, num_robots=7),
-              UsageParams(0.5, 0.5, 2, 15, True, 7))
-    for params in tables:
-        table = usage_table(grid, priors, params)
+def test_a_table_built_on_another_map_raises():
+    # the kernels read the table by the ids of the field's map; a table of a
+    # map of another shape keys other cells under those ids
+    field = distance_field(GridMap(6, 4), (5, 3))
+    for other in (GridMap(4, 6), GridMap(6, 5)):  # 4x6 has as many ids
         for kernel in (find_path_cost_to_go, find_path_cost_to_come):
-            stats = SearchStats()
-            paths.append(kernel(grid, s, g, table, field, SearchConfig(), stats))
-            reads.append(stats.evaluations)
-    for mode in ("cost_to_go", "cost_to_come"):
-        for params in tables[1:]:
-            stats = SearchStats()
-            paths += plan_independent_paths(grid, tasks, params, 2,
-                                            SearchConfig(mode, 4), stats=stats)
-            reads.append(stats.evaluations)
-    stats = SearchStats()
-    with monkeypatch.context() as m:
-        m.setattr(lifelong, "find_path_cost_to_go",
-                  lambda *args, **kwargs: find_path_cost_to_go(
-                      *args, stats=stats, **kwargs))
-        for variant in ("cut+usage", "cut+usage+temporal"):
-            fields = FieldCache(grid)
-            chains = [lifelong.truncate_goal_list(s, [g], 3, fields.dist)
-                      for s, g in tasks]
-            paths += lifelong.apply_horizon_cut(
-                grid, chains, lifelong.config_for_variant(variant, 3, 8),
-                fields, 1)
-            reads.append(stats.evaluations)
-    return paths, reads
-
-
-def test_kernels_read_the_table_inline(monkeypatch):
-    # the kernels read the id-keyed counts themselves, one read per move:
-    # with `UsageTable.penalty` made to raise, every planner still plans the
-    # same paths with the same number of reads
-    paths, reads = _plans_and_reads(monkeypatch)
-    assert all(reads)
-
-    def raising(self, frm, to, t=0):
-        raise AssertionError("a search called UsageTable.penalty")
-
-    monkeypatch.setattr(UsageTable, "penalty", raising)
-    assert _plans_and_reads(monkeypatch) == (paths, reads)
+            with pytest.raises(ValueError, match="map of another shape"):
+                kernel((0, 0), empty_table(other), field)
+    for kernel in (find_path_cost_to_go, find_path_cost_to_come):
+        path = kernel((0, 0), empty_table(GridMap(6, 4)), field)
+        assert path[-1] == (5, 3) and len(path) - 1 == 8
 
 
 def test_prefix_search_stops_at_depth():
     grid = GridMap(9, 9)
     field = distance_field(grid, (8, 8))
-    path = find_path_cost_to_go(grid, (0, 0), (8, 8), empty_table(grid), field,
-                                SearchConfig(tie_break_seed=1), stop_depth=5)
+    path = find_path_cost_to_go((0, 0), empty_table(grid), field, 1, stop_depth=5)
     assert len(path) - 1 == 5
     assert field[path[-1]] == 16 - 5
 

@@ -1,13 +1,46 @@
+import copy
 import random
+from collections import Counter
 
 import pytest
 
-from helpers import (ReferenceUsageTable, build_prior_paths, neighbors,
+from helpers import (build_prior_paths, neighbors, reference_table,
                      usage_table)
-from spreadplan.grid import GridMap, generate_random_grid
+from spreadplan.grid import GridMap, distance_field, generate_random_grid
+from spreadplan.search import (SearchStats, find_path_cost_to_come,
+                               find_path_cost_to_go)
 from spreadplan.usage import UsageParams, UsageTable, UsageUnderflowError
 
 GRID = GridMap(10, 10)  # holds every cell the hand-written tables claim
+KERNELS = (find_path_cost_to_go, find_path_cost_to_come)
+
+
+def stored_counts(table):
+    """The claims `table` stores, keyed as `ReferenceUsageTable` keys them:
+    (x, y) for a cell and (x1, y1, x2, y2) for a move, with a trailing
+    step in a temporal table, where a claim at step s counts at each step
+    from max(0, s - window_before) to s + window_after."""
+    cell_at, size, params = table.grid.cell_at, table.size, table.params
+    vertex = {v: cell_at[v] for v in table.vertex}
+    edge = {k: cell_at[k // size] + cell_at[k % size] for k in table.edge}
+    counts = ({}, {})
+    for claims, keys, out in ((table.vertex, vertex, counts[0]),
+                              (table.edge, edge, counts[1])):
+        for k, value in claims.items():
+            if not params.temporal:
+                out[keys[k]] = value
+                continue
+            for s in value:
+                for t in range(max(0, s - params.window_before),
+                               s + params.window_after + 1):
+                    out[keys[k] + (t,)] = out.get(keys[k] + (t,), 0) + 1
+    return counts
+
+
+def reference_counts(paths, params):
+    """The counters of a reference table holding `paths`."""
+    ref = reference_table(paths, params)
+    return ref.vertex_use, ref.edge_use
 
 
 def test_params_validation():
@@ -25,25 +58,24 @@ def test_params_validation():
 
 def test_build_empty():
     table = usage_table(GRID, [], UsageParams())
-    assert table.vertex_count((0, 0)) == 0
-    assert table.penalty((0, 0), (0, 1)) == 0.0
+    assert table.vertex == {} and table.edge == {}
+    assert stored_counts(table) == reference_counts([], UsageParams()) == ({}, {})
 
 
 def test_single_path_aggregate_counts():
     path = [(0, 0), (1, 0), (2, 0)]  # A -> B -> C
-    table = usage_table(GRID, [path], UsageParams(0.0, 1.0, num_robots=2))
-    assert [table.vertex_count((x, 0)) for x in range(4)] == [1, 1, 1, 0]
-    # each traversed edge is charged once, to the move against it
-    assert table.penalty((1, 0), (0, 0)) == pytest.approx(0.5)
-    assert table.penalty((2, 0), (1, 0)) == pytest.approx(0.5)
-    assert table.penalty((0, 0), (1, 0)) == 0.0
-    assert table.penalty((1, 0), (1, 1)) == 0.0
+    params = UsageParams(0.0, 1.0, num_robots=2)
+    # each traversed edge is claimed once, in the direction of travel
+    assert stored_counts(usage_table(GRID, [path], params)) == \
+        reference_counts([path], params) == (
+            {(0, 0): 1, (1, 0): 1, (2, 0): 1},
+            {(0, 0, 1, 0): 1, (1, 0, 2, 0): 1})
 
 
 def test_aggregate_waits_count_per_step_but_no_self_edge():
     path = [(0, 0), (0, 0), (1, 0)]
     table = usage_table(GRID, [path], UsageParams())
-    assert table.vertex_count((0, 0)) == 2
+    assert stored_counts(table) == ({(0, 0): 2, (1, 0): 1}, {(0, 0, 1, 0): 1})
     v = GRID.cell_id((0, 0))  # edges are keyed from_id * size + to_id
     assert v * table.size + v not in table.edge
 
@@ -54,27 +86,20 @@ def test_temporal_window_spans_18_steps():
                          temporal=True)
     table = UsageTable(GRID, params)
     table.add_path([(3, 8), (3, 7), (3, 6), (3, 5), (3, 4), (3, 3)])
-    counts = [table.vertex_count((3, 3), t) for t in range(25)]
+    vertex, _ = stored_counts(table)
+    counts = [vertex.get((3, 3, t), 0) for t in range(25)]
     assert counts == [0] * 3 + [1] * 18 + [0] * 4  # 18 consecutive steps
 
 
 def test_temporal_window_clamps_at_zero():
     params = UsageParams(1.0, 0.0, window_before=3, window_after=0,
                          temporal=True)
-    table = usage_table(GRID, [[(0, 0), (1, 0)]], params)
-    assert table.vertex_count((0, 0), 0) == 1
-    assert table.vertex_count((1, 0), 0) == 1  # step 1 reaches back to 0
-    assert all(table.vertex_count(v, -1) == 0 for v in ((0, 0), (1, 0)))
-    assert table.penalty((0, 0), (1, 0), -1) == 0.0
-
-
-def _reads(table, grid, horizon):
-    """Every penalty and vertex count the searches could read, in order."""
-    steps = range(-2, horizon + table.params.window_after
-                  + table.params.window_before + 2)
-    return [(table.penalty(v, u, t), table.vertex_count(v, t))
-            for v in grid.passable_cells for u in neighbors(grid, v) + [v]
-            for t in steps]
+    path = [(0, 0), (1, 0)]
+    # step 1 reaches back to 0 and no further
+    assert stored_counts(usage_table(GRID, [path], params)) == \
+        reference_counts([path], params) == (
+            {(0, 0, 0): 1, (1, 0, 0): 1, (1, 0, 1): 1}, {(0, 0, 1, 0, 0): 1,
+                                                        (0, 0, 1, 0, 1): 1})
 
 
 def test_add_then_remove_restores_table():
@@ -88,20 +113,18 @@ def test_add_then_remove_restores_table():
         table = usage_table(grid, base_paths, params)
         extra = build_prior_paths(grid, rng, 1)[0]
         waiting = [c for c in extra for _ in range(rng.randint(1, 3))]
-        horizon = max(map(len, base_paths + [waiting]))
-        before = _reads(table, grid, horizon)
+        before = copy.deepcopy((table.vertex, table.edge))
         for path in (extra, waiting, base_paths[0]):
             table.add_path(path)
             table.remove_path(path)
-            assert _reads(table, grid, horizon) == before
+            assert (table.vertex, table.edge) == before
 
 
 def test_two_identical_paths_double_counts():
     path = [(0, 0), (1, 0), (1, 1)]
     table = usage_table(GRID, [path, path], UsageParams(0.0, 1.0))
-    assert all(table.vertex_count(v) == 2 for v in path)
-    assert table.penalty((1, 0), (0, 0)) == 2.0
-    assert table.penalty((1, 1), (1, 0)) == 2.0
+    assert stored_counts(table) == ({v: 2 for v in path},
+                                    {(0, 0, 1, 0): 2, (1, 0, 1, 1): 2})
 
 
 def test_remove_never_added_underflows():
@@ -117,52 +140,82 @@ def test_remove_never_added_underflows():
 def test_remove_step_covered_by_other_windows_underflows():
     # (0, 0) is held at step 1, whose window covers step 0; a path
     # that stood there at step 0 was never added and cannot be removed
-    table = usage_table(GRID, [[(1, 0), (0, 0), (0, 0)]],
-                        UsageParams(window_before=1, window_after=1,
-                                         temporal=True))
+    path = [(1, 0), (0, 0), (0, 0)]
+    params = UsageParams(window_before=1, window_after=1, temporal=True)
+    table = usage_table(GRID, [path], params)
     with pytest.raises(UsageUnderflowError, match=r"at \(0, 0, 0\)$"):
         table.remove_path([(0, 0)])
-    assert table.vertex_count((0, 0), 0) == 1
+    vertex, _ = counts = stored_counts(table)
+    assert counts == reference_counts([path], params)
+    assert vertex[(0, 0, 0)] == 1
 
 
 def test_penalty_vertex_term():
-    table = usage_table(GRID, [[(0, 0), (1, 0), (2, 0)]],
-                        UsageParams(1.0, 0.0, num_robots=2))
-    assert table.penalty((1, 1), (1, 0)) == pytest.approx(0.5)
-    assert table.penalty((9, 9), (9, 8)) == 0.0
+    # a claim on (1, 0) steers both kernels through (0, 1), on every seed
+    grid = GridMap(2, 2)
+    params = UsageParams(1.0, 0.0, num_robots=2)
+    table = usage_table(grid, [[(1, 0)]], params)
+    assert stored_counts(table) == reference_counts([[(1, 0)]], params)
+    field = distance_field(grid, (1, 1))
+    for kernel in KERNELS:
+        for seed in range(8):
+            assert kernel((0, 0), table, field, seed) == [(0, 0), (0, 1), (1, 1)]
 
 
 def test_penalty_uses_reversed_edge():
-    # one path traverses B -> A; querying the transition A -> B is the
-    # head-to-head direction and must be charged, the same direction is not
-    a, b = (0, 0), (1, 0)
-    table = usage_table(GRID, [[b, a]], UsageParams(0.0, 1.0, num_robots=2))
-    assert table.penalty(a, b) == pytest.approx(0.5)
-    assert table.penalty(b, a) == 0.0
+    # one path traverses (0, 1) -> (0, 0), against the move (0, 0) -> (0, 1),
+    # and another (0, 0) -> (1, 0), along the move (0, 0) -> (1, 0): only
+    # the head-to-head move is charged, so both kernels go through (1, 0)
+    grid = GridMap(2, 2)
+    priors = [[(0, 1), (0, 0)], [(0, 0), (1, 0)]]
+    params = UsageParams(0.0, 1.0, num_robots=3)
+    table = usage_table(grid, priors, params)
+    assert stored_counts(table) == reference_counts(priors, params)
+    field = distance_field(grid, (1, 1))
+    for kernel in KERNELS:
+        for seed in range(8):
+            assert kernel((0, 0), table, field, seed) == [(0, 0), (1, 0), (1, 1)]
 
 
 def test_penalty_wait_has_no_edge_term():
-    table = usage_table(GRID, [[(0, 0), (1, 0)]],
-                        UsageParams(0.0, 1.0, num_robots=2))
-    assert table.penalty((1, 0), (1, 0)) == 0.0
+    path = [(0, 0), (1, 0), (1, 0)]
+    for params, edges in ((UsageParams(0.0, 1.0, num_robots=2),
+                           {(0, 0, 1, 0): 1}),
+                          (UsageParams(0.0, 1.0, 0, 0, True, 2),
+                           {(0, 0, 1, 0, 1): 1})):
+        counts = stored_counts(usage_table(GRID, [path], params))
+        assert counts == reference_counts([path], params)
+        assert counts[1] == edges
 
 
 def test_penalty_bound_for_simple_paths():
     # with weights summing to 1 and prior paths that never revisit a cell,
-    # every possible query stays strictly below 1
+    # every possible query stays strictly below 1, and no kernel read
+    # breaches the bound
     rng = random.Random(7)
     for seed in range(10):
         grid = generate_random_grid(6, 6, 0.1, seed)
         n = rng.randint(1, 6)
         paths = build_prior_paths(grid, rng, n)
+        cells = grid.passable_cells
+        field = distance_field(grid, cells[-1])
         for params in [UsageParams(1.0, 0.0, num_robots=n + 1),
                        UsageParams(0.5, 0.5, num_robots=n + 1),
                        UsageParams(0.5, 0.5, 2, 5, True, n + 1)]:
             table = usage_table(grid, paths, params)
-            for v in grid.passable_cells:
+            ref = reference_table(paths, params)
+            assert stored_counts(table) == (ref.vertex_use, ref.edge_use)
+            for v in cells:
                 for nxt in neighbors(grid, v) + [v]:
                     for t in range(0, 12, 3):
-                        assert 0.0 <= table.penalty(v, nxt, t) < 1.0
+                        assert 0.0 <= ref.penalty(v, nxt, t) < 1.0
+            stats = SearchStats()
+            for start in cells:
+                if start in field:
+                    for kernel in KERNELS:
+                        kernel(start, table, field, seed, stats)
+            assert stats.evaluations > 0
+            assert stats.penalty_bound_violations == 0
 
 
 def test_penalty_linear_in_table():
@@ -170,26 +223,26 @@ def test_penalty_linear_in_table():
     grid = generate_random_grid(7, 7, 0.1, 9)
     paths_a = build_prior_paths(grid, rng, 2)
     paths_b = build_prior_paths(grid, rng, 3)
-    params = UsageParams(0.5, 0.5, num_robots=6)
-    t_a = usage_table(grid, paths_a, params)
-    t_b = usage_table(grid, paths_b, params)
-    t_ab = usage_table(grid, paths_a + paths_b, params)
-    for v in grid.passable_cells:
-        for nxt in neighbors(grid, v):
-            assert t_ab.penalty(v, nxt) == pytest.approx(
-                t_a.penalty(v, nxt) + t_b.penalty(v, nxt))
+    for params in (UsageParams(0.5, 0.5, num_robots=6),
+                   UsageParams(0.5, 0.5, 1, 3, True, 6)):
+        t_a, t_b, t_ab = (stored_counts(usage_table(grid, paths, params))
+                          for paths in (paths_a, paths_b, paths_a + paths_b))
+        for part in range(2):
+            assert Counter(t_a[part]) + Counter(t_b[part]) == t_ab[part]
 
 
 def test_temporal_zero_window_sums_to_aggregate():
     rng = random.Random(11)
     grid = generate_random_grid(7, 7, 0.1, 12)
     paths = build_prior_paths(grid, rng, 4)
-    aggregate = usage_table(grid, paths, UsageParams())
-    temporal = usage_table(grid, paths, UsageParams(0.5, 0.5, 0, 0, True, 1))
-    horizon = max(map(len, paths))
-    for v in grid.passable_cells:
-        assert sum(temporal.vertex_count(v, t) for t in range(horizon)) == \
-            aggregate.vertex_count(v)
+    aggregate = stored_counts(usage_table(grid, paths, UsageParams()))
+    temporal = stored_counts(usage_table(grid, paths,
+                                         UsageParams(0.5, 0.5, 0, 0, True, 1)))
+    for per_step, total in zip(temporal, aggregate):
+        summed = Counter()
+        for key, count in per_step.items():
+            summed[key[:-1]] += count
+        assert summed == total
 
 
 # Equivalence with the reference table, which smears every temporal
@@ -209,24 +262,6 @@ def _with_waits(path, rng):
     return [c for c in path for _ in range(rng.choice((1, 1, 1, 2, 3)))]
 
 
-def _assert_same(table, ref, grid, horizon):
-    wa, wb = table.params.window_after, table.params.window_before
-    steps = range(-2, horizon + wa + wb + 2)
-    for v in grid.passable_cells:
-        for u in neighbors(grid, v) + [v]:
-            for t in steps:
-                assert table.penalty(v, u, t) == ref.penalty(v, u, t), (v, u, t)
-        for t in steps:
-            assert table.vertex_count(v, t) == ref.vertex_count(v, t), (v, t)
-
-
-def _reference(paths, params):
-    ref = ReferenceUsageTable(params=params)
-    for path in paths:
-        ref.add_path(path)
-    return ref
-
-
 def test_penalties_match_reference_over_random_adds_and_removes():
     rng = random.Random(31)
     for case in range(12):
@@ -235,7 +270,7 @@ def test_penalties_match_reference_over_random_adds_and_removes():
         pool = [_with_waits(p, rng) for p in build_prior_paths(grid, rng, 5)]
         pool.append([rng.choice(list(grid.passable_cells))])  # a lone step
         for params in SWEEP_PARAMS:
-            table, ref = UsageTable(grid, params), ReferenceUsageTable(params=params)
+            table, ref = UsageTable(grid, params), reference_table([], params)
             held = []
             for _ in range(8):
                 if held and rng.random() < 0.4:
@@ -247,7 +282,7 @@ def test_penalties_match_reference_over_random_adds_and_removes():
                     held.append(path)
                     table.add_path(path)
                     ref.add_path(path)
-                _assert_same(table, ref, grid, max(map(len, pool)))
+                assert stored_counts(table) == (ref.vertex_use, ref.edge_use)
 
 
 def test_build_matches_reference():
@@ -255,8 +290,8 @@ def test_build_matches_reference():
     grid = generate_random_grid(7, 7, 0.1, 33)
     paths = [_with_waits(p, rng) for p in build_prior_paths(grid, rng, 6)]
     for params in SWEEP_PARAMS:
-        _assert_same(usage_table(grid, paths, params), _reference(paths, params),
-                     grid, max(map(len, paths)))
+        assert stored_counts(usage_table(grid, paths, params)) == \
+            reference_counts(paths, params)
 
 
 def test_remove_never_added_raises_whenever_reference_does():
@@ -272,7 +307,7 @@ def test_remove_never_added_raises_whenever_reference_does():
                 build_prior_paths(grid, rng, 1)[0]))
             outcome = []
             for table in (usage_table(grid, paths, params),
-                          _reference(paths, params)):
+                          reference_table(paths, params)):
                 try:
                     table.remove_path(probe)
                     outcome.append(False)
